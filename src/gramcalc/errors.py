@@ -61,5 +61,9 @@ class NonUnitConstantTerm(GramcalcError):
     """Series division/log needs an invertible scalar constant term."""
 
 
+class CrossCheckFailed(GramcalcError):
+    """Two independent routes to the same value disagree."""
+
+
 class InvalidRadicalWitness(GramcalcError):
     """Claimed square root does not square to the radicand."""

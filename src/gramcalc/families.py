@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 from .errors import (
+    CrossCheckFailed,
     NotBetaExpressible,
     NotGammaExpressible,
     UnknownFamily,
@@ -77,19 +78,24 @@ def leaf_split_grammar() -> Grammar:
 # -- derivative chains, cached -------------------------------------------------
 
 _CHAINS: Dict[str, Tuple[Grammar, LaurentPoly]] = {}
-_CHAIN_CACHE: Dict[str, List[LaurentPoly]] = {}
+# key -> (D^0 seed, D^1 seed, ...); only finished tuples are published, so
+# concurrent callers never see a chain another thread is still extending
+_CHAIN_CACHE: Dict[str, Tuple[LaurentPoly, ...]] = {}
 
 
 def _chain(key: str, n: int) -> LaurentPoly:
-    if key not in _CHAINS:
-        grammar_factory, seed_text = _CHAIN_DEFS[key]
-        grammar = grammar_factory()
-        _CHAINS[key] = (grammar, _poly(seed_text, grammar.vars))
-    grammar, seed = _CHAINS[key]
-    cache = _CHAIN_CACHE.setdefault(key, [seed])
-    while len(cache) <= n:
-        cache.append(grammar.derive(cache[-1]))
-    return cache[n]
+    chain = _CHAIN_CACHE.get(key, ())
+    if len(chain) <= n:
+        if key not in _CHAINS:
+            grammar_factory, seed_text = _CHAIN_DEFS[key]
+            grammar = grammar_factory()
+            _CHAINS[key] = (grammar, _poly(seed_text, grammar.vars))
+        grammar, seed = _CHAINS[key]
+        built = list(chain or (seed,))
+        while len(built) <= n:
+            built.append(grammar.derive(built[-1]))
+        chain = _CHAIN_CACHE[key] = tuple(built)
+    return chain[n]
 
 
 _CHAIN_DEFS = {
@@ -378,7 +384,7 @@ def recurrence_poly(which: str, n: int) -> LaurentPoly:
     """P_n / Q_n by the derivative recurrences, independent of any grammar.
 
     P_0 = x, P_{m+1} = (1+x^2) P_m'; Q_0 = 1, Q_{m+1} = (1+x^2) Q_m' + x Q_m.
-    The result is asserted equal to the grammar route.
+    A result that differs from the grammar route raises CrossCheckFailed.
     """
     if which not in ("P", "Q"):
         raise ValueError("which must be 'P' or 'Q'")
@@ -393,5 +399,6 @@ def recurrence_poly(which: str, n: int) -> LaurentPoly:
             step = step + x * current
         current = step
     family = "deriv_P" if which == "P" else "deriv_Q"
-    assert current == family_poly(family, n), f"recurrence/grammar mismatch at {which}_{n}"
+    if current != family_poly(family, n):
+        raise CrossCheckFailed(f"recurrence/grammar mismatch at {which}_{n}")
     return current

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .errors import ExtensionConflict, InsufficientClearing, ParseError
+from .errors import CrossCheckFailed, ExtensionConflict, InsufficientClearing, ParseError
 from .laurent import LaurentPoly, parse_poly
 
 
@@ -137,7 +137,8 @@ class Grammar:
         for k in range(n + 1):
             total = total + comb(n, k) * (chain_f[k] * chain_g[n - k])
         total = self.reduce(total)
-        assert total == self.derive_n(f * g, n), "Leibniz expansion mismatch"
+        if total != self.derive_n(f * g, n):
+            raise CrossCheckFailed("Leibniz expansion mismatch")
         return total
 
     # -- transformations and extensions ---------------------------------------

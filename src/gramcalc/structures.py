@@ -21,6 +21,7 @@ Tree kinds (labels strictly increase away from the root):
 from __future__ import annotations
 
 import itertools
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Sequence, Tuple
@@ -162,78 +163,81 @@ def permutations(n: int) -> Iterator[Tuple[int, ...]]:
 
 
 def _subsets(items: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """All (chosen, rest) splits, deterministic by bitmask order."""
-    m = len(items)
-    for mask in range(1 << m):
-        chosen = tuple(items[i] for i in range(m) if mask >> i & 1)
-        rest = tuple(items[i] for i in range(m) if not mask >> i & 1)
-        yield chosen, rest
+    """All (chosen, rest) splits, deterministic by bitmask order (items[0] is bit 0)."""
+    if not items:
+        yield (), ()
+        return
+    first = items[:1]
+    for chosen, rest in _subsets(items[1:]):
+        yield chosen, first + rest
+        yield first + chosen, rest
+
+
+def _binary_pairs(labels: Tuple[int, ...]):
+    """inc_binary trees on labels, each with its (leaves, one-child) counts."""
+    if not labels:
+        yield None, (0, 0)
+        return
+    root, rest = labels[0], labels[1:]
+    for left_set, right_set in _subsets(rest):
+        children = bool(left_set) + bool(right_set)
+        f0, f1 = children == 0, children == 1
+        rights = list(_binary_pairs(right_set))
+        for left, (a0, a1) in _binary_pairs(left_set):
+            for right, (b0, b1) in rights:
+                yield (root, left, right), (f0 + a0 + b0, f1 + a1 + b1)
 
 
 def inc_binary_trees(labels: Tuple[int, ...]):
+    for tree, _ in _binary_pairs(labels):
+        yield tree
+
+
+def _trees_012(labels: Tuple[int, ...], ordered: bool):
+    """0-1-2 trees on labels; unordered ones list children by minimum label."""
     if not labels:
-        yield None
         return
     root, rest = labels[0], labels[1:]
-    for left_set, right_set in _subsets(rest):
-        for left in inc_binary_trees(left_set):
-            for right in inc_binary_trees(right_set):
-                yield (root, left, right)
-
-
-def _ordered_pairs(rest: Tuple[int, ...]):
-    # Nonempty ordered bipartitions of rest.
+    if not rest:
+        yield (root, ())
+        return
+    for child in _trees_012(rest, ordered):
+        yield (root, (child,))
     for first, second in _subsets(rest):
-        if first and second:
-            yield first, second
+        if first and second and (ordered or rest[0] in first):
+            for a in _trees_012(first, ordered):
+                for b in _trees_012(second, ordered):
+                    yield (root, (a, b))
 
 
 def plane_012_trees(labels: Tuple[int, ...]):
-    if not labels:
-        return
-    root, rest = labels[0], labels[1:]
-    if not rest:
-        yield (root, ())
-        return
-    for child in plane_012_trees(rest):
-        yield (root, (child,))
-    for first, second in _ordered_pairs(rest):
-        for a in plane_012_trees(first):
-            for b in plane_012_trees(second):
-                yield (root, (a, b))
+    yield from _trees_012(labels, True)
 
 
 def tree_012_trees(labels: Tuple[int, ...]):
+    yield from _trees_012(labels, False)
+
+
+def _jv_pairs(labels: Tuple[int, ...]):
+    """jv trees on labels, each with its number of empty leaves."""
     if not labels:
+        yield None, 1  # the lone empty leaf
         return
     root, rest = labels[0], labels[1:]
     if not rest:
-        yield (root, ())
+        yield (root, ()), 0
+        yield (root, (None, None)), 2
         return
-    for child in tree_012_trees(rest):
-        yield (root, (child,))
-    for first, second in _ordered_pairs(rest):
-        if rest[0] not in first:
-            continue  # children canonically ordered by minimum label
-        for a in tree_012_trees(first):
-            for b in tree_012_trees(second):
-                yield (root, (a, b))
+    for left_set, right_set in _subsets(rest):
+        rights = list(_jv_pairs(right_set))
+        for left, a in _jv_pairs(left_set):
+            for right, b in rights:
+                yield (root, (left, right)), a + b
 
 
 def jv_trees(labels: Tuple[int, ...]):
-    if not labels:
-        yield None  # the lone empty leaf
-        return
-    root, rest = labels[0], labels[1:]
-    if not rest:
-        yield (root, ())
-        yield (root, (None, None))
-        return
-    for left_set, right_set in _subsets(rest):
-        left_options = list(jv_trees(left_set))
-        for left in left_options:
-            for right in jv_trees(right_set):
-                yield (root, (left, right))
+    for tree, _ in _jv_pairs(labels):
+        yield tree
 
 
 def set_partitions(labels: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], ...]]:
@@ -263,7 +267,7 @@ def jv_forests(labels: Tuple[int, ...]):
     """Forests of planted jv trees; a singleton block is a root + empty leaf."""
     for partition in set_partitions(labels):
         block_options = [
-            [(block[0], sub) for sub in (jv_trees(block[1:]) if block[1:] else [None])]
+            [(block[0], sub) for sub in jv_trees(block[1:])]
             for block in partition
         ]
         for choice in itertools.product(*block_options):
@@ -352,24 +356,40 @@ def _poly_from_counter(variables, counter: Dict[Tuple[int, ...], int]) -> Lauren
 
 
 _EMPTY_PERM = PermRecord((), 0, 0, 0, 0, 0, True)
+_PermStats = namedtuple("_PermStats", "des asc lpk ipk lrpk alternating")
+# n -> ((stats, count), ...); only finished tuples are published
+_PERM_HISTOGRAMS: Dict[int, Tuple[Tuple[_PermStats, int], ...]] = {}
 
 
-def _perm_weight_sum(n: int, exponents) -> LaurentPoly:
-    counter: Dict[Tuple[int, int], int] = {}
-    records = [_EMPTY_PERM] if n == 0 else map(perm_stats, permutations(n))
-    for record in records:
-        key = exponents(record)
-        counter[key] = counter.get(key, 0) + 1
-    return _poly_from_counter(XY, counter)
+def _perm_histogram(n: int) -> Tuple[Tuple[_PermStats, int], ...]:
+    """Joint statistics of every permutation of [n], one perm_stats pass per n."""
+    histogram = _PERM_HISTOGRAMS.get(n)
+    if histogram is None:
+        records = [_EMPTY_PERM] if n == 0 else map(perm_stats, permutations(n))
+        tally = Counter(
+            _PermStats(r.des, r.asc, r.lpk, r.ipk, r.lrpk, r.alternating) for r in records
+        )
+        histogram = _PERM_HISTOGRAMS.setdefault(n, tuple(tally.items()))
+    return histogram
+
+
+# name -> (variables, exponents of one permutation's weight given n and its
+# stats, least n that is a weighted count)
+_PERM_WEIGHTS = {
+    "eulerian_biv": (XY, lambda n, r: (r.des + 1, r.asc + 1), 1),
+    "eulerian_uni": (("x",), lambda n, r: (r.des + 1,), 1),
+    "left_peak_biv": (XY, lambda n, r: (2 * r.lpk + 1, n - 2 * r.lpk), 0),
+    "left_peak_uni": (("x",), lambda n, r: (r.lpk,), 0),
+    "interior_peak_biv": (XY, lambda n, r: (2 * r.ipk + 2, n - 2 * r.ipk - 1), 1),
+    "interior_peak_uni": (("x",), lambda n, r: (r.ipk,), 1),
+    "lr_peak_biv": (XY, lambda n, r: (2 * r.lrpk, n - 2 * r.lrpk + 1), 0),
+    "lr_peak_uni": (("x",), lambda n, r: (r.lrpk,), 0),
+}
 
 
 def _block_jv_empty_lists(partition):
     for block in partition:
-        rest = block[1:]
-        if not rest:
-            yield [1]  # lone root carries a single empty leaf
-        else:
-            yield [jv_empty_leaves(t) for t in jv_trees(rest)]
+        yield [k for _, k in _jv_pairs(block[1:])]
 
 
 def _block_uv_lists(partition):
@@ -378,7 +398,7 @@ def _block_uv_lists(partition):
         if not rest:
             yield [(0, 1)]  # lone root labeled v
         else:
-            yield [binary_degree_counts(t)[:2] for t in inc_binary_trees(rest)]
+            yield [stat for _, stat in _binary_pairs(rest)]
 
 
 def family_poly_oracle(name: str, n: int, bound: int | None = None) -> LaurentPoly:
@@ -392,18 +412,14 @@ def family_poly_oracle(name: str, n: int, bound: int | None = None) -> LaurentPo
     _check_bound(n, bound)
     labels = tuple(range(1, n + 1))
 
-    if name in ("eulerian_biv", "eulerian_uni"):
-        if n < 1:
-            raise ValueError(f"{name} oracle needs n >= 1")
-        poly = _perm_weight_sum(n, lambda r: (r.des + 1, r.asc + 1))
-    elif name in ("left_peak_biv", "left_peak_uni"):
-        poly = _perm_weight_sum(n, lambda r: (2 * r.lpk + 1, n - 2 * r.lpk))
-    elif name in ("interior_peak_biv", "interior_peak_uni"):
-        if n < 1:
-            raise ValueError(f"{name} oracle needs n >= 1")
-        poly = _perm_weight_sum(n, lambda r: (2 * r.ipk + 2, n - 2 * r.ipk - 1))
-    elif name in ("lr_peak_biv", "lr_peak_uni"):
-        poly = _perm_weight_sum(n, lambda r: (2 * r.lrpk, n - 2 * r.lrpk + 1))
+    if name in _PERM_WEIGHTS:
+        variables, exponents, least_n = _PERM_WEIGHTS[name]
+        if n < least_n:
+            raise ValueError(f"{name} oracle needs n >= {least_n}")
+        counter = Counter()
+        for stats, count in _perm_histogram(n):
+            counter[exponents(n, stats)] += count
+        return _poly_from_counter(variables, counter)
     elif name == "R_family":
         left = family_poly_oracle("left_peak_biv", n, bound)
         right = family_poly_oracle("lr_peak_biv", n, bound)
@@ -411,61 +427,32 @@ def family_poly_oracle(name: str, n: int, bound: int | None = None) -> LaurentPo
     elif name == "dumont":
         if n < 1:
             raise ValueError("dumont oracle needs n >= 1")
-        counter: Dict[Tuple[int, int], int] = {}
-        for tree in inc_binary_trees(labels):
-            f0, f1, _ = binary_degree_counts(tree)
-            counter[(f0, f1)] = counter.get((f0, f1), 0) + 1
-        return _poly_from_counter(UV, counter)
+        return _poly_from_counter(UV, Counter(stat for _, stat in _binary_pairs(labels)))
     elif name in ("andre_biv", "andre_uni"):
-        counter = {}
+        counter = Counter(tree_degree_counts(tree)[:2] for tree in tree_012_trees(labels))
         if n == 0:
             counter[(0, 0)] = 1
-        for tree in tree_012_trees(labels):
-            f0, f1, _ = tree_degree_counts(tree)
-            counter[(f0, f1)] = counter.get((f0, f1), 0) + 1
         poly = _poly_from_counter(UV, counter)
         if name == "andre_uni":
             return poly.substitute({"v": LaurentPoly.const(1)})
         return poly
     elif name == "deriv_P":
-        counter = {}
-        for tree in jv_trees(labels):
-            k = jv_empty_leaves(tree)
-            counter[(k,)] = counter.get((k,), 0) + 1
-        return _poly_from_counter(("x",), counter)
+        return _poly_from_counter(("x",), Counter((k,) for _, k in _jv_pairs(labels)))
     elif name == "deriv_Q":
-        counter = {}
+        counter = Counter()
         for partition in set_partitions(labels):
             for combo in itertools.product(*_block_jv_empty_lists(partition)):
-                k = sum(combo)
-                counter[(k,)] = counter.get((k,), 0) + 1
+                counter[(sum(combo),)] += 1
         return _poly_from_counter(("x",), counter)
     elif name == "planted_forest":
-        counter = {}
+        counter = Counter()
         for partition in set_partitions(labels):
             for combo in itertools.product(*_block_uv_lists(partition)):
                 f0 = sum(c[0] for c in combo)
                 f1 = sum(c[1] for c in combo)
-                counter[(f1, f0)] = counter.get((f1, f0), 0) + 1
+                counter[(f1, f0)] += 1
         return _poly_from_counter(("v", "u"), counter)
-    else:
-        raise UnknownFamily(f"no oracle for family {name!r}")
-
-    if name == "eulerian_uni":
-        return poly.substitute({"y": LaurentPoly.const(1)})
-    if name == "left_peak_uni":
-        from .families import _left_peak_k, _project
-
-        return _project(poly, n, _left_peak_k)
-    if name == "interior_peak_uni":
-        from .families import _interior_peak_k, _project
-
-        return _project(poly, n, _interior_peak_k)
-    if name == "lr_peak_uni":
-        from .families import _lr_peak_k, _project
-
-        return _project(poly, n, _lr_peak_k)
-    return poly
+    raise UnknownFamily(f"no oracle for family {name!r}")
 
 
 def dumont_plane_oracle(n: int, bound: int | None = None) -> LaurentPoly:
@@ -477,10 +464,9 @@ def dumont_plane_oracle(n: int, bound: int | None = None) -> LaurentPoly:
     _check_bound(n, bound)
     if n < 1:
         raise ValueError("plane-tree oracle needs n >= 1")
-    counter: Dict[Tuple[int, int], int] = {}
-    for tree in plane_012_trees(tuple(range(1, n + 1))):
-        f0, f1, _ = tree_degree_counts(tree)
-        counter[(f0, f1)] = counter.get((f0, f1), 0) + 1
+    counter = Counter(
+        tree_degree_counts(tree)[:2] for tree in plane_012_trees(tuple(range(1, n + 1)))
+    )
     # weight u^f0 (2v)^f1: fold the 2^f1 into the coefficient
     terms = {
         (f0, f1): Fraction(count) * Fraction(2) ** f1
@@ -492,19 +478,14 @@ def dumont_plane_oracle(n: int, bound: int | None = None) -> LaurentPoly:
 def plane_leaf_counts(n: int, bound: int | None = None) -> Dict[int, int]:
     """Number of plane 0-1-2 increasing trees on [n] with k leaves."""
     _check_bound(n, bound)
-    counts: Dict[int, int] = {}
-    for tree in plane_012_trees(tuple(range(1, n + 1))):
-        k = tree_leaf_count(tree)
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+    trees = plane_012_trees(tuple(range(1, n + 1)))
+    return dict(Counter(tree_leaf_count(tree) for tree in trees))
 
 
 def alternating_count(n: int, bound: int | None = None) -> int:
     """Number of up-down alternating permutations of [n]."""
     _check_bound(n, bound)
-    if n == 0:
-        return 1
-    return sum(1 for p in permutations(n) if perm_stats(p).alternating)
+    return sum(count for stats, count in _perm_histogram(n) if stats.alternating)
 
 
 # -- JSON ---------------------------------------------------------------------

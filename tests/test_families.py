@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+
 import pytest
 
+from gramcalc import families
 from gramcalc.errata import ERRATA_BY_ID
 from gramcalc.errors import (
     NotBetaExpressible,
@@ -11,6 +18,7 @@ from gramcalc.families import (
     FAMILY_NAMES,
     beta_expansion,
     beta_from_poly,
+    eulerian_grammar,
     family_number,
     family_poly,
     gamma_expansion,
@@ -213,6 +221,65 @@ def test_recurrence_route():
     for n in range(0, 10):
         assert recurrence_poly("P", n) == family_poly("deriv_P", n)
         assert recurrence_poly("Q", n) == family_poly("deriv_Q", n)
+
+
+def test_chain_cache_under_concurrent_extension():
+    # threads extending one derivative chain at once must not interleave
+    # their appends: each would then store its own D^{k+1} at a different index
+    chain = eulerian_grammar().derivative_chain(parse_poly("y"), 26)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            families._CHAIN_CACHE.pop("eulerian", None)
+            barrier = threading.Barrier(8)
+            results = [None] * 8
+
+            def work(i):
+                barrier.wait()
+                results[i] = family_poly("eulerian_biv", 25)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert results == [chain[25]] * 8
+            assert family_poly("eulerian_biv", 26) == chain[26]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_cross_checks_raise_under_optimize():
+    # force both self-checks to see a wrong second route; under python -O an
+    # assert-based check would return the unchecked value instead of raising
+    script = textwrap.dedent("""
+        from gramcalc import families
+        from gramcalc.errors import CrossCheckFailed
+        from gramcalc.grammar import Grammar
+        from gramcalc.laurent import LaurentPoly
+
+        families.family_poly = lambda name, n: LaurentPoly.const(0, ("x",))
+        Grammar.derive_n = lambda self, f, n: LaurentPoly.zero(self.vars)
+        x, y = (LaurentPoly.variable(v, ("x", "y")) for v in "xy")
+        checks = {
+            "recurrence_poly": lambda: families.recurrence_poly("P", 2),
+            "leibniz_expand": lambda: families.eulerian_grammar().leibniz_expand(x, y, 1),
+        }
+        for name, check in checks.items():
+            try:
+                check()
+            except CrossCheckFailed:
+                print(name, "raised")
+    """)
+    src = os.path.dirname(os.path.dirname(families.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["recurrence_poly raised", "leibniz_expand raised", ""]
 
 
 def test_errata_entries_cover_corrected_tables():

@@ -1,13 +1,20 @@
+import itertools
 import json
+from collections import Counter
+from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from gramcalc.errors import BoundExceeded, NotAPermutation, UnknownFamily
 from gramcalc.families import family_number, family_poly
-from gramcalc.laurent import parse_poly
+from gramcalc.laurent import LaurentPoly, parse_poly
 from gramcalc.structures import (
+    STRUCTURE_KINDS,
+    _binary_pairs,
+    _jv_pairs,
     alternating_count,
+    binary_degree_counts,
     count_structures,
     dumont_plane_oracle,
     enumerate_structures,
@@ -207,3 +214,165 @@ def test_structure_json():
         for structure in enumerate_structures(kind, 3):
             text = json.dumps(structure_to_json(kind, structure))
             assert json.loads(text) is not None
+
+
+# -- reference enumerators: the plain recursive algorithms, kept to pin the
+# order and content of enumerate_structures --------------------------------
+
+
+def _ref_subsets(items):
+    m = len(items)
+    for mask in range(1 << m):
+        chosen = tuple(items[i] for i in range(m) if mask >> i & 1)
+        rest = tuple(items[i] for i in range(m) if not mask >> i & 1)
+        yield chosen, rest
+
+
+def _ref_inc_binary(labels):
+    if not labels:
+        yield None
+        return
+    root, rest = labels[0], labels[1:]
+    for left_set, right_set in _ref_subsets(rest):
+        for left in _ref_inc_binary(left_set):
+            for right in _ref_inc_binary(right_set):
+                yield (root, left, right)
+
+
+def _ref_012(labels, ordered):
+    if not labels:
+        return
+    root, rest = labels[0], labels[1:]
+    if not rest:
+        yield (root, ())
+        return
+    for child in _ref_012(rest, ordered):
+        yield (root, (child,))
+    for first, second in _ref_subsets(rest):
+        if not (first and second) or not (ordered or rest[0] in first):
+            continue
+        for a in _ref_012(first, ordered):
+            for b in _ref_012(second, ordered):
+                yield (root, (a, b))
+
+
+def _ref_jv(labels):
+    if not labels:
+        yield None
+        return
+    root, rest = labels[0], labels[1:]
+    if not rest:
+        yield (root, ())
+        yield (root, (None, None))
+        return
+    for left_set, right_set in _ref_subsets(rest):
+        for left in _ref_jv(left_set):
+            for right in _ref_jv(right_set):
+                yield (root, (left, right))
+
+
+def _ref_partitions(labels):
+    if not labels:
+        yield ()
+        return
+    first, rest = labels[0], labels[1:]
+    for sub in _ref_partitions(rest):
+        yield ((first,),) + sub
+        for i, block in enumerate(sub):
+            yield sub[:i] + ((first,) + block,) + sub[i + 1 :]
+
+
+def _ref_forests(labels, trees):
+    for partition in _ref_partitions(labels):
+        options = [[(block[0], sub) for sub in trees(block[1:])] for block in partition]
+        yield from itertools.product(*options)
+
+
+def _reference(kind, n):
+    labels = tuple(range(1, n + 1))
+    return {
+        "permutations": lambda: itertools.permutations(labels),
+        "inc_binary": lambda: _ref_inc_binary(labels) if n else iter(()),
+        "plane_012": lambda: _ref_012(labels, True),
+        "tree_012": lambda: _ref_012(labels, False),
+        "jv_tree": lambda: _ref_jv(labels),
+        "jv_forest": lambda: _ref_forests(labels, _ref_jv),
+        "planted_forest": lambda: _ref_forests(labels, _ref_inc_binary),
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", STRUCTURE_KINDS)
+def test_enumeration_matches_reference(kind):
+    for n in range(0, 8):
+        assert list(enumerate_structures(kind, n)) == list(_reference(kind, n)), (kind, n)
+
+
+def test_carried_stats_match_recomputed():
+    for n in range(0, 8):
+        labels = tuple(range(1, n + 1))
+        for tree, k in _jv_pairs(labels):
+            assert k == jv_empty_leaves(tree), tree
+        for tree, stat in _binary_pairs(labels):
+            assert stat == binary_degree_counts(tree)[:2], tree
+
+
+# exponents of one permutation's weight, read straight off its PermRecord
+PERM_FAMILIES = {
+    "eulerian_biv": (("x", "y"), lambda n, r: (r.des + 1, r.asc + 1)),
+    "eulerian_uni": (("x",), lambda n, r: (r.des + 1,)),
+    "left_peak_biv": (("x", "y"), lambda n, r: (2 * r.lpk + 1, n - 2 * r.lpk)),
+    "left_peak_uni": (("x",), lambda n, r: (r.lpk,)),
+    "interior_peak_biv": (("x", "y"), lambda n, r: (2 * r.ipk + 2, n - 2 * r.ipk - 1)),
+    "interior_peak_uni": (("x",), lambda n, r: (r.ipk,)),
+    "lr_peak_biv": (("x", "y"), lambda n, r: (2 * r.lrpk, n - 2 * r.lrpk + 1)),
+    "lr_peak_uni": (("x",), lambda n, r: (r.lrpk,)),
+}
+
+
+def _direct_tally(name, n):
+    variables, exponents = PERM_FAMILIES[name]
+    perms = itertools.permutations(range(1, n + 1))
+    tally = Counter(exponents(n, perm_stats(p)) for p in perms)
+    return LaurentPoly(variables, {e: Fraction(c) for e, c in tally.items()})
+
+
+@pytest.mark.parametrize("name", sorted(PERM_FAMILIES))
+def test_permutation_oracles_match_direct_tally(name):
+    for n in range(1, 8):
+        assert family_poly_oracle(name, n) == _direct_tally(name, n), (name, n)
+
+
+def test_r_family_and_alternating_match_direct_tally():
+    for n in range(1, 8):
+        assert family_poly_oracle("R_family", n) == (
+            _direct_tally("left_peak_biv", n) + _direct_tally("lr_peak_biv", n)
+        )
+        perms = itertools.permutations(range(1, n + 1))
+        assert alternating_count(n) == sum(perm_stats(p).alternating for p in perms)
+
+
+# (family, structure kind, least n that is a weighted count, weightings per structure)
+ORACLE_KINDS = [
+    ("eulerian_biv", "permutations", 1, 1),
+    ("eulerian_uni", "permutations", 1, 1),
+    ("left_peak_biv", "permutations", 0, 1),
+    ("left_peak_uni", "permutations", 0, 1),
+    ("interior_peak_biv", "permutations", 1, 1),
+    ("interior_peak_uni", "permutations", 1, 1),
+    ("lr_peak_biv", "permutations", 0, 1),
+    ("lr_peak_uni", "permutations", 0, 1),
+    ("R_family", "permutations", 0, 2),
+    ("dumont", "inc_binary", 1, 1),
+    ("andre_biv", "tree_012", 1, 1),
+    ("andre_uni", "tree_012", 1, 1),
+    ("deriv_P", "jv_tree", 0, 1),
+    ("deriv_Q", "jv_forest", 0, 1),
+    ("planted_forest", "planted_forest", 0, 1),
+]
+
+
+@pytest.mark.parametrize("name,kind,lo,copies", ORACLE_KINDS)
+def test_oracle_coefficient_sum_counts_structures(name, kind, lo, copies):
+    for n in range(lo, 9):
+        total = sum(family_poly_oracle(name, n).terms.values())
+        assert total == copies * count_structures(kind, n), (name, n)
