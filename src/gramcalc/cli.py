@@ -2,8 +2,8 @@
 
 Subcommands: family, check, oracle, label, series, trees, errata.
 Exit codes: 0 success / all checks pass, 1 identity or diff failure,
-2 usage or input error.  All output is deterministic for fixed inputs;
-diagnostics go to stderr.
+2 usage or input error, or a check whose range is empty.  All output is
+deterministic for fixed inputs; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -101,6 +101,13 @@ def cmd_check(args) -> int:
             print(_report_line(report))
         passed = sum(r.passed for r in reports)
         print(f"{passed}/{len(reports)} identities pass")
+    empty = [r.name for r in reports if r.status == "empty"]
+    if empty:
+        print(
+            f"error: empty range (raise --max-n or --oracle-max-n): {', '.join(empty)}",
+            file=sys.stderr,
+        )
+        return 2
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -27,7 +27,3 @@ def _load():
 
 ERRATA = _load()
 ERRATA_BY_ID = {entry["id"]: entry for entry in ERRATA}
-
-
-def errata_json() -> str:
-    return json.dumps(ERRATA, indent=2)

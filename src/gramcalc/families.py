@@ -249,28 +249,26 @@ def family_poly(name: str, n: int) -> LaurentPoly:
     return REGISTRY[name].build(n)
 
 
-SEQUENCE_NAMES = ("euler", "tangent", "secant", "springer", "p_at_one")
+# sequence name -> (family, evaluation point)
+SEQUENCES: Dict[str, Tuple[str, Dict[str, int]]] = {
+    "euler": ("andre_biv", {"u": 1, "v": 1}),
+    "tangent": ("deriv_P", {"x": 0}),
+    "secant": ("deriv_Q", {"x": 0}),
+    "springer": ("deriv_Q", {"x": 1}),
+    "p_at_one": ("deriv_P", {"x": 1}),
+}
 
 
 def family_number(name: str, n: int) -> int:
     """Integer sequences read off the families by exact evaluation."""
     if n < 0:
         raise ValueError("sequence index must be nonnegative")
-    if name == "euler":
-        value = family_poly("andre_biv", n).evaluate({"u": 1, "v": 1})
-    elif name == "tangent":
-        value = family_poly("deriv_P", n).evaluate({"x": 0})
-    elif name == "secant":
-        value = family_poly("deriv_Q", n).evaluate({"x": 0})
-    elif name == "springer":
-        value = family_poly("deriv_Q", n).evaluate({"x": 1})
-    elif name == "p_at_one":
-        value = family_poly("deriv_P", n).evaluate({"x": 1})
-    else:
+    if name not in SEQUENCES:
         raise UnknownSequence(
-            f"unknown sequence {name!r}; known: {', '.join(SEQUENCE_NAMES)}"
+            f"unknown sequence {name!r}; known: {', '.join(SEQUENCES)}"
         )
-    return _as_int(value, f"{name}({n})")
+    family, point = SEQUENCES[name]
+    return _as_int(family_poly(family, n).evaluate(point), f"{name}({n})")
 
 
 def _as_int(value: Scalar, what: str) -> int:

@@ -2,9 +2,11 @@
 
 Every entry verifies one classical statement about the catalogued families by
 exact computation over a finite range, reporting pass/fail with a witness
-(the smallest failing index and both sides) on failure.  All family values
-flow through a provider object so tests can inject corrupted families and
-watch the dependent identities fail.
+(the first disagreement in the check's own order, and both sides) on failure.
+An entry is data: a declared range and a generator of (n, lhs, rhs) pairs,
+which one loop compares.  All family values flow through a provider object
+so tests can inject corrupted families and watch the dependent identities
+fail.
 
 Statements whose commonly printed forms carry misprints are checked in the
 corrected form recorded in gramcalc.errata.
@@ -20,6 +22,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import UnknownIdentity
 from .families import (
+    SEQUENCES,
+    _as_int,
     beta_from_poly,
     eulerian_grammar,
     family_poly,
@@ -52,21 +56,10 @@ class GrammarFamilies:
         return family_poly(name, n)
 
     def number(self, name: str, n: int) -> int:
-        if name == "euler":
-            value = self.poly("andre_biv", n).evaluate({"u": 1, "v": 1})
-        elif name == "tangent":
-            value = self.poly("deriv_P", n).evaluate({"x": 0})
-        elif name == "secant":
-            value = self.poly("deriv_Q", n).evaluate({"x": 0})
-        elif name == "springer":
-            value = self.poly("deriv_Q", n).evaluate({"x": 1})
-        elif name == "p_at_one":
-            value = self.poly("deriv_P", n).evaluate({"x": 1})
-        else:
+        if name not in SEQUENCES:
             raise ValueError(f"unknown sequence {name!r}")
-        if not isinstance(value, Fraction) or value.denominator != 1:
-            raise ValueError(f"{name}({n}) is not an integer: {value}")
-        return value.numerator
+        family, point = SEQUENCES[name]
+        return _as_int(self.poly(family, n).evaluate(point), f"{name}({n})")
 
 
 @dataclass(frozen=True)
@@ -81,6 +74,10 @@ class CheckContext:
 
     def point(self, var: str, default: Fraction) -> Fraction:
         return Fraction(self.points.get(var, default))
+
+    def chain(self, name: str, top: int) -> List[LaurentPoly]:
+        """Members 0..top of one family, fetched in order."""
+        return [self.provider.poly(name, k) for k in range(top + 1)]
 
 
 @dataclass(frozen=True)
@@ -108,14 +105,17 @@ class IdentityReport:
         return payload
 
 
+Pairs = Iterable[Tuple[int, object, object]]
+
+
 def _render(value) -> str:
     if isinstance(value, LaurentPoly):
         return value.render()
     return str(value)
 
 
-def _mismatch(pairs: Iterable[Tuple[int, object, object]]) -> Optional[dict]:
-    """First (smallest-n) disagreement among (n, lhs, rhs) triples."""
+def _mismatch(pairs: Pairs) -> Optional[dict]:
+    """First disagreement among (n, lhs, rhs) triples, in the check's own order."""
     for n, lhs, rhs in pairs:
         if lhs != rhs:
             return {"n": n, "lhs": _render(lhs), "rhs": _render(rhs)}
@@ -141,332 +141,226 @@ def _binomial_convolution(chain_a, chain_b, n: int) -> LaurentPoly:
     return total
 
 
+def _expand(table: Mapping[int, Scalar], basis, variables) -> LaurentPoly:
+    """Sum of coeff * basis(k) over a {k: coeff} table, in table order."""
+    total = LaurentPoly.zero(variables)
+    for k, coeff in table.items():
+        total = total + coeff * basis(k)
+    return total
+
+
+def _coeff_pairs(lhs: TruncSeries, rhs: TruncSeries, order: int) -> Pairs:
+    return ((n, lhs.coeffs[n], rhs.coeffs[n]) for n in range(order + 1))
+
+
 X = LaurentPoly.variable("x")
 Y_OF_XY = LaurentPoly.variable("y", ("x", "y"))
 X_OF_XY = LaurentPoly.variable("x", ("x", "y"))
+_I = make_gaussian(0, 1)
+_HALF_SUM = parse_poly("1/2*x + 1/2*y")
+_HALF_DIFF = parse_poly("1/2*y - 1/2*x")
+_X_SQUARED = parse_poly("x^2")
+_ONE_PLUS_X = parse_poly("1 + x")
+_ONE_MINUS_X = parse_poly("1 - x")
+_ONE_PLUS_X2 = parse_poly("1 + x^2")
+_TWO_X = parse_poly("2*x")
+_PEAK_SUB = {"u": _X_SQUARED, "v": Y_OF_XY}
+_PETERSEN = RationalFunction(parse_poly("4*x"), _ONE_PLUS_X * _ONE_PLUS_X)
+_CAYLEY = RationalFunction(X + LaurentPoly.const(_I), X + LaurentPoly.const(-_I))
 
 
-# -- checkers -----------------------------------------------------------------
-# Each checker returns (lo, hi, witness-or-None).
+# -- range ends ---------------------------------------------------------------
 
 
-def _check_eulerian_egf(ctx: CheckContext):
-    series = closed_form_series("eulerian_egf", ctx.max_n)
-    pairs = (
-        (n, series.coeffs[n], ctx.provider.poly("eulerian_biv", n))
-        for n in range(ctx.max_n + 1)
-    )
-    return 0, ctx.max_n, _mismatch(pairs)
+def _upto(shift: int) -> Callable[[CheckContext], int]:
+    return lambda ctx: ctx.max_n + shift
 
 
-def _check_carlitz_scoville(ctx: CheckContext):
-    order = ctx.max_n
+def _capped(cap: int) -> Callable[[CheckContext], int]:
+    return lambda ctx: min(ctx.max_n, cap)
+
+
+# -- shared check shapes ------------------------------------------------------
+
+
+def _per_n(*sides):
+    """For each n, every side(provider, n) gives one (lhs, rhs) pair, in order."""
+
+    def pairs(ctx: CheckContext, lo: int, hi: int):
+        for n in range(lo, hi + 1):
+            for side in sides:
+                yield (n, *side(ctx.provider, n))
+
+    return pairs
+
+
+def _vs_oracle(*names, extra=None):
+    """Each family member against its exhaustive count; `extra(ctx, n, member)`
+    adds one more pair per member."""
+
+    def pairs(ctx: CheckContext, lo: int, hi: int):
+        for n in range(lo, hi + 1):
+            for name in names:
+                member = ctx.provider.poly(name, n)
+                yield n, member, structures.family_poly_oracle(
+                    name, n, bound=ctx.oracle_max_n
+                )
+                if extra is not None:
+                    yield (n, *extra(ctx, n, member))
+
+    return pairs
+
+
+def _steps(*steps, lead=None):
+    """Binomial-convolution steps: target_{n+1} = factor * sum_k C(n,k) a_k b_{n-k}.
+
+    Each step is (target, a, b, factor), with factor None for 1.  The a/b
+    chains are built to max_n in order of first use, then `lead()` gives an
+    optional leading pair.
+    """
+
+    def pairs(ctx: CheckContext, lo: int, hi: int):
+        chains = {}
+        for _, a, b, _ in steps:
+            for name in (a, b):
+                if name not in chains:
+                    chains[name] = ctx.chain(name, ctx.max_n)
+        if lead is not None:
+            yield lead()
+        for n in range(lo, hi + 1):
+            for target, a, b, factor in steps:
+                lhs = ctx.provider.poly(target, n + 1)
+                conv = _binomial_convolution(chains[a], chains[b], n)
+                yield n, lhs, conv if factor is None else factor * conv
+
+    return pairs
+
+
+# -- bespoke checks -------------------------------------------------------------
+# Each yields (n, lhs, rhs) for a declared range lo..hi.
+
+
+def _eulerian_egf(ctx: CheckContext, lo: int, hi: int):
+    series = closed_form_series("eulerian_egf", hi)
+    for n in range(lo, hi + 1):
+        yield n, series.coeffs[n], ctx.provider.poly("eulerian_biv", n)
+
+
+def _carlitz_scoville(ctx: CheckContext, lo: int, hi: int):
     gen = TruncSeries(
         [LaurentPoly.zero()]
-        + [ctx.provider.poly("eulerian_biv", n) for n in range(1, order + 1)]
+        + [ctx.provider.poly("eulerian_biv", n) for n in range(1, hi + 1)]
     )
-    exp_x = elementary_series("exp", order, X_OF_XY)
-    exp_y = elementary_series("exp", order, Y_OF_XY)
+    exp_x = elementary_series("exp", hi, X_OF_XY)
+    exp_y = elementary_series("exp", hi, Y_OF_XY)
     lhs = gen * (exp_y * X_OF_XY - exp_x * Y_OF_XY)
-    rhs = (exp_x - exp_y) * (X_OF_XY * Y_OF_XY)
-    pairs = ((n, lhs.coeffs[n], rhs.coeffs[n]) for n in range(order + 1))
-    return 1, order, _mismatch(pairs)
+    yield from _coeff_pairs(lhs, (exp_x - exp_y) * (X_OF_XY * Y_OF_XY), hi)
 
 
-_HALF_SUM = parse_poly("1/2*x + 1/2*y")
-
-
-def _check_gamma_eulerian(ctx: CheckContext):
-    sub = {"u": X_OF_XY * Y_OF_XY, "v": _HALF_SUM}
-    pairs = (
-        (
-            n,
-            ctx.provider.poly("dumont", n).substitute(sub),
-            ctx.provider.poly("eulerian_biv", n),
+def _gamma_expansion(ctx: CheckContext, lo: int, hi: int):
+    for n in range(lo, hi + 1):
+        poly = ctx.provider.poly("eulerian_biv", n)
+        entries = gamma_from_poly(poly, n)
+        if any(v < 0 for v in entries.values()):
+            yield n, f"negative entry in {entries}", "nonnegative entries"
+            continue
+        rebuilt = _expand(
+            entries,
+            lambda k: (X_OF_XY * Y_OF_XY) ** k * (X_OF_XY + Y_OF_XY) ** (n + 1 - 2 * k),
+            ("x", "y"),
         )
-        for n in range(1, ctx.max_n + 1)
-    )
-    return 1, ctx.max_n, _mismatch(pairs)
+        yield n, rebuilt, poly
 
 
-def _check_gamma_expansion(ctx: CheckContext):
-    def pairs():
-        for n in range(1, ctx.max_n + 1):
-            poly = ctx.provider.poly("eulerian_biv", n)
-            entries = gamma_from_poly(poly, n)
-            if any(v < 0 for v in entries.values()):
-                yield n, f"negative entry in {entries}", "nonnegative entries"
-                continue
-            rebuilt = LaurentPoly.zero(("x", "y"))
-            for k, value in entries.items():
-                rebuilt = rebuilt + value * (
-                    (X_OF_XY * Y_OF_XY) ** k * (X_OF_XY + Y_OF_XY) ** (n + 1 - 2 * k)
-                )
-            yield n, rebuilt, poly
-
-    return 1, ctx.max_n, _mismatch(pairs())
-
-
-def _check_dumont_andre(ctx: CheckContext):
-    two_u = 2 * LaurentPoly.variable("u")
-    pairs = (
-        (
-            n,
-            ctx.provider.poly("dumont", n).substitute({"u": two_u}),
-            2 ** n * ctx.provider.poly("andre_biv", n),
-        )
-        for n in range(1, ctx.max_n + 1)
-    )
-    return 1, ctx.max_n, _mismatch(pairs)
-
-
-def _check_andre_eulerian(ctx: CheckContext):
-    sub = {"u": X_OF_XY * Y_OF_XY / 2, "v": _HALF_SUM}
-    pairs = (
-        (
-            n,
-            (2 ** n * ctx.provider.poly("andre_biv", n)).substitute(sub),
-            ctx.provider.poly("eulerian_biv", n),
-        )
-        for n in range(1, ctx.max_n + 1)
-    )
-    return 1, ctx.max_n, _mismatch(pairs)
-
-
-def _check_euler_complex(ctx: CheckContext):
-    i = make_gaussian(0, 1)
+def _euler_complex(ctx: CheckContext, lo: int, hi: int):
     one_plus_i = make_gaussian(1, 1)
-
-    def pairs():
-        for n in range(1, ctx.max_n + 1):
-            value = ctx.provider.poly("eulerian_uni", n).evaluate({"x": i})
-            # descent-indexed convention: divide the y=1 specialization by x=i
-            quotient = (value / i) / one_plus_i ** (n - 1)
-            expected = Fraction(ctx.provider.number("euler", n))
-            yield n, quotient, expected
-            if isinstance(quotient, GaussianRational):
-                yield n, f"imaginary residue {quotient.im}", "0"
-
-    return 1, ctx.max_n, _mismatch(pairs())
+    for n in range(lo, hi + 1):
+        value = ctx.provider.poly("eulerian_uni", n).evaluate({"x": _I})
+        # descent-indexed convention: divide the y=1 specialization by x=i
+        quotient = (value / _I) / one_plus_i ** (n - 1)
+        yield n, quotient, Fraction(ctx.provider.number("euler", n))
+        if isinstance(quotient, GaussianRational):
+            yield n, f"imaginary residue {quotient.im}", "0"
 
 
-def _oracle_family_check(name: str, lo: int):
-    def runner(ctx: CheckContext):
-        hi = ctx.oracle_cap()
-        pairs = (
-            (
-                n,
-                ctx.provider.poly(name, n),
-                structures.family_poly_oracle(name, n, bound=ctx.oracle_max_n),
-            )
-            for n in range(lo, hi + 1)
-        )
-        return lo, hi, _mismatch(pairs)
-
-    return runner
+def _mw_shift(ctx: CheckContext, lo: int, hi: int):
+    poly = ctx.provider.poly
+    for n in range(lo, hi + 1):
+        m_table = _uni_table(poly("interior_peak_uni", n))
+        w_table = _uni_table(poly("lr_peak_uni", n))
+        shifted = {k + 1: v for k, v in m_table.items()}
+        yield n, str(dict(sorted(shifted.items()))), str(dict(sorted(w_table.items())))
+        yield n, poly("lr_peak_uni", n), X * poly("interior_peak_uni", n)
+        yield n, poly("lr_peak_biv", n), poly("interior_peak_biv", n)
 
 
-def _check_dumont_oracle(ctx: CheckContext):
-    hi = ctx.oracle_cap()
-
-    def pairs():
-        for n in range(1, hi + 1):
-            family = ctx.provider.poly("dumont", n)
-            yield n, family, structures.family_poly_oracle(
-                "dumont", n, bound=ctx.oracle_max_n
-            )
-            yield n, family, structures.dumont_plane_oracle(n, bound=ctx.oracle_max_n)
-
-    return 1, hi, _mismatch(pairs())
+def _left_peak_convolution(ctx: CheckContext, lo: int, hi: int):
+    chain = ctx.chain("left_peak_biv", ctx.max_n)
+    for n in range(lo, hi + 1):
+        lhs = ctx.provider.poly("dumont", n + 1).substitute(_PEAK_SUB)
+        yield n, lhs, _binomial_convolution(chain, chain, n)
 
 
-def _check_andre_oracle(ctx: CheckContext):
-    hi = ctx.oracle_cap()
-
-    def pairs():
-        for n in range(0, hi + 1):
-            family = ctx.provider.poly("andre_biv", n)
-            yield n, family, structures.family_poly_oracle(
-                "andre_biv", n, bound=ctx.oracle_max_n
-            )
-            yield n, Fraction(ctx.provider.number("euler", n)), Fraction(
-                structures.alternating_count(n, bound=ctx.oracle_max_n)
-            )
-
-    return 0, hi, _mismatch(pairs())
-
-
-def _check_jv_oracles(ctx: CheckContext):
-    hi = ctx.oracle_cap()
-
-    def pairs():
-        for n in range(0, hi + 1):
-            yield n, ctx.provider.poly("deriv_P", n), structures.family_poly_oracle(
-                "deriv_P", n, bound=ctx.oracle_max_n
-            )
-            yield n, ctx.provider.poly("deriv_Q", n), structures.family_poly_oracle(
-                "deriv_Q", n, bound=ctx.oracle_max_n
-            )
-
-    return 0, hi, _mismatch(pairs())
-
-
-def _check_forest_oracle(ctx: CheckContext):
-    hi = ctx.oracle_cap()
-    pairs = (
-        (
-            n,
-            ctx.provider.poly("planted_forest", n),
-            structures.family_poly_oracle("planted_forest", n, bound=ctx.oracle_max_n),
-        )
-        for n in range(0, hi + 1)
-    )
-    return 0, hi, _mismatch(pairs)
-
-
-def _check_mw_shift(ctx: CheckContext):
-    def pairs():
-        for n in range(1, ctx.max_n + 1):
-            m_table = _uni_table(ctx.provider.poly("interior_peak_uni", n))
-            w_table = _uni_table(ctx.provider.poly("lr_peak_uni", n))
-            shifted = {k + 1: v for k, v in m_table.items()}
-            yield n, str(dict(sorted(shifted.items()))), str(dict(sorted(w_table.items())))
-            yield n, ctx.provider.poly("lr_peak_uni", n), X * ctx.provider.poly(
-                "interior_peak_uni", n
-            )
-            yield n, ctx.provider.poly("lr_peak_biv", n), ctx.provider.poly(
-                "interior_peak_biv", n
-            )
-
-    return 1, ctx.max_n, _mismatch(pairs())
-
-
-_X_SQUARED = parse_poly("x^2")
-
-
-def _check_dumont_peak(ctx: CheckContext):
-    sub = {"u": _X_SQUARED, "v": Y_OF_XY}
-    pairs = (
-        (
-            n,
-            ctx.provider.poly("dumont", n).substitute(sub),
-            ctx.provider.poly("interior_peak_biv", n),
-        )
-        for n in range(0, ctx.max_n + 1)
-    )
-    return 0, ctx.max_n, _mismatch(pairs)
-
-
-def _check_left_peak_convolution(ctx: CheckContext):
-    sub = {"u": _X_SQUARED, "v": Y_OF_XY}
-    chain = [ctx.provider.poly("left_peak_biv", k) for k in range(ctx.max_n + 1)]
-    pairs = (
-        (
-            n,
-            ctx.provider.poly("dumont", n + 1).substitute(sub),
-            _binomial_convolution(chain, chain, n),
-        )
-        for n in range(0, ctx.max_n)
-    )
-    return 0, ctx.max_n - 1, _mismatch(pairs)
-
-
-def _check_l_squared_egf(ctx: CheckContext):
+def _l_squared_egf(ctx: CheckContext, lo: int, hi: int):
     x0 = ctx.point("x", Fraction(3))
     y0 = ctx.point("y", Fraction(5))
     point = RadicalPoint(values={"x": x0, "y": y0})
     s = point.root("y^2-x^2", y0 * y0 - x0 * x0)
     xbar, ybar = y0 + s, y0 - s
-    hi = min(ctx.max_n, 10)
-    l_values = [
-        ctx.provider.poly("left_peak_biv", k).evaluate({"x": x0, "y": y0})
-        for k in range(hi + 1)
-    ]
-
-    def pairs():
-        for n in range(hi + 1):
-            lhs = ctx.provider.poly("eulerian_biv", n + 1).evaluate(
-                {"x": xbar, "y": ybar}
-            )
-            rhs = sum(
-                comb(n, k) * l_values[k] * l_values[n - k] for k in range(n + 1)
-            )
-            yield n, lhs, rhs
-
-    return 0, hi, _mismatch(pairs())
+    l_values = [member.evaluate({"x": x0, "y": y0}) for member in ctx.chain("left_peak_biv", hi)]
+    for n in range(lo, hi + 1):
+        lhs = ctx.provider.poly("eulerian_biv", n + 1).evaluate({"x": xbar, "y": ybar})
+        yield n, lhs, sum(comb(n, k) * l_values[k] * l_values[n - k] for k in range(n + 1))
 
 
-def _check_bivariate_gessel(ctx: CheckContext):
+def _bivariate_gessel(ctx: CheckContext, lo: int, hi: int):
     x0 = ctx.point("x", Fraction(3))
     y0 = ctx.point("y", Fraction(5))
-    hi = min(ctx.max_n, 12)
-    series = closed_form_series(
-        "bivariate_L", hi, RadicalPoint(values={"x": x0, "y": y0})
-    )
-    pairs = (
-        (
-            n,
-            series.coeffs[n].constant_value(),
-            ctx.provider.poly("left_peak_biv", n).evaluate({"x": x0, "y": y0}),
-        )
-        for n in range(hi + 1)
-    )
-    return 0, hi, _mismatch(pairs)
+    series = closed_form_series("bivariate_L", hi, RadicalPoint(values={"x": x0, "y": y0}))
+    for n in range(lo, hi + 1):
+        lhs = series.coeffs[n].constant_value()
+        yield n, lhs, ctx.provider.poly("left_peak_biv", n).evaluate({"x": x0, "y": y0})
 
 
-def _check_gessel(ctx: CheckContext):
+def _gessel(ctx: CheckContext, lo: int, hi: int):
     x0 = ctx.point("x", Fraction(3, 4))
-    series = closed_form_series("gessel_L", ctx.max_n, RadicalPoint(values={"x": x0}))
-    pairs = (
-        (
-            n,
-            series.coeffs[n].constant_value(),
-            ctx.provider.poly("left_peak_uni", n).evaluate({"x": x0}),
-        )
-        for n in range(ctx.max_n + 1)
-    )
-    return 0, ctx.max_n, _mismatch(pairs)
+    series = closed_form_series("gessel_L", hi, RadicalPoint(values={"x": x0}))
+    for n in range(lo, hi + 1):
+        lhs = series.coeffs[n].constant_value()
+        yield n, lhs, ctx.provider.poly("left_peak_uni", n).evaluate({"x": x0})
 
 
-def _check_david_barton_pde(ctx: CheckContext):
+def _david_barton_pde(ctx: CheckContext, lo: int, hi: int):
     two_x_one_minus_x = parse_poly("2*x - 2*x^2")
-
-    def pairs():
-        for n in range(0, ctx.max_n + 1):
-            l_n = ctx.provider.poly("left_peak_uni", n)
-            l_next = ctx.provider.poly("left_peak_uni", n + 1)
-            residue = (
-                two_x_one_minus_x * l_n.partial_derivative("x")
-                + n * (X * l_n)
-                + l_n
-                - l_next
-            )
-            yield n, residue, LaurentPoly.zero()
-        yield 1, ctx.provider.poly("interior_peak_uni", 1), LaurentPoly.const(1)
-        for n in range(1, ctx.max_n + 1):
-            m_n = ctx.provider.poly("interior_peak_uni", n)
-            m_next = ctx.provider.poly("interior_peak_uni", n + 1)
-            rhs = two_x_one_minus_x * m_n.partial_derivative("x") + (
-                n * X - X + 2
-            ) * m_n
-            yield n, m_next, rhs
-
-    return 0, ctx.max_n, _mismatch(pairs())
+    poly = ctx.provider.poly
+    for n in range(lo, hi + 1):
+        l_n = poly("left_peak_uni", n)
+        l_next = poly("left_peak_uni", n + 1)
+        residue = (
+            two_x_one_minus_x * l_n.partial_derivative("x") + n * (X * l_n) + l_n - l_next
+        )
+        yield n, residue, LaurentPoly.zero()
+    yield 1, poly("interior_peak_uni", 1), LaurentPoly.const(1)
+    for n in range(1, hi + 1):
+        m_n = poly("interior_peak_uni", n)
+        m_next = poly("interior_peak_uni", n + 1)
+        yield n, m_next, two_x_one_minus_x * m_n.partial_derivative("x") + (
+            n * X - X + 2
+        ) * m_n
 
 
-def _check_david_barton_closed(ctx: CheckContext):
+def _david_barton_closed(ctx: CheckContext, lo: int, hi: int):
     x0 = ctx.point("x", Fraction(9, 25))
     point = RadicalPoint(values={"x": x0})
     s = point.root("x", x0)
     r = point.root("1-x", 1 - x0)
-    order = min(ctx.max_n, 10)
     ratio = s / (1 + r)
     cosh_a = (ratio + 1 / ratio) / 2
     sinh_a = (ratio - 1 / ratio) / 2
-    cosh_z = cosh_a * elementary_series("cosh", order, r) + sinh_a * elementary_series(
-        "sinh", order, r
+    cosh_z = cosh_a * elementary_series("cosh", hi, r) + sinh_a * elementary_series(
+        "sinh", hi, r
     )
-    one = TruncSeries.constant(1, order)
+    one = TruncSeries.constant(1, hi)
     half: Fraction = Fraction(1, 2)
     inv_minus = one / (cosh_z - 1)
     inv_plus = one / (cosh_z + 1)
@@ -474,516 +368,271 @@ def _check_david_barton_closed(ctx: CheckContext):
     lhs_interior = (inv_minus - inv_plus) * half
     scale_left = s / (1 - x0)
     scale_interior = x0 / (1 - x0)
-
-    def pairs():
-        for n in range(order + 1):
-            yield n, lhs_left.coeffs[n].constant_value(), scale_left * ctx.provider.poly(
-                "left_peak_uni", n + 1
-            ).evaluate({"x": x0})
-            yield n, lhs_interior.coeffs[n].constant_value(), scale_interior * ctx.provider.poly(
-                "interior_peak_uni", n + 1
-            ).evaluate({"x": x0})
-
-    return 0, order, _mismatch(pairs())
+    at_x0 = {"x": x0}
+    poly = ctx.provider.poly
+    for n in range(lo, hi + 1):
+        lhs = lhs_left.coeffs[n].constant_value()
+        yield n, lhs, scale_left * poly("left_peak_uni", n + 1).evaluate(at_x0)
+        lhs = lhs_interior.coeffs[n].constant_value()
+        yield n, lhs, scale_interior * poly("interior_peak_uni", n + 1).evaluate(at_x0)
 
 
-_ONE_PLUS_X = parse_poly("1 + x")
-_FOUR_X = parse_poly("4*x")
-_ONE_MINUS_X = parse_poly("1 - x")
-
-
-def _check_petersen(ctx: CheckContext):
-    value = RationalFunction(_FOUR_X, _ONE_PLUS_X * _ONE_PLUS_X)
-
-    def pairs():
-        for n in range(0, ctx.max_n + 1):
-            lhs = substitute_rational(
-                ctx.provider.poly("left_peak_uni", n), "x", value, n, clear=_ONE_PLUS_X
-            )
-            rhs = LaurentPoly.zero(("x",))
-            for k in range(n + 1):
-                rhs = rhs + (
-                    comb(n, k) * 2 ** k
-                ) * _ONE_MINUS_X ** (n - k) * ctx.provider.poly("eulerian_uni", k)
-            yield n, lhs, rhs
-        # bivariate route: multiply the half-sum powers through and compare
-        for n in range(0, ctx.max_n + 1):
-            table = _uni_table(ctx.provider.poly("left_peak_uni", n))
-            lhs = LaurentPoly.zero(("x", "y"))
-            for k, coeff in table.items():
-                lhs = lhs + coeff * (
-                    (X_OF_XY * Y_OF_XY) ** k * _HALF_SUM ** (n - 2 * k)
-                )
-            lhs = lhs * Y_OF_XY
-            rhs = LaurentPoly.zero(("x", "y"))
-            half_diff = parse_poly("1/2*y - 1/2*x")
-            for k in range(n + 1):
-                rhs = rhs + comb(n, k) * (
-                    ctx.provider.poly("eulerian_biv", k) * half_diff ** (n - k)
-                )
-            yield n, lhs, rhs
-
-    return 0, ctx.max_n, _mismatch(pairs())
-
-
-def _check_stembridge(ctx: CheckContext):
-    value = RationalFunction(_FOUR_X, _ONE_PLUS_X * _ONE_PLUS_X)
-
-    def pairs():
-        for n in range(1, ctx.max_n + 1):
-            cleared = substitute_rational(
-                ctx.provider.poly("interior_peak_uni", n),
-                "x",
-                value,
-                n - 1,
-                clear=_ONE_PLUS_X,
-            )
-            lhs = X * cleared
-            rhs = 2 ** (n - 1) * ctx.provider.poly("eulerian_uni", n)
-            yield n, lhs, rhs
-
-    return 1, ctx.max_n, _mismatch(pairs())
-
-
-def _check_lm_convolution(ctx: CheckContext):
-    top = ctx.max_n
-    l_biv = [ctx.provider.poly("left_peak_biv", k) for k in range(top + 1)]
-    m_biv = [ctx.provider.poly("interior_peak_biv", k) for k in range(top + 1)]
-    l_uni = [ctx.provider.poly("left_peak_uni", k) for k in range(top + 1)]
-    m_uni = [ctx.provider.poly("interior_peak_uni", k) for k in range(top + 1)]
-
-    def pairs():
-        for n in range(0, top):
-            yield n, ctx.provider.poly("left_peak_biv", n + 1), _binomial_convolution(
-                l_biv, m_biv, n
-            )
-            yield n, ctx.provider.poly("left_peak_uni", n + 1), X * _binomial_convolution(
-                l_uni, m_uni, n
-            )
-
-    return 0, top - 1, _mismatch(pairs())
-
-
-def _check_ll_mm(ctx: CheckContext):
-    top = ctx.max_n
-    l_biv = [ctx.provider.poly("left_peak_biv", k) for k in range(top + 1)]
-    m_biv = [ctx.provider.poly("interior_peak_biv", k) for k in range(top + 1)]
-    l_uni = [ctx.provider.poly("left_peak_uni", k) for k in range(top + 1)]
-    m_uni = [ctx.provider.poly("interior_peak_uni", k) for k in range(top + 1)]
-
-    def pairs():
-        for n in range(1, top + 1):
-            yield n, _binomial_convolution(l_biv, l_biv, n), _binomial_convolution(
-                m_biv, m_biv, n
-            )
-            yield n, _binomial_convolution(l_uni, l_uni, n), X * _binomial_convolution(
-                m_uni, m_uni, n
-            )
-
-    return 1, top, _mismatch(pairs())
-
-
-def _check_m_convolution(ctx: CheckContext):
-    top = ctx.max_n
-    m_biv = [ctx.provider.poly("interior_peak_biv", k) for k in range(top + 1)]
-    m_uni = [ctx.provider.poly("interior_peak_uni", k) for k in range(top + 1)]
-
-    def pairs():
-        for n in range(1, top):
-            yield n, ctx.provider.poly(
-                "interior_peak_biv", n + 1
-            ), _binomial_convolution(m_biv, m_biv, n)
-            yield n, ctx.provider.poly(
-                "interior_peak_uni", n + 1
-            ), X * _binomial_convolution(m_uni, m_uni, n)
-
-    return 1, top - 1, _mismatch(pairs())
-
-
-def _check_r_convolution(ctx: CheckContext):
-    top = ctx.max_n
-    l_chain = [ctx.provider.poly("left_peak_biv", k) for k in range(top + 1)]
-    r_chain = [ctx.provider.poly("R_family", k) for k in range(top + 1)]
-    pairs = (
-        (
-            n,
-            ctx.provider.poly("R_family", n + 1),
-            _binomial_convolution(l_chain, r_chain, n),
+def _petersen(ctx: CheckContext, lo: int, hi: int):
+    poly = ctx.provider.poly
+    for n in range(lo, hi + 1):
+        lhs = substitute_rational(
+            poly("left_peak_uni", n), "x", _PETERSEN, n, clear=_ONE_PLUS_X
         )
-        for n in range(0, top)
-    )
-    return 0, top - 1, _mismatch(pairs)
+        rhs = LaurentPoly.zero(("x",))
+        for k in range(n + 1):
+            rhs = rhs + (comb(n, k) * 2 ** k) * _ONE_MINUS_X ** (n - k) * poly(
+                "eulerian_uni", k
+            )
+        yield n, lhs, rhs
+    # bivariate route: multiply the half-sum powers through and compare
+    for n in range(lo, hi + 1):
+        lhs = _expand(
+            _uni_table(poly("left_peak_uni", n)),
+            lambda k: (X_OF_XY * Y_OF_XY) ** k * _HALF_SUM ** (n - 2 * k),
+            ("x", "y"),
+        )
+        lhs = lhs * Y_OF_XY
+        rhs = LaurentPoly.zero(("x", "y"))
+        for k in range(n + 1):
+            rhs = rhs + comb(n, k) * (poly("eulerian_biv", k) * _HALF_DIFF ** (n - k))
+        yield n, lhs, rhs
 
 
-def _check_deriv_recurrence(ctx: CheckContext):
-    def pairs():
-        for n in range(0, ctx.max_n + 1):
-            yield n, recurrence_poly("P", n), ctx.provider.poly("deriv_P", n)
-            yield n, recurrence_poly("Q", n), ctx.provider.poly("deriv_Q", n)
+def _ll_mm(ctx: CheckContext, lo: int, hi: int):
+    l_biv = ctx.chain("left_peak_biv", ctx.max_n)
+    m_biv = ctx.chain("interior_peak_biv", ctx.max_n)
+    l_uni = ctx.chain("left_peak_uni", ctx.max_n)
+    m_uni = ctx.chain("interior_peak_uni", ctx.max_n)
+    for n in range(lo, hi + 1):
+        yield n, _binomial_convolution(l_biv, l_biv, n), _binomial_convolution(
+            m_biv, m_biv, n
+        )
+        yield n, _binomial_convolution(l_uni, l_uni, n), X * _binomial_convolution(
+            m_uni, m_uni, n
+        )
 
-    return 0, ctx.max_n, _mismatch(pairs())
 
-
-def _check_hoffman_egf(ctx: CheckContext):
-    order = ctx.max_n
-    gen_p = TruncSeries([ctx.provider.poly("deriv_P", n) for n in range(order + 1)])
+def _hoffman_egf(ctx: CheckContext, lo: int, hi: int):
+    gen_p = TruncSeries(ctx.chain("deriv_P", hi))
+    q_chain = ctx.chain("deriv_Q", hi)
     a = LaurentPoly.variable("a")
-    gen_a = TruncSeries(
-        [a * ctx.provider.poly("deriv_Q", n) for n in range(order + 1)]
-    )
-    gen_q = TruncSeries([ctx.provider.poly("deriv_Q", n) for n in range(order + 1)])
-    cos = elementary_series("cos", order)
-    sin = elementary_series("sin", order)
-    tan = elementary_series("tan", order)
+    gen_a = TruncSeries([a * q for q in q_chain])
+    gen_q = TruncSeries(q_chain)
+    cos = elementary_series("cos", hi)
+    sin = elementary_series("sin", hi)
+    tan = elementary_series("tan", hi)
     cos_minus_xsin = cos - sin * X
-
-    def pairs():
-        lhs = gen_p * (TruncSeries.constant(1, order) - tan * X)
-        rhs = TruncSeries.constant(X, order) + tan
-        for n in range(order + 1):
-            yield n, lhs.coeffs[n], rhs.coeffs[n]
-        lhs2 = gen_q * cos_minus_xsin
-        rhs2 = TruncSeries.constant(1, order)
-        for n in range(order + 1):
-            yield n, lhs2.coeffs[n], rhs2.coeffs[n]
-        lhs3 = gen_a * cos_minus_xsin
-        rhs3 = TruncSeries.constant(a, order)
-        for n in range(order + 1):
-            yield n, lhs3.coeffs[n], rhs3.coeffs[n]
-        lhs4 = gen_p * cos_minus_xsin
-        rhs4 = cos * X + sin
-        for n in range(order + 1):
-            yield n, lhs4.coeffs[n], rhs4.coeffs[n]
-
-    return 0, order, _mismatch(pairs())
+    one = TruncSeries.constant(1, hi)
+    yield from _coeff_pairs(gen_p * (one - tan * X), TruncSeries.constant(X, hi) + tan, hi)
+    yield from _coeff_pairs(gen_q * cos_minus_xsin, one, hi)
+    yield from _coeff_pairs(gen_a * cos_minus_xsin, TruncSeries.constant(a, hi), hi)
+    yield from _coeff_pairs(gen_p * cos_minus_xsin, cos * X + sin, hi)
 
 
-def _check_inverse_pattern(ctx: CheckContext):
-    grammar = tangent_secant_grammar()
+def _inverse_pattern(ctx: CheckContext, lo: int, hi: int):
     a_inv = LaurentPoly.monomial(("a", "x"), (-1, 0))
     a_inv_x = LaurentPoly.monomial(("a", "x"), (-1, 1))
-    chain = grammar.derivative_chain(a_inv, ctx.max_n)
-
-    def pairs():
-        for m in range(ctx.max_n + 1):
-            half, odd = divmod(m, 2)
-            sign = Fraction(-1) ** (half + odd)
-            expected = sign * (a_inv_x if odd else a_inv)
-            yield m, chain[m], expected
-
-    return 0, ctx.max_n, _mismatch(pairs())
+    chain = tangent_secant_grammar().derivative_chain(a_inv, hi)
+    for m in range(lo, hi + 1):
+        half, odd = divmod(m, 2)
+        sign = Fraction(-1) ** (half + odd)
+        yield m, chain[m], sign * (a_inv_x if odd else a_inv)
 
 
-def _check_hoffman_conv(ctx: CheckContext):
-    top = ctx.max_n
-    p_chain = [ctx.provider.poly("deriv_P", k) for k in range(top + 1)]
-    q_chain = [ctx.provider.poly("deriv_Q", k) for k in range(top + 1)]
-
-    def pairs():
-        for n in range(1, top):
-            yield n, ctx.provider.poly("deriv_P", n + 1), _binomial_convolution(
-                p_chain, p_chain, n
-            )
-        for n in range(0, top):
-            yield n, ctx.provider.poly("deriv_Q", n + 1), _binomial_convolution(
-                p_chain, q_chain, n
-            )
-
-    return 0, top - 1, _mismatch(pairs())
+def _hoffman_conv(ctx: CheckContext, lo: int, hi: int):
+    p_chain = ctx.chain("deriv_P", ctx.max_n)
+    q_chain = ctx.chain("deriv_Q", ctx.max_n)
+    for n in range(1, hi + 1):
+        lhs = ctx.provider.poly("deriv_P", n + 1)
+        yield n, lhs, _binomial_convolution(p_chain, p_chain, n)
+    for n in range(lo, hi + 1):
+        lhs = ctx.provider.poly("deriv_Q", n + 1)
+        yield n, lhs, _binomial_convolution(p_chain, q_chain, n)
 
 
-def _check_mfmy_conv(ctx: CheckContext):
-    top = ctx.max_n
-    p_chain = [ctx.provider.poly("deriv_P", k) for k in range(top + 1)]
-    pairs = (
-        (
-            n,
-            ctx.provider.poly("deriv_P", n + 2),
-            2 * _binomial_convolution(p_chain, p_chain[1:], n),
+def _mfmy_conv(ctx: CheckContext, lo: int, hi: int):
+    p_chain = ctx.chain("deriv_P", ctx.max_n)
+    for n in range(lo, hi + 1):
+        lhs = ctx.provider.poly("deriv_P", n + 2)
+        yield n, lhs, 2 * _binomial_convolution(p_chain, p_chain[1:], n)
+
+
+def _pq_log(ctx: CheckContext, lo: int, hi: int):
+    logged = TruncSeries(ctx.chain("deriv_Q", hi)).log()
+    yield 0, logged.coeffs[0], LaurentPoly.zero()
+    for n in range(1, hi + 1):
+        yield n, logged.coeffs[n], ctx.provider.poly("deriv_P", n - 1)
+
+
+def _beta_exp(ctx: CheckContext, lo: int, hi: int):
+    poly = ctx.provider.poly
+    for n in range(lo, hi + 1):
+        q_n = poly("deriv_Q", n)
+        l_table = _uni_table(poly("left_peak_uni", n))
+        yield n, q_n, _expand(l_table, lambda k: X ** (n - 2 * k) * _ONE_PLUS_X2 ** k, ("x",))
+    for n in range(1, hi + 1):
+        extracted = sorted(beta_from_poly("Q", poly("deriv_Q", n), n).items())
+        expected = sorted((k, int(v)) for k, v in _uni_table(poly("left_peak_uni", n)).items())
+        yield n, str(extracted), str(expected)
+    for n in range(1, hi + 1):
+        p_n = poly("deriv_P", n)
+        m_table = _uni_table(poly("interior_peak_uni", n))
+        yield n, p_n, _expand(
+            m_table, lambda k: X ** (n - 2 * k - 1) * _ONE_PLUS_X2 ** (k + 1), ("x",)
         )
-        for n in range(0, top - 1)
-    )
-    return 0, top - 2, _mismatch(pairs)
+    for n in range(1, ctx.oracle_cap() + 1):
+        counts = structures.plane_leaf_counts(n, bound=ctx.oracle_max_n)
+        rebuilt = _expand(
+            counts, lambda k: _TWO_X ** (n + 1 - 2 * k) * _ONE_PLUS_X2 ** k, ("x",)
+        )
+        yield n, poly("deriv_P", n), rebuilt
 
 
-_ONE_PLUS_X2 = parse_poly("1 + x^2")
-
-
-def _check_hoffman_pqq(ctx: CheckContext):
-    grammar = tangent_secant_grammar()
-    composite = _ONE_PLUS_X2 * LaurentPoly.monomial(("a", "x"), (-2, 0))
-    top = ctx.max_n
-    q_chain = [ctx.provider.poly("deriv_Q", k) for k in range(top + 1)]
-
-    def pairs():
-        yield 0, grammar.derive(composite), LaurentPoly.zero()
-        for n in range(0, top):
-            yield n, ctx.provider.poly("deriv_P", n + 1), _ONE_PLUS_X2 * _binomial_convolution(
-                q_chain, q_chain, n
-            )
-
-    return 0, top - 1, _mismatch(pairs())
-
-
-def _check_pq_log(ctx: CheckContext):
-    order = ctx.max_n
-    gen_q = TruncSeries([ctx.provider.poly("deriv_Q", n) for n in range(order + 1)])
-    logged = gen_q.log()
-
-    def pairs():
-        yield 0, logged.coeffs[0], LaurentPoly.zero()
-        for n in range(1, order + 1):
-            yield n, logged.coeffs[n], ctx.provider.poly("deriv_P", n - 1)
-
-    return 0, order, _mismatch(pairs())
-
-
-def _check_beta_exp(ctx: CheckContext):
-    two_x = parse_poly("2*x")
-
-    def pairs():
-        for n in range(0, ctx.max_n + 1):
-            q_n = ctx.provider.poly("deriv_Q", n)
-            l_table = _uni_table(ctx.provider.poly("left_peak_uni", n))
-            rebuilt = LaurentPoly.zero(("x",))
-            for k, coeff in l_table.items():
-                rebuilt = rebuilt + coeff * (X ** (n - 2 * k) * _ONE_PLUS_X2 ** k)
-            yield n, q_n, rebuilt
-        for n in range(1, ctx.max_n + 1):
-            extracted = sorted(beta_from_poly("Q", ctx.provider.poly("deriv_Q", n), n).items())
-            expected = sorted(
-                (k, _int(v))
-                for k, v in _uni_table(ctx.provider.poly("left_peak_uni", n)).items()
-            )
-            yield n, str(extracted), str(expected)
-        for n in range(1, ctx.max_n + 1):
-            p_n = ctx.provider.poly("deriv_P", n)
-            m_table = _uni_table(ctx.provider.poly("interior_peak_uni", n))
-            rebuilt = LaurentPoly.zero(("x",))
-            for k, coeff in m_table.items():
-                rebuilt = rebuilt + coeff * (
-                    X ** (n - 2 * k - 1) * _ONE_PLUS_X2 ** (k + 1)
-                )
-            yield n, p_n, rebuilt
-        for n in range(1, ctx.oracle_cap() + 1):
-            counts = structures.plane_leaf_counts(n, bound=ctx.oracle_max_n)
-            rebuilt = LaurentPoly.zero(("x",))
-            for k, count in counts.items():
-                rebuilt = rebuilt + count * (
-                    two_x ** (n + 1 - 2 * k) * _ONE_PLUS_X2 ** k
-                )
-            yield n, ctx.provider.poly("deriv_P", n), rebuilt
-
-    return 0, ctx.max_n, _mismatch(pairs())
-
-
-def _int(value) -> int:
-    return value.numerator if isinstance(value, Fraction) else value
-
-
-def _check_beta_grammar(ctx: CheckContext):
-    base = peak_grammar()
+def _beta_grammar(ctx: CheckContext, lo: int, hi: int):
     lifted = leaf_split_grammar()
-    phi = {
-        "x": LaurentPoly.variable("x", ("x", "y")),
-        "y": Y_OF_XY,
-        "z": _X_SQUARED,
-    }
-    ok, witness = verify_transformation(base, phi, lifted)
-
-    def pairs():
-        if not ok:
-            var, lhs, rhs = witness
-            yield 0, f"{var}: {lhs.render()}", rhs.render()
-        x3 = LaurentPoly.variable("x", ("x", "y", "z"))
-        y3 = LaurentPoly.variable("y", ("x", "y", "z"))
-        z3 = LaurentPoly.variable("z", ("x", "y", "z"))
-        for n in range(0, ctx.max_n + 1):
-            lifted_poly = lifted.derive_n(x3, n)
-            table = _uni_table(ctx.provider.poly("left_peak_uni", n))
-            expected = LaurentPoly.zero(("x", "y", "z"))
-            for k, coeff in table.items():
-                expected = expected + coeff * (x3 * y3 ** (n - 2 * k) * z3 ** k)
-            yield n, lifted_poly, expected
-
-    return 0, ctx.max_n, _mismatch(pairs())
+    phi = {"x": X_OF_XY, "y": Y_OF_XY, "z": _X_SQUARED}
+    ok, witness = verify_transformation(peak_grammar(), phi, lifted)
+    if not ok:
+        var, lhs, rhs = witness
+        yield 0, f"{var}: {lhs.render()}", rhs.render()
+    x3, y3, z3 = (LaurentPoly.variable(v, ("x", "y", "z")) for v in ("x", "y", "z"))
+    for n in range(lo, hi + 1):
+        lifted_poly = lifted.derive_n(x3, n)
+        expected = _expand(
+            _uni_table(ctx.provider.poly("left_peak_uni", n)),
+            lambda k: x3 * y3 ** (n - 2 * k) * z3 ** k,
+            ("x", "y", "z"),
+        )
+        yield n, lifted_poly, expected
 
 
-def _check_p_eulerian_complex(ctx: CheckContext):
-    i = make_gaussian(0, 1)
-    x_plus_i = X + LaurentPoly.const(i)
-    x_minus_i = X + LaurentPoly.const(-i)
-    value = RationalFunction(x_plus_i, x_minus_i)
-
-    def pairs():
-        for n in range(1, ctx.max_n + 1):
-            lhs = substitute_rational(
-                ctx.provider.poly("eulerian_uni", n), "x", value, n + 1
-            )
-            yield n, lhs, ctx.provider.poly("deriv_P", n)
-
-    return 1, ctx.max_n, _mismatch(pairs())
-
-
-def _check_p_andre(ctx: CheckContext):
+def _p_andre(ctx: CheckContext, lo: int, hi: int):
     half_u = (LaurentPoly.const(1) + _X_SQUARED) / 2
     inv_form = (LaurentPoly.monomial(("x",), (-2,)) + 1) / 2
-
-    def pairs():
-        for n in range(1, ctx.max_n + 1):
-            p_n = ctx.provider.poly("deriv_P", n)
-            e_biv = ctx.provider.poly("andre_biv", n)
-            yield n, 2 ** n * e_biv.substitute({"u": half_u, "v": X}), p_n
-            e_uni = ctx.provider.poly("andre_uni", n)
-            lifted = 2 ** n * (X ** (n + 1)) * e_uni.substitute({"u": inv_form})
-            yield n, lifted, p_n
-
-    return 1, ctx.max_n, _mismatch(pairs())
+    for n in range(lo, hi + 1):
+        p_n = ctx.provider.poly("deriv_P", n)
+        e_biv = ctx.provider.poly("andre_biv", n)
+        yield n, 2 ** n * e_biv.substitute({"u": half_u, "v": X}), p_n
+        e_uni = ctx.provider.poly("andre_uni", n)
+        yield n, 2 ** n * (X ** (n + 1)) * e_uni.substitute({"u": inv_form}), p_n
 
 
-def _check_knuth_buckholtz(ctx: CheckContext):
-    pairs = (
-        (
-            n,
-            ctx.provider.number("p_at_one", n),
-            2 ** n * ctx.provider.number("euler", n),
-        )
-        for n in range(0, ctx.max_n + 1)
-    )
-    return 0, ctx.max_n, _mismatch(pairs)
-
-
-def _check_ma_composition(ctx: CheckContext):
-    hi = min(ctx.max_n, 6)
+def _ma_composition(ctx: CheckContext, lo: int, hi: int):
     order = 10
     full = elementary_series("tan", order + hi) + elementary_series("sec", order + hi)
-
-    def pairs():
-        for n in range(hi + 1):
-            lhs = TruncSeries(full.coeffs[n : n + order + 1]) * Fraction(2 ** n)
-            rhs = compose_poly_series(
-                ctx.provider.poly("deriv_P", n), full.truncate(order)
-            )
-            for m in range(order + 1):
-                yield n, lhs.coeffs[m], rhs.coeffs[m]
-
-    return 0, hi, _mismatch(pairs())
+    for n in range(lo, hi + 1):
+        lhs = TruncSeries(full.coeffs[n : n + order + 1]) * Fraction(2 ** n)
+        rhs = compose_poly_series(ctx.provider.poly("deriv_P", n), full.truncate(order))
+        for m in range(order + 1):
+            yield n, lhs.coeffs[m], rhs.coeffs[m]
 
 
-def _check_springer(ctx: CheckContext):
-    def pairs():
-        for n in range(0, ctx.max_n + 1):
-            yield n, Fraction(ctx.provider.number("springer", n)), ctx.provider.poly(
-                "left_peak_uni", n
-            ).evaluate({"x": 2})
-        for n in range(1, ctx.max_n + 1):
-            p_one = Fraction(ctx.provider.number("p_at_one", n))
-            yield n, p_one, 2 * ctx.provider.poly("interior_peak_uni", n).evaluate(
-                {"x": 2}
-            )
-            yield n, p_one, ctx.provider.poly("lr_peak_uni", n).evaluate({"x": 2})
-
-    return 0, ctx.max_n, _mismatch(pairs())
+def _springer(ctx: CheckContext, lo: int, hi: int):
+    provider = ctx.provider
+    for n in range(lo, hi + 1):
+        springer = Fraction(provider.number("springer", n))
+        yield n, springer, provider.poly("left_peak_uni", n).evaluate({"x": 2})
+    for n in range(1, hi + 1):
+        p_one = Fraction(provider.number("p_at_one", n))
+        yield n, p_one, 2 * provider.poly("interior_peak_uni", n).evaluate({"x": 2})
+        yield n, p_one, provider.poly("lr_peak_uni", n).evaluate({"x": 2})
 
 
-def _check_springer_logconvex(ctx: CheckContext):
-    values = [ctx.provider.number("springer", n) for n in range(ctx.max_n + 2)]
-
-    def pairs():
-        for n in range(1, ctx.max_n + 1):
-            ok = values[n] * values[n] <= values[n - 1] * values[n + 1]
-            yield n, True, ok
-
-    return 1, ctx.max_n, _mismatch(pairs())
+def _springer_logconvex(ctx: CheckContext, lo: int, hi: int):
+    values = [ctx.provider.number("springer", n) for n in range(hi + 2)]
+    for n in range(lo, hi + 1):
+        yield n, True, values[n] * values[n] <= values[n - 1] * values[n + 1]
 
 
-def _check_tangent_secant(ctx: CheckContext):
-    tan = elementary_series("tan", ctx.max_n)
-    sec = elementary_series("sec", ctx.max_n)
-
-    def pairs():
-        for n in range(ctx.max_n + 1):
-            yield n, LaurentPoly.const(ctx.provider.number("tangent", n)), tan.coeffs[n]
-            yield n, LaurentPoly.const(ctx.provider.number("secant", n)), sec.coeffs[n]
-
-    return 0, ctx.max_n, _mismatch(pairs())
+def _tangent_secant(ctx: CheckContext, lo: int, hi: int):
+    tan = elementary_series("tan", hi)
+    sec = elementary_series("sec", hi)
+    for n in range(lo, hi + 1):
+        yield n, LaurentPoly.const(ctx.provider.number("tangent", n)), tan.coeffs[n]
+        yield n, LaurentPoly.const(ctx.provider.number("secant", n)), sec.coeffs[n]
 
 
-def _check_gen_multiplicative(ctx: CheckContext):
-    order = min(ctx.max_n, 8)
-
-    def pairs():
-        for grammar, f, g in (
-            (eulerian_grammar(), X_OF_XY, Y_OF_XY),
-            (
-                tangent_secant_grammar(),
-                LaurentPoly.variable("a", ("a", "x")),
-                LaurentPoly.variable("x", ("a", "x")),
-            ),
-        ):
-            lhs = grammar.gen_coeffs(f * g, order)
-            rhs = grammar.gen_coeffs(f, order) * grammar.gen_coeffs(g, order)
-            for n in range(order + 1):
-                yield n, lhs.coeffs[n], rhs.coeffs[n]
-
-    return 0, order, _mismatch(pairs())
+def _gen_multiplicative(ctx: CheckContext, lo: int, hi: int):
+    a_ax = LaurentPoly.variable("a", ("a", "x"))
+    x_ax = LaurentPoly.variable("x", ("a", "x"))
+    for grammar, f, g in (
+        (eulerian_grammar(), X_OF_XY, Y_OF_XY),
+        (tangent_secant_grammar(), a_ax, x_ax),
+    ):
+        lhs = grammar.gen_coeffs(f * g, hi)
+        yield from _coeff_pairs(lhs, grammar.gen_coeffs(f, hi) * grammar.gen_coeffs(g, hi), hi)
 
 
 @dataclass(frozen=True)
 class IdentityEntry:
+    """A check: pairs(ctx, lo, hi) yields (n, lhs, rhs) over lo..hi(ctx)."""
+
     name: str
     description: str
-    runner: Callable[[CheckContext], Tuple[int, int, Optional[dict]]]
-    oracle_backed: bool = False
+    lo: int
+    hi: Callable[[CheckContext], int]
+    pairs: Callable[[CheckContext, int, int], Pairs]
 
+
+_MAX = _upto(0)
+_ORACLE = CheckContext.oracle_cap
+_GAMMA_SUB = {"u": X_OF_XY * Y_OF_XY, "v": _HALF_SUM}
+_ANDRE_SUB = {"u": X_OF_XY * Y_OF_XY / 2, "v": _HALF_SUM}
+_TWO_U = {"u": 2 * LaurentPoly.variable("u")}
+_PQQ_SEED = _ONE_PLUS_X2 * LaurentPoly.monomial(("a", "x"), (-2, 0))
 
 _ENTRIES = [
-    IdentityEntry("andre_eulerian", "scaled 0-1-2-tree polynomials are the descent polynomials under xy=2u, x+y=2v", _check_andre_eulerian),
-    IdentityEntry("andre_oracle", "0-1-2-tree family equals its exhaustive tree count and the alternating count", _check_andre_oracle, oracle_backed=True),
-    IdentityEntry("beta_exp", "derivative polynomials expand over x^j (1+x^2)^k with peak coefficients and plane-tree leaf counts", _check_beta_exp, oracle_backed=True),
-    IdentityEntry("beta_grammar", "the z = x^2 lift of the peak grammar reproduces the left-peak expansion", _check_beta_grammar),
-    IdentityEntry("bivariate_gessel", "bivariate left-peak closed form (corrected prefactor) at a radical-rational point", _check_bivariate_gessel),
-    IdentityEntry("carlitz_scoville", "cross-multiplied exponential form of the descent generating function", _check_carlitz_scoville),
-    IdentityEntry("david_barton_closed", "cosh(z) closed forms match the peak families at a Pythagorean point (corrected normalization)", _check_david_barton_closed),
-    IdentityEntry("david_barton_pde", "coefficient recurrences expanded from the peak partial differential equations", _check_david_barton_pde),
-    IdentityEntry("deriv_recurrence", "grammar route equals the analytic recurrences for both derivative families", _check_deriv_recurrence),
-    IdentityEntry("dumont_andre", "doubling the leaf weight turns binary-tree polynomials into scaled 0-1-2-tree polynomials", _check_dumont_andre),
-    IdentityEntry("dumont_oracle", "binary-tree family equals both exhaustive tree counts (binary and plane)", _check_dumont_oracle, oracle_backed=True),
-    IdentityEntry("dumont_peak", "binary-tree polynomials at u=x^2, v=y are the interior-peak polynomials", _check_dumont_peak),
-    IdentityEntry("euler_complex", "Euler numbers by Gaussian evaluation of the descent polynomials (descent-indexed convention)", _check_euler_complex),
-    IdentityEntry("eulerian_egf", "closed-form generating function reproduces the bivariate descent polynomials", _check_eulerian_egf),
-    IdentityEntry("eulerian_oracle", "descent/ascent statistic reproduces the bivariate descent polynomials", _oracle_family_check("eulerian_biv", 1), oracle_backed=True),
-    IdentityEntry("forest_oracle", "planted-forest family equals the exhaustive forest count", _check_forest_oracle, oracle_backed=True),
-    IdentityEntry("gamma_eulerian", "binary-tree polynomials substitute to the descent polynomials (u=xy, 2v=x+y)", _check_gamma_eulerian),
-    IdentityEntry("gamma_expansion", "descent polynomials have nonnegative expansions over (xy)^k (x+y)^{n+1-2k}", _check_gamma_expansion),
-    IdentityEntry("gen_multiplicative", "generating functions multiply: Gen(fg) = Gen(f) Gen(g)", _check_gen_multiplicative),
-    IdentityEntry("gessel", "left-peak closed form matches the family at a radical-rational point", _check_gessel),
-    IdentityEntry("hoffman_conv", "binomial convolutions stepping both derivative families", _check_hoffman_conv),
-    IdentityEntry("hoffman_egf", "four cross-multiplied trig generating functions for the derivative families", _check_hoffman_egf),
-    IdentityEntry("hoffman_PQQ", "the (1+x^2)-weighted square of the secant family steps the tangent family", _check_hoffman_pqq),
-    IdentityEntry("inverse_pattern", "period-four sign pattern of the derivative chain on the reciprocal seed", _check_inverse_pattern),
-    IdentityEntry("jv_oracles", "derivative families equal their empty-leaf tree and forest counts", _check_jv_oracles, oracle_backed=True),
-    IdentityEntry("knuth_buckholtz", "tangent family at 1 equals 2^n times the Euler numbers", _check_knuth_buckholtz),
-    IdentityEntry("L_squared_egf", "shifted descent series equals the squared left-peak series at a radical point", _check_l_squared_egf),
-    IdentityEntry("left_peak_convolution", "binary-tree polynomials at u=x^2 convolve the left-peak family (corrected prefactor)", _check_left_peak_convolution),
-    IdentityEntry("LL_MM", "left-peak and interior-peak self-convolutions agree (univariate form corrected by x)", _check_ll_mm),
-    IdentityEntry("LM_convolution", "left-peak family steps by convolving with the interior-peak family", _check_lm_convolution),
-    IdentityEntry("M_convolution", "interior-peak family steps by its own self-convolution", _check_m_convolution),
-    IdentityEntry("ma_composition", "scaled derivatives of tan+sec equal tangent-family composition with it", _check_ma_composition),
-    IdentityEntry("mfmy_conv", "shifted self-convolution steps the tangent family by two", _check_mfmy_conv),
-    IdentityEntry("MW_shift", "left-right-peak counts shift to interior-peak counts; W = x M", _check_mw_shift),
-    IdentityEntry("p_andre", "tangent family from the 0-1-2-tree family by substitution and homogenization", _check_p_andre),
-    IdentityEntry("p_eulerian_complex", "tangent family by Gaussian clearing of the descent polynomials", _check_p_eulerian_complex),
-    IdentityEntry("peak_L", "left-peak family equals its permutation-statistic count", _oracle_family_check("left_peak_biv", 0), oracle_backed=True),
-    IdentityEntry("peak_M", "interior-peak family equals its permutation-statistic count", _oracle_family_check("interior_peak_biv", 1), oracle_backed=True),
-    IdentityEntry("peak_W", "left-right-peak family equals its permutation-statistic count", _oracle_family_check("lr_peak_biv", 0), oracle_backed=True),
-    IdentityEntry("petersen", "cleared rational substitution ties the left-peak family to the descent polynomials", _check_petersen),
-    IdentityEntry("pq_log", "log of the secant-family series is the shifted tangent-family series", _check_pq_log),
-    IdentityEntry("R_convolution", "seed x+y family steps by convolving with the left-peak family", _check_r_convolution),
-    IdentityEntry("springer", "Springer numbers via left-peak evaluation at 2; tangent family at 1 via 2 M_n(2) (corrected)", _check_springer),
-    IdentityEntry("springer_logconvex_sanity", "finite log-convexity check of the Springer numbers", _check_springer_logconvex),
-    IdentityEntry("stembridge", "cleared rational substitution ties the interior-peak family to the descent polynomials", _check_stembridge),
-    IdentityEntry("tangent_secant", "family values at 0 are the tangent and secant numbers", _check_tangent_secant),
+    IdentityEntry("andre_eulerian", "scaled 0-1-2-tree polynomials are the descent polynomials under xy=2u, x+y=2v", 1, _MAX, _per_n(lambda p, n: ((2 ** n * p.poly("andre_biv", n)).substitute(_ANDRE_SUB), p.poly("eulerian_biv", n)))),
+    IdentityEntry("andre_oracle", "0-1-2-tree family equals its exhaustive tree count and the alternating count", 0, _ORACLE, _vs_oracle("andre_biv", extra=lambda ctx, n, _: (Fraction(ctx.provider.number("euler", n)), Fraction(structures.alternating_count(n, bound=ctx.oracle_max_n))))),
+    IdentityEntry("beta_exp", "derivative polynomials expand over x^j (1+x^2)^k with peak coefficients and plane-tree leaf counts", 0, _MAX, _beta_exp),
+    IdentityEntry("beta_grammar", "the z = x^2 lift of the peak grammar reproduces the left-peak expansion", 0, _MAX, _beta_grammar),
+    IdentityEntry("bivariate_gessel", "bivariate left-peak closed form (corrected prefactor) at a radical-rational point", 0, _capped(12), _bivariate_gessel),
+    IdentityEntry("carlitz_scoville", "cross-multiplied exponential form of the descent generating function", 1, _MAX, _carlitz_scoville),
+    IdentityEntry("david_barton_closed", "cosh(z) closed forms match the peak families at a Pythagorean point (corrected normalization)", 0, _capped(10), _david_barton_closed),
+    IdentityEntry("david_barton_pde", "coefficient recurrences expanded from the peak partial differential equations", 0, _MAX, _david_barton_pde),
+    IdentityEntry("deriv_recurrence", "grammar route equals the analytic recurrences for both derivative families", 0, _MAX, _per_n(lambda p, n: (recurrence_poly("P", n), p.poly("deriv_P", n)), lambda p, n: (recurrence_poly("Q", n), p.poly("deriv_Q", n)))),
+    IdentityEntry("dumont_andre", "doubling the leaf weight turns binary-tree polynomials into scaled 0-1-2-tree polynomials", 1, _MAX, _per_n(lambda p, n: (p.poly("dumont", n).substitute(_TWO_U), 2 ** n * p.poly("andre_biv", n)))),
+    IdentityEntry("dumont_oracle", "binary-tree family equals both exhaustive tree counts (binary and plane)", 1, _ORACLE, _vs_oracle("dumont", extra=lambda ctx, n, member: (member, structures.dumont_plane_oracle(n, bound=ctx.oracle_max_n)))),
+    IdentityEntry("dumont_peak", "binary-tree polynomials at u=x^2, v=y are the interior-peak polynomials", 0, _MAX, _per_n(lambda p, n: (p.poly("dumont", n).substitute(_PEAK_SUB), p.poly("interior_peak_biv", n)))),
+    IdentityEntry("euler_complex", "Euler numbers by Gaussian evaluation of the descent polynomials (descent-indexed convention)", 1, _MAX, _euler_complex),
+    IdentityEntry("eulerian_egf", "closed-form generating function reproduces the bivariate descent polynomials", 0, _MAX, _eulerian_egf),
+    IdentityEntry("eulerian_oracle", "descent/ascent statistic reproduces the bivariate descent polynomials", 1, _ORACLE, _vs_oracle("eulerian_biv")),
+    IdentityEntry("forest_oracle", "planted-forest family equals the exhaustive forest count", 0, _ORACLE, _vs_oracle("planted_forest")),
+    IdentityEntry("gamma_eulerian", "binary-tree polynomials substitute to the descent polynomials (u=xy, 2v=x+y)", 1, _MAX, _per_n(lambda p, n: (p.poly("dumont", n).substitute(_GAMMA_SUB), p.poly("eulerian_biv", n)))),
+    IdentityEntry("gamma_expansion", "descent polynomials have nonnegative expansions over (xy)^k (x+y)^{n+1-2k}", 1, _MAX, _gamma_expansion),
+    IdentityEntry("gen_multiplicative", "generating functions multiply: Gen(fg) = Gen(f) Gen(g)", 0, _capped(8), _gen_multiplicative),
+    IdentityEntry("gessel", "left-peak closed form matches the family at a radical-rational point", 0, _MAX, _gessel),
+    IdentityEntry("hoffman_conv", "binomial convolutions stepping both derivative families", 0, _upto(-1), _hoffman_conv),
+    IdentityEntry("hoffman_egf", "four cross-multiplied trig generating functions for the derivative families", 0, _MAX, _hoffman_egf),
+    IdentityEntry("hoffman_PQQ", "the (1+x^2)-weighted square of the secant family steps the tangent family", 0, _upto(-1), _steps(("deriv_P", "deriv_Q", "deriv_Q", _ONE_PLUS_X2), lead=lambda: (0, tangent_secant_grammar().derive(_PQQ_SEED), LaurentPoly.zero()))),
+    IdentityEntry("inverse_pattern", "period-four sign pattern of the derivative chain on the reciprocal seed", 0, _MAX, _inverse_pattern),
+    IdentityEntry("jv_oracles", "derivative families equal their empty-leaf tree and forest counts", 0, _ORACLE, _vs_oracle("deriv_P", "deriv_Q")),
+    IdentityEntry("knuth_buckholtz", "tangent family at 1 equals 2^n times the Euler numbers", 0, _MAX, _per_n(lambda p, n: (p.number("p_at_one", n), 2 ** n * p.number("euler", n)))),
+    IdentityEntry("L_squared_egf", "shifted descent series equals the squared left-peak series at a radical point", 0, _capped(10), _l_squared_egf),
+    IdentityEntry("left_peak_convolution", "binary-tree polynomials at u=x^2 convolve the left-peak family (corrected prefactor)", 0, _upto(-1), _left_peak_convolution),
+    IdentityEntry("LL_MM", "left-peak and interior-peak self-convolutions agree (univariate form corrected by x)", 1, _MAX, _ll_mm),
+    IdentityEntry("LM_convolution", "left-peak family steps by convolving with the interior-peak family", 0, _upto(-1), _steps(("left_peak_biv", "left_peak_biv", "interior_peak_biv", None), ("left_peak_uni", "left_peak_uni", "interior_peak_uni", X))),
+    IdentityEntry("M_convolution", "interior-peak family steps by its own self-convolution", 1, _upto(-1), _steps(("interior_peak_biv", "interior_peak_biv", "interior_peak_biv", None), ("interior_peak_uni", "interior_peak_uni", "interior_peak_uni", X))),
+    IdentityEntry("ma_composition", "scaled derivatives of tan+sec equal tangent-family composition with it", 0, _capped(6), _ma_composition),
+    IdentityEntry("mfmy_conv", "shifted self-convolution steps the tangent family by two", 0, _upto(-2), _mfmy_conv),
+    IdentityEntry("MW_shift", "left-right-peak counts shift to interior-peak counts; W = x M", 1, _MAX, _mw_shift),
+    IdentityEntry("p_andre", "tangent family from the 0-1-2-tree family by substitution and homogenization", 1, _MAX, _p_andre),
+    IdentityEntry("p_eulerian_complex", "tangent family by Gaussian clearing of the descent polynomials", 1, _MAX, _per_n(lambda p, n: (substitute_rational(p.poly("eulerian_uni", n), "x", _CAYLEY, n + 1), p.poly("deriv_P", n)))),
+    IdentityEntry("peak_L", "left-peak family equals its permutation-statistic count", 0, _ORACLE, _vs_oracle("left_peak_biv")),
+    IdentityEntry("peak_M", "interior-peak family equals its permutation-statistic count", 1, _ORACLE, _vs_oracle("interior_peak_biv")),
+    IdentityEntry("peak_W", "left-right-peak family equals its permutation-statistic count", 0, _ORACLE, _vs_oracle("lr_peak_biv")),
+    IdentityEntry("petersen", "cleared rational substitution ties the left-peak family to the descent polynomials", 0, _MAX, _petersen),
+    IdentityEntry("pq_log", "log of the secant-family series is the shifted tangent-family series", 0, _MAX, _pq_log),
+    IdentityEntry("R_convolution", "seed x+y family steps by convolving with the left-peak family", 0, _upto(-1), _steps(("R_family", "left_peak_biv", "R_family", None))),
+    IdentityEntry("springer", "Springer numbers via left-peak evaluation at 2; tangent family at 1 via 2 M_n(2) (corrected)", 0, _MAX, _springer),
+    IdentityEntry("springer_logconvex_sanity", "finite log-convexity check of the Springer numbers", 1, _MAX, _springer_logconvex),
+    IdentityEntry("stembridge", "cleared rational substitution ties the interior-peak family to the descent polynomials", 1, _MAX, _per_n(lambda p, n: (X * substitute_rational(p.poly("interior_peak_uni", n), "x", _PETERSEN, n - 1, clear=_ONE_PLUS_X), 2 ** (n - 1) * p.poly("eulerian_uni", n)))),
+    IdentityEntry("tangent_secant", "family values at 0 are the tangent and secant numbers", 0, _MAX, _tangent_secant),
 ]
 
 REGISTRY: Dict[str, IdentityEntry] = {entry.name: entry for entry in _ENTRIES}
@@ -997,7 +646,10 @@ def run_identity(
     provider: Optional[GrammarFamilies] = None,
     oracle_max_n: int = DEFAULT_ORACLE_MAX_N,
 ) -> IdentityReport:
-    """Run one registered identity and report pass/fail with a witness."""
+    """Run one registered identity and report pass/fail with a witness.
+
+    A range with hi < lo is reported as "empty", without running the check.
+    """
     if name not in REGISTRY:
         raise UnknownIdentity(
             f"unknown identity {name!r}; run with 'all' or one of {IDENTITY_NAMES}"
@@ -1018,9 +670,12 @@ def run_identity(
         provider=provider or GrammarFamilies(),
         points=scoped,
     )
+    lo, hi = entry.lo, entry.hi(ctx)
+    if hi < lo:
+        return IdentityReport(name, lo, hi, "empty", None, 0)
     start = time.perf_counter()
     try:
-        lo, hi, witness = entry.runner(ctx)
+        witness = _mismatch(entry.pairs(ctx, lo, hi))
     except Exception as exc:  # a crashing checker is a failing checker
         lo, hi, witness = 0, max_n, {"error": f"{type(exc).__name__}: {exc}"}
     millis = int((time.perf_counter() - start) * 1000)

@@ -160,14 +160,6 @@ def as_scalar(value) -> Scalar:
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
 
 
-def scalar_re(value: Scalar) -> Fraction:
-    return value.re if isinstance(value, GaussianRational) else value
-
-
-def scalar_im(value: Scalar) -> Fraction:
-    return value.im if isinstance(value, GaussianRational) else ZERO
-
-
 def render_scalar(value: Scalar) -> str:
     """Canonical text form: 'p/q' for rationals, '(re+im*i)' for Gaussians."""
     if isinstance(value, GaussianRational):

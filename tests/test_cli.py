@@ -54,6 +54,21 @@ def test_check_all_small(capsys):
     assert len(lines) == len(IDENTITY_NAMES) >= 30
 
 
+def test_check_all_empty_ranges_exit_2(capsys):
+    code, out, err = run_cli(capsys, "check", "all", "--max-n", "0")
+    assert code == 2
+    assert "empty hoffman_conv [n=0..-1]" in out
+    assert out.splitlines()[-1] == "24/46 identities pass"
+    assert "empty range" in err and "hoffman_conv" in err
+
+
+def test_check_single_empty_range_exit_2(capsys):
+    code, out, err = run_cli(capsys, "check", "mfmy_conv", "--max-n", "1")
+    assert code == 2
+    assert out.startswith("empty mfmy_conv [n=0..-1]")
+    assert "mfmy_conv" in err
+
+
 def test_check_json_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "check", "springer", "--max-n", "5", "--format", "json")
     code2, out2, _ = run_cli(capsys, "check", "springer", "--max-n", "5", "--format", "json")

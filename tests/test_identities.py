@@ -93,12 +93,13 @@ def test_run_all_small():
     ]
 
 
-def test_run_all_degenerate_ranges():
-    # max_n = 0: every check passes vacuously or at its seed values
+def test_run_all_empty_ranges_are_not_passes():
+    # max_n = 0: a check whose range is empty says so; every other one passes
     reports = run_all(max_n=0, oracle_max_n=0)
-    assert all(r.passed for r in reports), [
-        (r.name, r.witness) for r in reports if not r.passed
-    ]
+    for r in reports:
+        assert (r.status == "empty") == (r.hi < r.lo), r
+        assert r.passed == (r.status != "empty"), (r.name, r.status, r.witness)
+    assert sum(r.status == "empty" for r in reports) == 22
 
 
 def test_report_json_shape():
