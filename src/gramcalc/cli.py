@@ -2,8 +2,9 @@
 
 Subcommands: family, check, oracle, label, series, trees, errata.
 Exit codes: 0 success / all checks pass, 1 identity or diff failure,
-2 usage or input error, or a check whose range is empty.  All output is
-deterministic for fixed inputs; diagnostics go to stderr.
+2 usage or input error (including a point a check cannot use), or a check
+whose range is empty.  All output is deterministic for fixed inputs;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ def _parse_assignments(items) -> dict:
             var, _, raw = piece.partition("=")
             values[var.strip()] = Fraction(raw.strip())
     return values
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _emit_poly(poly: LaurentPoly, fmt: str):
@@ -101,12 +108,16 @@ def cmd_check(args) -> int:
             print(_report_line(report))
         passed = sum(r.passed for r in reports)
         print(f"{passed}/{len(reports)} identities pass")
+    invalid = [r for r in reports if r.status == "invalid"]
+    for report in invalid:
+        print(f"error: {report.name}: {report.witness['error']}", file=sys.stderr)
     empty = [r.name for r in reports if r.status == "empty"]
     if empty:
         print(
             f"error: empty range (raise --max-n or --oracle-max-n): {', '.join(empty)}",
             file=sys.stderr,
         )
+    if invalid or empty:
         return 2
     return 0 if all(r.passed for r in reports) else 1
 
@@ -245,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="run identity checks")
     chk.add_argument("name", help="identity name or 'all'")
-    chk.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+    chk.add_argument("--max-n", type=_nonnegative_int, default=DEFAULT_MAX_N)
     chk.add_argument(
         "--oracle-max-n",
-        type=int,
+        type=_nonnegative_int,
         default=DEFAULT_ORACLE_MAX_N,
         help="cap for enumeration-backed checks",
     )

@@ -67,3 +67,7 @@ class CrossCheckFailed(GramcalcError):
 
 class InvalidRadicalWitness(GramcalcError):
     """Claimed square root does not square to the radicand."""
+
+
+class InvalidPoint(GramcalcError):
+    """A user-supplied point at which a check cannot be evaluated."""

@@ -268,12 +268,14 @@ def family_number(name: str, n: int) -> int:
             f"unknown sequence {name!r}; known: {', '.join(SEQUENCES)}"
         )
     family, point = SEQUENCES[name]
-    return _as_int(family_poly(family, n).evaluate(point), f"{name}({n})")
+    value = family_poly(family, n).evaluate(point)
+    return _as_int(value, lambda: ValueError(f"{name}({n}) is not an integer: {value}"))
 
 
-def _as_int(value: Scalar, what: str) -> int:
+def _as_int(value: Scalar, error: Callable[[], Exception]) -> int:
+    """value as an int; raises error() when it is not an integer."""
     if not isinstance(value, Fraction) or value.denominator != 1:
-        raise ValueError(f"{what} is not an integer: {value}")
+        raise error()
     return value.numerator
 
 
@@ -307,7 +309,9 @@ def gamma_from_poly(poly: LaurentPoly, n: int) -> Dict[int, int]:
     for k in range(1, (n + 1) // 2 + 1):
         coeff = remainder.coefficient({"x": k, "y": n + 1 - k})
         if coeff != 0:
-            entries[k] = _expansion_int(coeff, "gamma", NotGammaExpressible)
+            entries[k] = _as_int(
+                coeff, lambda: NotGammaExpressible(f"gamma coefficient {coeff} is not an integer")
+            )
             basis = (x * y) ** k * (x + y) ** (n + 1 - 2 * k)
             remainder = remainder - basis * coeff
     if not remainder.is_zero():
@@ -350,7 +354,9 @@ def beta_from_poly(which: str, poly: LaurentPoly, n: int) -> Dict[int, int]:
     for k in ks:
         coeff = remainder.coefficient({"x": low_power(k)})
         if coeff != 0:
-            entries[k] = _expansion_int(coeff, "beta", NotBetaExpressible)
+            entries[k] = _as_int(
+                coeff, lambda: NotBetaExpressible(f"beta coefficient {coeff} is not an integer")
+            )
             basis = x ** low_power(k) * one_plus_x2 ** basis_power(k)
             remainder = remainder - basis * coeff
     if not remainder.is_zero():
@@ -367,12 +373,6 @@ def beta_expansion(which: str, n: int) -> CoefficientTable:
     return CoefficientTable(
         family, n, beta_from_poly(which, family_poly(family, n), n)
     )
-
-
-def _expansion_int(value: Scalar, what: str, error_type) -> int:
-    if not isinstance(value, Fraction) or value.denominator != 1:
-        raise error_type(f"{what} coefficient {value} is not an integer")
-    return value.numerator
 
 
 # -- the analytic recurrence route ----------------------------------------------

@@ -15,12 +15,13 @@ corrected form recorded in gramcalc.errata.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .errors import UnknownIdentity
+from .errors import GramcalcError, InvalidPoint, UnknownIdentity
 from .families import (
     SEQUENCES,
     _as_int,
@@ -59,7 +60,8 @@ class GrammarFamilies:
         if name not in SEQUENCES:
             raise ValueError(f"unknown sequence {name!r}")
         family, point = SEQUENCES[name]
-        return _as_int(self.poly(family, n).evaluate(point), f"{name}({n})")
+        value = self.poly(family, n).evaluate(point)
+        return _as_int(value, lambda: ValueError(f"{name}({n}) is not an integer: {value}"))
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,20 @@ class CheckContext:
 
     def point(self, var: str, default: Fraction) -> Fraction:
         return Fraction(self.points.get(var, default))
+
+    @contextmanager
+    def point_setup(self, *variables: str):
+        """Setup derived from the point alone.  If it fails at a point the user
+        gave, that is an input error (InvalidPoint), not an identity failure."""
+        try:
+            yield
+        except (GramcalcError, ZeroDivisionError) as exc:
+            given = [f"{v}={self.points[v]}" for v in variables if v in self.points]
+            if not given:
+                raise
+            raise InvalidPoint(
+                f"invalid point {','.join(given)}: {type(exc).__name__}: {exc}"
+            ) from exc
 
     def chain(self, name: str, top: int) -> List[LaurentPoly]:
         """Members 0..top of one family, fetched in order."""
@@ -304,8 +320,9 @@ def _left_peak_convolution(ctx: CheckContext, lo: int, hi: int):
 def _l_squared_egf(ctx: CheckContext, lo: int, hi: int):
     x0 = ctx.point("x", Fraction(3))
     y0 = ctx.point("y", Fraction(5))
-    point = RadicalPoint(values={"x": x0, "y": y0})
-    s = point.root("y^2-x^2", y0 * y0 - x0 * x0)
+    with ctx.point_setup("x", "y"):
+        point = RadicalPoint(values={"x": x0, "y": y0})
+        s = point.root("y^2-x^2", y0 * y0 - x0 * x0)
     xbar, ybar = y0 + s, y0 - s
     l_values = [member.evaluate({"x": x0, "y": y0}) for member in ctx.chain("left_peak_biv", hi)]
     for n in range(lo, hi + 1):
@@ -316,7 +333,8 @@ def _l_squared_egf(ctx: CheckContext, lo: int, hi: int):
 def _bivariate_gessel(ctx: CheckContext, lo: int, hi: int):
     x0 = ctx.point("x", Fraction(3))
     y0 = ctx.point("y", Fraction(5))
-    series = closed_form_series("bivariate_L", hi, RadicalPoint(values={"x": x0, "y": y0}))
+    with ctx.point_setup("x", "y"):
+        series = closed_form_series("bivariate_L", hi, RadicalPoint(values={"x": x0, "y": y0}))
     for n in range(lo, hi + 1):
         lhs = series.coeffs[n].constant_value()
         yield n, lhs, ctx.provider.poly("left_peak_biv", n).evaluate({"x": x0, "y": y0})
@@ -324,7 +342,8 @@ def _bivariate_gessel(ctx: CheckContext, lo: int, hi: int):
 
 def _gessel(ctx: CheckContext, lo: int, hi: int):
     x0 = ctx.point("x", Fraction(3, 4))
-    series = closed_form_series("gessel_L", hi, RadicalPoint(values={"x": x0}))
+    with ctx.point_setup("x"):
+        series = closed_form_series("gessel_L", hi, RadicalPoint(values={"x": x0}))
     for n in range(lo, hi + 1):
         lhs = series.coeffs[n].constant_value()
         yield n, lhs, ctx.provider.poly("left_peak_uni", n).evaluate({"x": x0})
@@ -351,23 +370,24 @@ def _david_barton_pde(ctx: CheckContext, lo: int, hi: int):
 
 def _david_barton_closed(ctx: CheckContext, lo: int, hi: int):
     x0 = ctx.point("x", Fraction(9, 25))
-    point = RadicalPoint(values={"x": x0})
-    s = point.root("x", x0)
-    r = point.root("1-x", 1 - x0)
-    ratio = s / (1 + r)
-    cosh_a = (ratio + 1 / ratio) / 2
-    sinh_a = (ratio - 1 / ratio) / 2
-    cosh_z = cosh_a * elementary_series("cosh", hi, r) + sinh_a * elementary_series(
-        "sinh", hi, r
-    )
-    one = TruncSeries.constant(1, hi)
-    half: Fraction = Fraction(1, 2)
-    inv_minus = one / (cosh_z - 1)
-    inv_plus = one / (cosh_z + 1)
-    lhs_left = (inv_minus + inv_plus) * half
-    lhs_interior = (inv_minus - inv_plus) * half
-    scale_left = s / (1 - x0)
-    scale_interior = x0 / (1 - x0)
+    with ctx.point_setup("x"):
+        point = RadicalPoint(values={"x": x0})
+        s = point.root("x", x0)
+        r = point.root("1-x", 1 - x0)
+        ratio = s / (1 + r)
+        cosh_a = (ratio + 1 / ratio) / 2
+        sinh_a = (ratio - 1 / ratio) / 2
+        cosh_z = cosh_a * elementary_series("cosh", hi, r) + sinh_a * elementary_series(
+            "sinh", hi, r
+        )
+        one = TruncSeries.constant(1, hi)
+        half: Fraction = Fraction(1, 2)
+        inv_minus = one / (cosh_z - 1)
+        inv_plus = one / (cosh_z + 1)
+        lhs_left = (inv_minus + inv_plus) * half
+        lhs_interior = (inv_minus - inv_plus) * half
+        scale_left = s / (1 - x0)
+        scale_interior = x0 / (1 - x0)
     at_x0 = {"x": x0}
     poly = ctx.provider.poly
     for n in range(lo, hi + 1):
@@ -649,6 +669,7 @@ def run_identity(
     """Run one registered identity and report pass/fail with a witness.
 
     A range with hi < lo is reported as "empty", without running the check.
+    A user-supplied point the check cannot use is reported as "invalid".
     """
     if name not in REGISTRY:
         raise UnknownIdentity(
@@ -674,12 +695,16 @@ def run_identity(
     if hi < lo:
         return IdentityReport(name, lo, hi, "empty", None, 0)
     start = time.perf_counter()
+    status = "fail"
     try:
         witness = _mismatch(entry.pairs(ctx, lo, hi))
+    except InvalidPoint as exc:
+        status, witness = "invalid", {"error": str(exc)}
     except Exception as exc:  # a crashing checker is a failing checker
         lo, hi, witness = 0, max_n, {"error": f"{type(exc).__name__}: {exc}"}
     millis = int((time.perf_counter() - start) * 1000)
-    status = "pass" if witness is None else "fail"
+    if witness is None:
+        status = "pass"
     return IdentityReport(name, lo, hi, status, witness, millis)
 
 

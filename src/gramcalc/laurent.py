@@ -12,6 +12,8 @@ lexicographic exponent vector — fixes rendering and JSON byte-for-byte.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import (
@@ -62,6 +64,15 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    @staticmethod
+    def _make(variables: Tuple[str, ...], terms: Dict[Exponents, Scalar]) -> "LaurentPoly":
+        # Trusted constructor for kernel results: a duplicate-free table and
+        # aligned, nonzero Fraction/GaussianRational terms; no per-term checks.
+        poly = object.__new__(LaurentPoly)
+        object.__setattr__(poly, "vars", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     # -- constructors -------------------------------------------------------
 
@@ -134,20 +145,7 @@ class LaurentPoly:
 
         Dropping a variable that actually occurs is an error.
         """
-        variables = tuple(variables)
-        index = {v: i for i, v in enumerate(variables)}
-        out: Dict[Exponents, Scalar] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for var, e in zip(self.vars, exps):
-                if e == 0:
-                    continue
-                if var not in index:
-                    raise ValueError(f"cannot drop live variable {var!r}")
-                new[index[var]] = e
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return LaurentPoly(variables, out)
+        return LaurentPoly(variables, _reindex(self, tuple(variables)))
 
     def coefficient(self, exps_by_var: Mapping[str, int]) -> Scalar:
         """Coefficient of the monomial with the given exponents (others zero)."""
@@ -200,7 +198,7 @@ class LaurentPoly:
         out = dict(a)
         for exps, coeff in b.items():
             out[exps] = out.get(exps, Fraction(0)) + coeff
-        return LaurentPoly(variables, out)
+        return LaurentPoly._make(variables, {k: v for k, v in out.items() if v})
 
     __radd__ = __add__
 
@@ -217,20 +215,34 @@ class LaurentPoly:
         return other + (-self)
 
     def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         other = _coerce(other, self.vars)
         if other is NotImplemented:
             return NotImplemented
         variables, a, b = self._aligned(other)
-        out: Dict[Exponents, Scalar] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prev = out.get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
-        return LaurentPoly(variables, out)
+        cleared_a, cleared_b = _cleared(a), _cleared(b)
+        if cleared_a is None or cleared_b is None:
+            # Gaussian coefficients: generic scalar arithmetic per term pair.
+            out: Dict[Exponents, Scalar] = {}
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    key = tuple(map(add, ea, eb))
+                    prev = out.get(key)
+                    out[key] = ca * cb if prev is None else prev + ca * cb
+            return LaurentPoly._make(variables, {k: v for k, v in out.items() if v})
+        # Rational coefficients: integer numerators over each operand's lcm
+        # denominator, so each term pair costs one int multiply-add.
+        da, nums_a = cleared_a
+        db, nums_b = cleared_b
+        acc: Dict[Exponents, int] = {}
+        for ea, na in nums_a:
+            for eb, nb in nums_b:
+                key = tuple(map(add, ea, eb))
+                acc[key] = acc.get(key, 0) + na * nb
+        den = da * db
+        return LaurentPoly._make(variables, {k: Fraction(v, den) for k, v in acc.items() if v})
 
     __rmul__ = __mul__
 
@@ -279,16 +291,15 @@ class LaurentPoly:
         if var not in self.vars:
             return LaurentPoly.zero(self.vars)
         idx = self.vars.index(var)
-        out: Dict[Exponents, Scalar] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[idx]
-            if e == 0:
-                continue
-            key = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-            prev = out.get(key)
-            term = coeff * e
-            out[key] = term if prev is None else prev + term
-        return LaurentPoly(self.vars, out)
+        # Lowering one exponent maps distinct terms to distinct terms.
+        return LaurentPoly._make(
+            self.vars,
+            {
+                exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: coeff * exps[idx]
+                for exps, coeff in self.terms.items()
+                if exps[idx]
+            },
+        )
 
     def substitute(self, mapping: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
         """Ring-homomorphic image under var -> polynomial.
@@ -457,14 +468,28 @@ class LaurentPoly:
 
 
 def _reindex(poly: LaurentPoly, variables) -> Dict[Exponents, Scalar]:
+    """poly's terms over another table; dropping a variable that occurs raises."""
     index = {v: i for i, v in enumerate(variables)}
     out: Dict[Exponents, Scalar] = {}
     for exps, coeff in poly.terms.items():
         new = [0] * len(variables)
-        for v, e in zip(poly.vars, exps):
-            new[index[v]] = e
+        for var, e in zip(poly.vars, exps):
+            if e == 0:
+                continue
+            if var not in index:
+                raise ValueError(f"cannot drop live variable {var!r}")
+            new[index[var]] = e
         out[tuple(new)] = coeff
     return out
+
+
+def _cleared(terms: Mapping[Exponents, Scalar]):
+    """(d, [(exps, c*d)]) with d the lcm denominator, or None for Gaussian terms."""
+    for c in terms.values():
+        if type(c) is not Fraction:
+            return None
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, [(exps, c.numerator * (d // c.denominator)) for exps, c in terms.items()]
 
 
 def _coerce(value, variables):
@@ -542,10 +567,16 @@ def substitute_rational(
         rest_exps = tuple(e for i, e in enumerate(exps) if i != idx)
         part = LaurentPoly(rest_vars, {rest_exps: coeff})
         by_power[k] = by_power.get(k, LaurentPoly.zero(rest_vars)) + part
+    # N^0..N^degree and D^0..D^degree, one multiply per step.
+    num_powers = [LaurentPoly.const(1, value.numerator.vars)]
+    den_powers = [LaurentPoly.const(1, value.denominator.vars)]
+    for _ in range(degree):
+        num_powers.append(num_powers[-1] * value.numerator)
+        den_powers.append(den_powers[-1] * value.denominator)
     for k, part in by_power.items():
-        num = num + part * value.numerator ** k * value.denominator ** (degree - k)
+        num = num + part * num_powers[k] * den_powers[degree - k]
     cleared = clear ** clear_power * num
-    return cleared.exact_divide(value.denominator ** degree)
+    return cleared.exact_divide(den_powers[degree])
 
 
 # -- text parsing ------------------------------------------------------------

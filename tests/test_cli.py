@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gramcalc.cli import main
 
 
@@ -67,6 +69,55 @@ def test_check_single_empty_range_exit_2(capsys):
     assert code == 2
     assert out.startswith("empty mfmy_conv [n=0..-1]")
     assert "mfmy_conv" in err
+
+
+def test_check_bad_point_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "check", "gessel", "--points", "x=1", "--max-n", "4")
+    assert code == 2
+    assert "fail" not in out
+    assert out.startswith("invalid gessel [n=0..4]")
+    assert err.startswith("error: gessel: invalid point x=1: NonUnitConstantTerm")
+    # a bare point reaches every check that reads x; all four are input errors
+    code, out, err = run_cli(
+        capsys, "check", "all", "--points", "x=0", "--max-n", "3", "--oracle-max-n", "2"
+    )
+    assert code == 2
+    assert "fail" not in out
+    assert err.splitlines() == [
+        "error: david_barton_closed: invalid point x=0: ZeroDivisionError: Fraction(1, 0)"
+    ]
+
+
+def test_check_mismatch_at_valid_point_still_fails(capsys, monkeypatch):
+    import gramcalc.identities as identities
+
+    real = identities.family_poly
+
+    def corrupted(name, n):
+        poly = real(name, n)
+        return poly + 1 if (name, n) == ("left_peak_uni", 3) else poly
+
+    monkeypatch.setattr(identities, "family_poly", corrupted)
+    code, out, err = run_cli(capsys, "check", "gessel", "--points", "x=8/9", "--max-n", "4")
+    assert code == 1
+    assert out.startswith("fail gessel [n=0..4]") and '"n": 3' in out
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "option, name", [("--max-n", "mfmy_conv"), ("--oracle-max-n", "eulerian_oracle")]
+)
+def test_check_negative_bound_is_usage_error(capsys, option, name):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", name, option, "-3"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: expected a nonnegative integer, got '-3'" in captured.err
+    # zero is accepted; the range it leaves is reported as empty
+    code, out, err = run_cli(capsys, "check", name, option, "0")
+    assert code == 2
+    assert out.startswith(f"empty {name}") and "empty range" in err
 
 
 def test_check_json_deterministic(capsys):

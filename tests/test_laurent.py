@@ -160,6 +160,16 @@ def test_mixed_table_arithmetic():
     assert X + a == a + X
 
 
+def test_restricted_reorders_and_refuses_live_drop():
+    poly = parse_poly("3*x^2*y + y^-1", ("x", "y", "a"))
+    moved = poly.restricted(("y", "x"))
+    assert moved.vars == ("y", "x")
+    assert moved.terms == {(1, 2): Fraction(3), (-1, 0): Fraction(1)}
+    assert moved == poly
+    with pytest.raises(ValueError, match="cannot drop live variable 'x'"):
+        poly.restricted(("y",))
+
+
 def test_rational_function_equality():
     half = RationalFunction(X, 2 * X * Y)
     also_half = RationalFunction(LaurentPoly.const(1), 2 * Y)

@@ -18,9 +18,10 @@ from gramcalc.families import (
     peak_grammar,
 )
 from gramcalc.laurent import LaurentPoly, parse_poly
+from gramcalc.scalar import GaussianRational
 from gramcalc.series import TruncSeries, compare_series, elementary_series
 
-from conftest import laurent_polys, plain_polys, rationals
+from conftest import laurent_polys, plain_polys, poly_strategy, rationals, scalars
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -44,6 +45,127 @@ def test_additive_group(f):
     assert f + (-f) == LaurentPoly.zero()
     assert f * LaurentPoly.const(1) == f
     assert (f * LaurentPoly.zero(("x", "y"))).is_zero()
+
+
+# -- the multiplication kernel against the generic double loop --------------------
+
+
+def _reference_mul(f, g):
+    """Generic per-term scalar arithmetic over the aligned tables: the reference for __mul__."""
+    if f.vars == g.vars:
+        variables, a, b = f.vars, f.terms, g.terms
+    else:
+        variables = tuple(list(f.vars) + [v for v in g.vars if v not in f.vars])
+        a, b = (_reference_reindex(p, variables) for p in (f, g))
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            prev = out.get(key)
+            out[key] = ca * cb if prev is None else prev + ca * cb
+    return LaurentPoly(variables, out)
+
+
+def _reference_reindex(poly, variables):
+    index = {v: i for i, v in enumerate(variables)}
+    out = {}
+    for exps, coeff in poly.terms.items():
+        new = [0] * len(variables)
+        for v, e in zip(poly.vars, exps):
+            new[index[v]] = e
+        out[tuple(new)] = coeff
+    return out
+
+
+_COEFFS = {
+    "int": st.integers(min_value=-9, max_value=9).map(Fraction),
+    "rational": rationals,
+    "gaussian": scalars,
+}
+_KINDS = st.sampled_from(sorted(_COEFFS))
+_TABLES = st.sampled_from([("x", "y"), ("y", "x"), ("y", "z"), ("z",)])
+
+
+@st.composite
+def _kernel_operands(draw):
+    # each operand draws its own coefficient kind, so int x Gaussian occurs too
+    f = draw(poly_strategy(("x", "y"), max_terms=6, coeffs=_COEFFS[draw(_KINDS)]))
+    g = draw(poly_strategy(draw(_TABLES), max_terms=6, coeffs=_COEFFS[draw(_KINDS)]))
+    return f, g
+
+
+def _assert_clean(poly):
+    assert all(type(c) in (Fraction, GaussianRational) and c != 0 for c in poly.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_operands())
+def test_mul_matches_reference(operands):
+    f, g = operands
+    for a, b in ((f, g), (f + g, f - g), (f, f * g), (g, -g)):
+        product = a * b
+        expected = _reference_mul(a, b)
+        assert product.vars == expected.vars
+        assert product.terms == expected.terms
+        _assert_clean(product)
+
+
+@SETTINGS
+@given(_kernel_operands())
+def test_kernel_results_hold_scalars(operands):
+    f, g = operands
+    results = [f + g, f - g, -f, f * g, 3 * f, f * Fraction(1, 2), f**2]
+    results += [(f * g).partial_derivative("x"), f.partial_derivative("y")]
+    for result in results:
+        _assert_clean(result)
+
+
+def test_mul_cancelling_terms():
+    x, y = LaurentPoly.variable("x", ("x", "y")), LaurentPoly.variable("y", ("x", "y"))
+    half = Fraction(1, 2)
+    product = (x + half * y) * (x - half * y)
+    assert product.terms == {(2, 0): Fraction(1), (0, 2): Fraction(-1, 4)}
+    assert ((x + y) * (x - y) - x * x + y * y).is_zero()
+
+
+# -- substitute_rational against per-k powers ------------------------------------------
+
+
+def _reference_substitute_rational(f, var, value, clear_power, clear=None):
+    """Each N^k and D^(degree-k) computed on its own by repeated squaring."""
+    clear = value.denominator if clear is None else clear
+    degree = f.degree_in(var) if var in f.vars else 0
+    num = LaurentPoly.zero()
+    idx = f.vars.index(var) if var in f.vars else None
+    rest_vars = tuple(v for v in f.vars if v != var)
+    by_power = {}
+    for exps, coeff in f.terms.items():
+        k = exps[idx] if idx is not None else 0
+        rest_exps = tuple(e for i, e in enumerate(exps) if i != idx)
+        part = LaurentPoly(rest_vars, {rest_exps: coeff})
+        by_power[k] = by_power.get(k, LaurentPoly.zero(rest_vars)) + part
+    for k, part in by_power.items():
+        num = num + part * value.numerator ** k * value.denominator ** (degree - k)
+    cleared = clear ** clear_power * num
+    return cleared.exact_divide(value.denominator ** degree)
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_substitute_rational_matches_reference(n):
+    from gramcalc.identities import _CAYLEY, _ONE_PLUS_X, _PETERSEN
+    from gramcalc.laurent import substitute_rational
+
+    cases = [
+        (family_poly("eulerian_uni", n), _CAYLEY, n + 1, None),
+        (family_poly("left_peak_uni", n), _PETERSEN, n, _ONE_PLUS_X),
+    ]
+    if n >= 1:
+        cases.append((family_poly("interior_peak_uni", n), _PETERSEN, n - 1, _ONE_PLUS_X))
+    for f, value, power, clear in cases:
+        result = substitute_rational(f, "x", value, power, clear=clear)
+        expected = _reference_substitute_rational(f, "x", value, power, clear=clear)
+        assert result.vars == expected.vars
+        assert result.terms == expected.terms
 
 
 # -- substitution is a homomorphism ---------------------------------------------
