@@ -23,6 +23,8 @@ from .errors import (
     ParseError,
 )
 from .scalar import (
+    ONE,
+    ZERO,
     GaussianRational,
     Scalar,
     as_scalar,
@@ -224,14 +226,7 @@ class LaurentPoly:
         variables, a, b = self._aligned(other)
         cleared_a, cleared_b = _cleared(a), _cleared(b)
         if cleared_a is None or cleared_b is None:
-            # Gaussian coefficients: generic scalar arithmetic per term pair.
-            out: Dict[Exponents, Scalar] = {}
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    key = tuple(map(add, ea, eb))
-                    prev = out.get(key)
-                    out[key] = ca * cb if prev is None else prev + ca * cb
-            return LaurentPoly._make(variables, {k: v for k, v in out.items() if v})
+            return LaurentPoly._make(variables, _gaussian_product(a, b))
         # Rational coefficients: integer numerators over each operand's lcm
         # denominator, so each term pair costs one int multiply-add.
         da, nums_a = cleared_a
@@ -323,19 +318,31 @@ class LaurentPoly:
                     f"negative exponent on {var!r} but image "
                     f"{images[var].render()} is not a monomial"
                 )
-        result = LaurentPoly.zero()
+        # The result's table: the images' tables in the order the terms reach them.
+        reached = dict.fromkeys(
+            var for exps in self.terms for var, e in zip(self.vars, exps) if e
+        )
+        variables = tuple(dict.fromkeys(v for var in reached for v in images[var].vars))
+        one = {(0,) * len(variables): ONE}
+        # Image powers over the result's table, so products need no realignment.
         power_cache: Dict[Tuple[str, int], LaurentPoly] = {}
+        out: Dict[Exponents, Scalar] = {}
         for exps, coeff in self.terms.items():
-            term = LaurentPoly.const(coeff)
+            product = None
             for var, e in zip(self.vars, exps):
                 if e == 0:
                     continue
                 key = (var, e)
                 if key not in power_cache:
-                    power_cache[key] = images[var] ** e
-                term = term * power_cache[key]
-            result = result + term
-        return result
+                    power = images[var] ** e
+                    if power.vars != variables:
+                        power = LaurentPoly._make(variables, _reindex(power, variables))
+                    power_cache[key] = power
+                product = power_cache[key] if product is None else product * power_cache[key]
+            for key, c in (one if product is None else product.terms).items():
+                prev = out.get(key)
+                out[key] = coeff * c if prev is None else prev + coeff * c
+        return LaurentPoly._make(variables, {k: v for k, v in out.items() if v})
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
         """Exact value at a scalar point; every effective variable needs a value."""
@@ -492,6 +499,44 @@ def _cleared(terms: Mapping[Exponents, Scalar]):
     return d, [(exps, c.numerator * (d // c.denominator)) for exps, c in terms.items()]
 
 
+def _cleared_gaussian(terms: Mapping[Exponents, Scalar]):
+    """(d, [(exps, re*d, im*d)]) with d the lcm denominator of every part."""
+    parts = [
+        (exps, c, ZERO) if type(c) is Fraction else (exps, c.re, c.im)
+        for exps, c in terms.items()
+    ]
+    d = lcm(*[p.denominator for _, re, im in parts for p in (re, im)])
+    return d, [
+        (exps, re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+        for exps, re, im in parts
+    ]
+
+
+def _gaussian_product(a, b) -> Dict[Exponents, Scalar]:
+    """Aligned terms a*b when a coefficient is Gaussian: integer (re, im)
+    numerators over each operand's lcm denominator, two int sums per term."""
+    da, nums_a = _cleared_gaussian(a)
+    db, nums_b = _cleared_gaussian(b)
+    acc: Dict[Exponents, list] = {}
+    for ea, ra, ia in nums_a:
+        for eb, rb, ib in nums_b:
+            key = tuple(map(add, ea, eb))
+            sums = acc.get(key)
+            if sums is None:
+                acc[key] = [ra * rb - ia * ib, ra * ib + ia * rb]
+            else:
+                sums[0] += ra * rb - ia * ib
+                sums[1] += ra * ib + ia * rb
+    den = da * db
+    out: Dict[Exponents, Scalar] = {}
+    for key, (re, im) in acc.items():
+        if im:
+            out[key] = GaussianRational(Fraction(re, den), Fraction(im, den))
+        elif re:
+            out[key] = Fraction(re, den)
+    return out
+
+
 def _coerce(value, variables):
     if isinstance(value, LaurentPoly):
         return value
@@ -557,8 +602,6 @@ def substitute_rational(
     degree = f.degree_in(var)
     if var not in f.vars:
         degree = 0
-    # Numerator of f(value) over denominator^degree, fully expanded.
-    num = LaurentPoly.zero()
     idx = f.vars.index(var) if var in f.vars else None
     rest_vars = tuple(v for v in f.vars if v != var)
     by_power: Dict[int, LaurentPoly] = {}
@@ -567,14 +610,19 @@ def substitute_rational(
         rest_exps = tuple(e for i, e in enumerate(exps) if i != idx)
         part = LaurentPoly(rest_vars, {rest_exps: coeff})
         by_power[k] = by_power.get(k, LaurentPoly.zero(rest_vars)) + part
-    # N^0..N^degree and D^0..D^degree, one multiply per step.
-    num_powers = [LaurentPoly.const(1, value.numerator.vars)]
+    # D^0..D^degree, one multiply per step.
     den_powers = [LaurentPoly.const(1, value.denominator.vars)]
     for _ in range(degree):
-        num_powers.append(num_powers[-1] * value.numerator)
         den_powers.append(den_powers[-1] * value.denominator)
-    for k, part in by_power.items():
-        num = num + part * num_powers[k] * den_powers[degree - k]
+    # Numerator of f(value) over D^degree, sum_k a_k N^k D^(degree-k), by
+    # homogeneous Horner: num = num*N + a_k D^(degree-k), k from degree down.
+    table = rest_vars + value.numerator.vars + value.denominator.vars if by_power else ()
+    num = LaurentPoly.zero(tuple(dict.fromkeys(table)))
+    for k in range(degree, -1, -1):
+        if k < degree:
+            num = num * value.numerator
+        if k in by_power:
+            num = num + by_power[k] * den_powers[degree - k]
     cleared = clear ** clear_power * num
     return cleared.exact_divide(den_powers[degree])
 
@@ -588,7 +636,11 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> LaurentPoly
     poly = parser.parse()
     if variables is not None:
         variables = tuple(variables)
-        extra = [v for v in poly.vars if v not in variables and poly.degree_in(v) != 0]
+        extra = [
+            v
+            for i, v in enumerate(poly.vars)
+            if v not in variables and any(exps[i] for exps in poly.terms)
+        ]
         if extra:
             raise ParseError(f"unexpected variables {extra}", 0)
         return LaurentPoly(variables, _reindex(poly, variables))

@@ -133,6 +133,28 @@ def test_fault_injection_eulerian():
     assert "petersen" in failing
 
 
+class RaisingFamilies(GrammarFamilies):
+    """Provider whose one family member raises instead of returning."""
+
+    def __init__(self, family, n):
+        self.family = family
+        self.n = n
+
+    def poly(self, name, n):
+        if name == self.family and n == self.n:
+            raise RuntimeError(f"{name}({n}) unavailable")
+        return super().poly(name, n)
+
+
+def test_crashed_check_reports_its_declared_range():
+    reports = {r.name: r for r in run_all(6, oracle_max_n=4, provider=RaisingFamilies("deriv_P", 2))}
+    for name, expected in (("mfmy_conv", (0, 4)), ("jv_oracles", (0, 4)), ("hoffman_conv", (0, 5))):
+        report = reports[name]
+        assert report.status == "fail", name
+        assert report.witness == {"error": "RuntimeError: deriv_P(2) unavailable"}, name
+        assert (report.lo, report.hi) == expected, name
+
+
 def test_descriptions_present():
     for name, entry in REGISTRY.items():
         assert entry.description, name

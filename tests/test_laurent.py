@@ -170,6 +170,13 @@ def test_restricted_reorders_and_refuses_live_drop():
         poly.restricted(("y",))
 
 
+def test_parse_rejects_dropped_variable_with_only_negative_exponents():
+    # x's largest exponent is 0, but x^-1 still needs x in the table
+    with pytest.raises(ParseError, match="unexpected variables \\['x'\\]"):
+        parse_poly("x^-1 + 1", ("y",))
+    assert parse_poly("x^0*y + 1", ("y",)) == Y + 1
+
+
 def test_rational_function_equality():
     half = RationalFunction(X, 2 * X * Y)
     also_half = RationalFunction(LaurentPoly.const(1), 2 * Y)

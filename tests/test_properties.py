@@ -17,8 +17,9 @@ from gramcalc.families import (
     gamma_expansion,
     peak_grammar,
 )
+from gramcalc.errors import NonInvertibleSubstitution
 from gramcalc.laurent import LaurentPoly, parse_poly
-from gramcalc.scalar import GaussianRational
+from gramcalc.scalar import GaussianRational, make_gaussian
 from gramcalc.series import TruncSeries, compare_series, elementary_series
 
 from conftest import laurent_polys, plain_polys, poly_strategy, rationals, scalars
@@ -126,6 +127,127 @@ def test_mul_cancelling_terms():
     product = (x + half * y) * (x - half * y)
     assert product.terms == {(2, 0): Fraction(1), (0, 2): Fraction(-1, 4)}
     assert ((x + y) * (x - y) - x * x + y * y).is_zero()
+
+
+_FRACTIONAL = rationals.filter(lambda q: q.denominator > 1)
+_GAUSSIAN = st.builds(make_gaussian, _FRACTIONAL, _FRACTIONAL)
+
+
+@st.composite
+def _gaussian_operands(draw):
+    # every coefficient Gaussian, real and imaginary parts both non-integer
+    f = draw(poly_strategy(("x", "y"), max_terms=6, coeffs=_GAUSSIAN))
+    g = draw(poly_strategy(draw(_TABLES), max_terms=6, coeffs=_GAUSSIAN))
+    return f, g
+
+
+def _conjugate(poly):
+    return LaurentPoly(
+        poly.vars,
+        {e: c.conjugate() if isinstance(c, GaussianRational) else c for e, c in poly.terms.items()},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gaussian_operands())
+def test_gaussian_mul_matches_reference(operands):
+    f, g = operands
+    for a, b in ((f, g), (f + g, f - g), (f, f * g)):
+        product = a * b
+        expected = _reference_mul(a, b)
+        assert product.vars == expected.vars
+        assert product.terms == expected.terms
+        _assert_clean(product)
+    # f times its conjugate has real coefficients, held as plain Fractions
+    norm = f * _conjugate(f)
+    assert norm.terms == _reference_mul(f, _conjugate(f)).terms
+    assert all(type(c) is Fraction for c in norm.terms.values())
+
+
+def test_gaussian_mul_cancelling_imaginary_parts():
+    x = LaurentPoly.variable("x")
+    i = make_gaussian(0, 1)
+    product = (x + i) * (x - i)
+    assert product.terms == {(2,): Fraction(1), (0,): Fraction(1)}
+    assert all(type(c) is Fraction for c in product.terms.values())
+    a = make_gaussian(Fraction(1, 2), Fraction(1, 3))
+    product = (x + a) * (x + a.conjugate())
+    assert product.terms == {(2,): Fraction(1), (1,): Fraction(1), (0,): Fraction(13, 36)}
+    assert all(type(c) is Fraction for c in product.terms.values())
+    # the x term cancels outright and is dropped
+    assert ((x + a) * (x - a)).terms == {(2,): Fraction(1), (0,): -a * a}
+
+
+# -- substitute against the per-term reference -------------------------------------------
+
+
+def _reference_substitute(f, mapping):
+    """Per term: const(coeff) times cached image powers, added to the running result."""
+    images = {}
+    for var in f.vars:
+        if var in mapping:
+            img = mapping[var]
+            images[var] = img if isinstance(img, LaurentPoly) else LaurentPoly.const(img)
+        else:
+            images[var] = LaurentPoly.variable(var)
+    for var in f.vars:
+        if f.min_degree_in(var) < 0 and not images[var].is_monomial():
+            raise NonInvertibleSubstitution(var)
+    result = LaurentPoly.zero()
+    power_cache = {}
+    for exps, coeff in f.terms.items():
+        term = LaurentPoly.const(coeff)
+        for var, e in zip(f.vars, exps):
+            if e == 0:
+                continue
+            if (var, e) not in power_cache:
+                power_cache[var, e] = images[var] ** e
+            term = term * power_cache[var, e]
+        result = result + term
+    return result
+
+
+_IMAGE_TABLES = st.sampled_from([("x",), ("y",), ("x", "y"), ("y", "z"), ("z", "u")])
+
+
+@st.composite
+def _image(draw):
+    kind = draw(st.sampled_from(["unmapped", "constant", "variable", "monomial", "poly"]))
+    coeffs = _COEFFS[draw(_KINDS)]
+    if kind == "constant":
+        return draw(coeffs)
+    table = draw(_IMAGE_TABLES)
+    if kind == "variable":
+        return LaurentPoly.variable(draw(st.sampled_from(table)), table)
+    if kind == "monomial":
+        exps = draw(st.tuples(*[st.integers(min_value=-2, max_value=2)] * len(table)))
+        return LaurentPoly.monomial(table, exps, draw(coeffs.filter(bool)))
+    if kind == "poly":
+        return draw(poly_strategy(table, min_exp=-1, max_exp=2, max_terms=3, coeffs=coeffs))
+    return None
+
+
+@st.composite
+def _substitutions(draw):
+    f = draw(poly_strategy(("x", "y"), min_exp=-2, max_exp=3, max_terms=5, coeffs=_COEFFS[draw(_KINDS)]))
+    mapping = {var: img for var in ("x", "y") if (img := draw(_image())) is not None}
+    return f, mapping
+
+
+@settings(max_examples=300, deadline=None)
+@given(_substitutions())
+def test_substitute_matches_reference(case):
+    f, mapping = case
+    try:
+        expected = _reference_substitute(f, mapping)
+    except NonInvertibleSubstitution:
+        with pytest.raises(NonInvertibleSubstitution):
+            f.substitute(mapping)
+        return
+    result = f.substitute(mapping)
+    assert result.vars == expected.vars
+    assert result.terms == expected.terms
+    _assert_clean(result)
 
 
 # -- substitute_rational against per-k powers ------------------------------------------
