@@ -87,6 +87,7 @@ def _report_line(report) -> str:
 
 
 def cmd_check(args) -> int:
+    _warn_bound(args.oracle_max_n)
     points = _parse_assignments(args.points)
     if args.name == "all":
         reports = run_all(
@@ -275,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("name", choices=FAMILY_NAMES)
     orc.add_argument("--n", type=int, required=True)
     orc.add_argument("--diff", action="store_true", help="compare with the grammar route")
-    orc.add_argument("--bound", type=int, default=None, help="raise the enumeration bound")
+    orc.add_argument(
+        "--bound", type=_nonnegative_int, default=None, help="raise the enumeration bound"
+    )
     orc.add_argument("--format", choices=("text", "json", "csv"), default="text")
     orc.set_defaults(func=cmd_oracle)
 
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     tre.add_argument("kind", choices=structures.STRUCTURE_KINDS)
     tre.add_argument("--n", type=int, required=True)
     tre.add_argument("--count", action="store_true")
-    tre.add_argument("--bound", type=int, default=None)
+    tre.add_argument("--bound", type=_nonnegative_int, default=None)
     tre.set_defaults(func=cmd_trees)
 
     err = sub.add_parser("errata", help="documented corrections this suite verifies")

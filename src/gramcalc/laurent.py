@@ -121,12 +121,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def total_degree(self) -> int:
-        """Max total degree over terms (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return max(sum(exps) for exps in self.terms)
-
     def degree_in(self, var: str) -> int:
         if var not in self.vars or not self.terms:
             return 0

@@ -24,7 +24,8 @@ import itertools
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Sequence, Tuple
+from operator import gt
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .errors import BoundExceeded, NotAPermutation, UnknownFamily
 from .laurent import LaurentPoly
@@ -173,24 +174,16 @@ def _subsets(items: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], Tuple[in
         yield first + chosen, rest
 
 
-def _binary_pairs(labels: Tuple[int, ...]):
-    """inc_binary trees on labels, each with its (leaves, one-child) counts."""
+def inc_binary_trees(labels: Tuple[int, ...]):
     if not labels:
-        yield None, (0, 0)
+        yield None
         return
     root, rest = labels[0], labels[1:]
     for left_set, right_set in _subsets(rest):
-        children = bool(left_set) + bool(right_set)
-        f0, f1 = children == 0, children == 1
-        rights = list(_binary_pairs(right_set))
-        for left, (a0, a1) in _binary_pairs(left_set):
-            for right, (b0, b1) in rights:
-                yield (root, left, right), (f0 + a0 + b0, f1 + a1 + b1)
-
-
-def inc_binary_trees(labels: Tuple[int, ...]):
-    for tree, _ in _binary_pairs(labels):
-        yield tree
+        rights = list(inc_binary_trees(right_set))
+        for left in inc_binary_trees(left_set):
+            for right in rights:
+                yield (root, left, right)
 
 
 def _trees_012(labels: Tuple[int, ...], ordered: bool):
@@ -218,26 +211,20 @@ def tree_012_trees(labels: Tuple[int, ...]):
     yield from _trees_012(labels, False)
 
 
-def _jv_pairs(labels: Tuple[int, ...]):
-    """jv trees on labels, each with its number of empty leaves."""
+def jv_trees(labels: Tuple[int, ...]):
     if not labels:
-        yield None, 1  # the lone empty leaf
+        yield None  # the lone empty leaf
         return
     root, rest = labels[0], labels[1:]
     if not rest:
-        yield (root, ()), 0
-        yield (root, (None, None)), 2
+        yield (root, ())
+        yield (root, (None, None))
         return
     for left_set, right_set in _subsets(rest):
-        rights = list(_jv_pairs(right_set))
-        for left, a in _jv_pairs(left_set):
-            for right, b in rights:
-                yield (root, (left, right)), a + b
-
-
-def jv_trees(labels: Tuple[int, ...]):
-    for tree, _ in _jv_pairs(labels):
-        yield tree
+        rights = list(jv_trees(right_set))
+        for left in jv_trees(left_set):
+            for right in rights:
+                yield (root, (left, right))
 
 
 def set_partitions(labels: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], ...]]:
@@ -345,6 +332,84 @@ def jv_empty_leaves(tree) -> int:
     return sum(jv_empty_leaves(c) for c in children)
 
 
+# -- stat-only enumeration ---------------------------------------------------------
+#
+# Each generator walks its tree enumerator's recursion in the same order and
+# yields only the statistic: every structure is visited once, none is built.
+
+
+def _jv_stats(labels: Tuple[int, ...]) -> Iterator[int]:
+    """Empty-leaf count of each jv tree on labels, in jv_trees order."""
+    if not labels:
+        yield 1
+        return
+    rest = labels[1:]
+    if not rest:
+        yield 0
+        yield 2
+        return
+    for left_set, right_set in _subsets(rest):
+        rights = list(_jv_stats(right_set))
+        for a in _jv_stats(left_set):
+            for b in rights:
+                yield a + b
+
+
+def _binary_stats(labels: Tuple[int, ...]) -> Iterator[Tuple[int, int]]:
+    """(leaves, one-child) counts of each inc_binary tree, in inc_binary_trees order."""
+    if not labels:
+        yield (0, 0)
+        return
+    rest = labels[1:]
+    for left_set, right_set in _subsets(rest):
+        children = bool(left_set) + bool(right_set)
+        f0, f1 = children == 0, children == 1
+        rights = list(_binary_stats(right_set))
+        for a0, a1 in _binary_stats(left_set):
+            for b0, b1 in rights:
+                yield (f0 + a0 + b0, f1 + a1 + b1)
+
+
+def _stats_012(labels: Tuple[int, ...], ordered: bool) -> Iterator[Tuple[int, int]]:
+    """(f0, f1) of each 0-1-2 tree on labels, in _trees_012 order."""
+    if not labels:
+        return
+    rest = labels[1:]
+    if not rest:
+        yield (1, 0)
+        return
+    for f0, f1 in _stats_012(rest, ordered):
+        yield (f0, f1 + 1)
+    for first, second in _subsets(rest):
+        if first and second and (ordered or rest[0] in first):
+            seconds = list(_stats_012(second, ordered))
+            for a0, a1 in _stats_012(first, ordered):
+                for b0, b1 in seconds:
+                    yield (a0 + b0, a1 + b1)
+
+
+def _forest_tally(
+    labels: Tuple[int, ...], block_stats: Callable[[Tuple[int, ...]], List[int]]
+) -> Counter:
+    """Tally of each forest's summed block statistics, over every set partition.
+
+    block_stats maps a block's non-root labels to one int per tree on them.
+    Those statistics depend only on the block's size, so each size's list is
+    enumerated once per call; every forest is still visited once.
+    """
+    by_size: Dict[int, List[int]] = {}
+    tally: Counter = Counter()
+    for partition in set_partitions(labels):
+        lists = []
+        for block in partition:
+            stats = by_size.get(len(block))
+            if stats is None:
+                stats = by_size[len(block)] = block_stats(block[1:])
+            lists.append(stats)
+        tally.update(map(sum, itertools.product(*lists)))
+    return tally
+
+
 # -- the oracle: families by weighted counting -------------------------------------
 
 UV = ("u", "v")
@@ -355,20 +420,42 @@ def _poly_from_counter(variables, counter: Dict[Tuple[int, ...], int]) -> Lauren
     return LaurentPoly(variables, {e: Fraction(c) for e, c in counter.items()})
 
 
-_EMPTY_PERM = PermRecord((), 0, 0, 0, 0, 0, True)
 _PermStats = namedtuple("_PermStats", "des asc lpk ipk lrpk alternating")
 # n -> ((stats, count), ...); only finished tuples are published
 _PERM_HISTOGRAMS: Dict[int, Tuple[Tuple[_PermStats, int], ...]] = {}
 
 
+def _word_stats(n: int, word: Tuple[bool, ...]) -> _PermStats:
+    """Statistics of any permutation of [n] whose up-down word is word.
+
+    word[i] is sigma_{i+1} > sigma_{i+2}; the padding sigma_0 = sigma_{n+1} = 0
+    adds a leading ascent and a trailing descent.
+    """
+    steps = (False,) + word + (True,)
+    peaks = [i for i in range(1, n + 1) if not steps[i - 1] and steps[i]]
+    des = sum(word)
+    return _PermStats(
+        des,
+        len(word) - des,
+        sum(i < n for i in peaks),
+        sum(1 < i < n for i in peaks),
+        len(peaks),
+        all(down == (i % 2 == 1) for i, down in enumerate(word)),
+    )
+
+
 def _perm_histogram(n: int) -> Tuple[Tuple[_PermStats, int], ...]:
-    """Joint statistics of every permutation of [n], one perm_stats pass per n."""
+    """Joint statistics of every permutation of [n], cached per n.
+
+    Every permutation is visited once and tallied by its up-down word (at
+    most 2^(n-1) classes); the statistics are derived once per word.
+    """
     histogram = _PERM_HISTOGRAMS.get(n)
     if histogram is None:
-        records = [_EMPTY_PERM] if n == 0 else map(perm_stats, permutations(n))
-        tally = Counter(
-            _PermStats(r.des, r.asc, r.lpk, r.ipk, r.lrpk, r.alternating) for r in records
-        )
+        words = Counter(tuple(map(gt, p, p[1:])) for p in itertools.permutations(range(1, n + 1)))
+        tally: Counter = Counter()
+        for word, count in words.items():
+            tally[_word_stats(n, word)] += count
         histogram = _PERM_HISTOGRAMS.setdefault(n, tuple(tally.items()))
     return histogram
 
@@ -385,20 +472,6 @@ _PERM_WEIGHTS = {
     "lr_peak_biv": (XY, lambda n, r: (2 * r.lrpk, n - 2 * r.lrpk + 1), 0),
     "lr_peak_uni": (("x",), lambda n, r: (r.lrpk,), 0),
 }
-
-
-def _block_jv_empty_lists(partition):
-    for block in partition:
-        yield [k for _, k in _jv_pairs(block[1:])]
-
-
-def _block_uv_lists(partition):
-    for block in partition:
-        rest = block[1:]
-        if not rest:
-            yield [(0, 1)]  # lone root labeled v
-        else:
-            yield [stat for _, stat in _binary_pairs(rest)]
 
 
 def family_poly_oracle(name: str, n: int, bound: int | None = None) -> LaurentPoly:
@@ -427,9 +500,9 @@ def family_poly_oracle(name: str, n: int, bound: int | None = None) -> LaurentPo
     elif name == "dumont":
         if n < 1:
             raise ValueError("dumont oracle needs n >= 1")
-        return _poly_from_counter(UV, Counter(stat for _, stat in _binary_pairs(labels)))
+        return _poly_from_counter(UV, Counter(_binary_stats(labels)))
     elif name in ("andre_biv", "andre_uni"):
-        counter = Counter(tree_degree_counts(tree)[:2] for tree in tree_012_trees(labels))
+        counter = Counter(_stats_012(labels, False))
         if n == 0:
             counter[(0, 0)] = 1
         poly = _poly_from_counter(UV, counter)
@@ -437,20 +510,23 @@ def family_poly_oracle(name: str, n: int, bound: int | None = None) -> LaurentPo
             return poly.substitute({"v": LaurentPoly.const(1)})
         return poly
     elif name == "deriv_P":
-        return _poly_from_counter(("x",), Counter((k,) for _, k in _jv_pairs(labels)))
+        counter = Counter(_jv_stats(labels))
+        return _poly_from_counter(("x",), {(k,): c for k, c in counter.items()})
     elif name == "deriv_Q":
-        counter = Counter()
-        for partition in set_partitions(labels):
-            for combo in itertools.product(*_block_jv_empty_lists(partition)):
-                counter[(sum(combo),)] += 1
-        return _poly_from_counter(("x",), counter)
+        counter = _forest_tally(labels, lambda rest: list(_jv_stats(rest)))
+        return _poly_from_counter(("x",), {(k,): c for k, c in counter.items()})
     elif name == "planted_forest":
-        counter = Counter()
-        for partition in set_partitions(labels):
-            for combo in itertools.product(*_block_uv_lists(partition)):
-                f0 = sum(c[0] for c in combo)
-                f1 = sum(c[1] for c in combo)
-                counter[(f1, f0)] += 1
+        base = n + 1  # (f0, f1) packed as f0 * base + f1; neither sum exceeds n
+
+        def packed(rest):
+            if not rest:
+                return [1]  # a lone root is labeled v
+            return [f0 * base + f1 for f0, f1 in _binary_stats(rest)]
+
+        counter = {}
+        for key, count in _forest_tally(labels, packed).items():
+            f0, f1 = divmod(key, base)
+            counter[(f1, f0)] = count
         return _poly_from_counter(("v", "u"), counter)
     raise UnknownFamily(f"no oracle for family {name!r}")
 
@@ -464,9 +540,7 @@ def dumont_plane_oracle(n: int, bound: int | None = None) -> LaurentPoly:
     _check_bound(n, bound)
     if n < 1:
         raise ValueError("plane-tree oracle needs n >= 1")
-    counter = Counter(
-        tree_degree_counts(tree)[:2] for tree in plane_012_trees(tuple(range(1, n + 1)))
-    )
+    counter = Counter(_stats_012(tuple(range(1, n + 1)), True))
     # weight u^f0 (2v)^f1: fold the 2^f1 into the coefficient
     terms = {
         (f0, f1): Fraction(count) * Fraction(2) ** f1
@@ -478,8 +552,7 @@ def dumont_plane_oracle(n: int, bound: int | None = None) -> LaurentPoly:
 def plane_leaf_counts(n: int, bound: int | None = None) -> Dict[int, int]:
     """Number of plane 0-1-2 increasing trees on [n] with k leaves."""
     _check_bound(n, bound)
-    trees = plane_012_trees(tuple(range(1, n + 1)))
-    return dict(Counter(tree_leaf_count(tree) for tree in trees))
+    return dict(Counter(f0 for f0, _ in _stats_012(tuple(range(1, n + 1)), True)))
 
 
 def alternating_count(n: int, bound: int | None = None) -> int:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -120,6 +121,17 @@ def test_check_negative_bound_is_usage_error(capsys, option, name):
     assert out.startswith(f"empty {name}") and "empty range" in err
 
 
+def test_check_raised_oracle_cap_warns(capsys):
+    argv = ("check", "jv_oracles", "--max-n", "2", "--oracle-max-n")
+    code, quiet_out, quiet_err = run_cli(capsys, *argv, "9")
+    assert code == 0 and quiet_err == ""
+    code, out, err = run_cli(capsys, *argv, "10")
+    assert code == 0
+    assert err == "warning: enumeration bound raised to 10\n"
+    strip = lambda text: re.sub(r"\(\d+ ms\)", "", text)
+    assert out.startswith("pass jv_oracles [n=0..2]") and strip(out) == strip(quiet_out)
+
+
 def test_check_json_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "check", "springer", "--max-n", "5", "--format", "json")
     code2, out2, _ = run_cli(capsys, "check", "springer", "--max-n", "5", "--format", "json")
@@ -155,6 +167,18 @@ def test_oracle_bound_override_warns(capsys):
     assert code == 0
     assert out.strip() == "50521"
     assert "warning" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("oracle", "deriv_P", "--n", "3"), ("trees", "jv_tree", "--n", "3", "--count")]
+)
+def test_negative_enumeration_bound_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--bound", "-5"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --bound: expected a nonnegative integer, got '-5'" in captured.err
 
 
 def test_label_commands(capsys):

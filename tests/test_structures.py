@@ -11,8 +11,10 @@ from gramcalc.families import family_number, family_poly
 from gramcalc.laurent import LaurentPoly, parse_poly
 from gramcalc.structures import (
     STRUCTURE_KINDS,
-    _binary_pairs,
-    _jv_pairs,
+    _binary_stats,
+    _jv_stats,
+    _perm_histogram,
+    _stats_012,
     alternating_count,
     binary_degree_counts,
     count_structures,
@@ -20,11 +22,19 @@ from gramcalc.structures import (
     enumerate_structures,
     family_poly_oracle,
     format_labeling,
+    inc_binary_trees,
     jv_empty_leaves,
+    jv_forests,
+    jv_trees,
     label_permutation,
     perm_stats,
+    plane_012_trees,
     plane_leaf_counts,
+    planted_forests,
     structure_to_json,
+    tree_012_trees,
+    tree_degree_counts,
+    tree_leaf_count,
 )
 
 
@@ -307,13 +317,52 @@ def test_enumeration_matches_reference(kind):
         assert list(enumerate_structures(kind, n)) == list(_reference(kind, n)), (kind, n)
 
 
-def test_carried_stats_match_recomputed():
-    for n in range(0, 8):
+def _forest_poly(variables, forests, block_exponents):
+    """Tree-built tally: a forest weighs the product of its blocks' weights."""
+    tally = Counter()
+    for forest in forests:
+        exps = [0] * len(variables)
+        for _, sub in forest:
+            exps = [a + b for a, b in zip(exps, block_exponents(sub))]
+        tally[tuple(exps)] += 1
+    return LaurentPoly(variables, {e: Fraction(c) for e, c in tally.items()})
+
+
+def _planted_block_exponents(sub):
+    if sub is None:
+        return (1, 0)  # a lone root weighs v
+    f0, f1, _ = binary_degree_counts(sub)
+    return (f1, f0)
+
+
+def test_stat_routes_match_tree_routes():
+    for n in range(0, 9):
         labels = tuple(range(1, n + 1))
-        for tree, k in _jv_pairs(labels):
-            assert k == jv_empty_leaves(tree), tree
-        for tree, stat in _binary_pairs(labels):
-            assert stat == binary_degree_counts(tree)[:2], tree
+        assert list(_jv_stats(labels)) == [jv_empty_leaves(t) for t in jv_trees(labels)], n
+        assert list(_binary_stats(labels)) == [
+            binary_degree_counts(t)[:2] for t in inc_binary_trees(labels)
+        ], n
+        for ordered, trees in ((True, plane_012_trees), (False, tree_012_trees)):
+            assert list(_stats_012(labels, ordered)) == [
+                tree_degree_counts(t)[:2] for t in trees(labels)
+            ], (n, ordered)
+        assert plane_leaf_counts(n) == dict(
+            Counter(tree_leaf_count(t) for t in plane_012_trees(labels))
+        ), n
+        jv = _forest_poly(("x",), jv_forests(labels), lambda sub: (jv_empty_leaves(sub),))
+        assert family_poly_oracle("deriv_Q", n) == jv, n
+        planted = _forest_poly(("v", "u"), planted_forests(labels), _planted_block_exponents)
+        assert family_poly_oracle("planted_forest", n) == planted, n
+
+
+def test_perm_histogram_matches_joint_perm_stats_tally():
+    # the empty permutation: no descents, ascents or peaks, vacuously alternating
+    assert _perm_histogram(0) == (((0, 0, 0, 0, 0, True), 1),)
+    for n in range(1, 9):
+        records = map(perm_stats, itertools.permutations(range(1, n + 1)))
+        tally = Counter((r.des, r.asc, r.lpk, r.ipk, r.lrpk, r.alternating) for r in records)
+        # same classes, counts and first-seen order
+        assert _perm_histogram(n) == tuple(tally.items()), n
 
 
 # exponents of one permutation's weight, read straight off its PermRecord
