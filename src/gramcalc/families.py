@@ -23,7 +23,7 @@ from .errors import (
     UnknownSequence,
 )
 from .grammar import Grammar
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, Powers
 from .scalar import Scalar
 
 # -- the grammars -------------------------------------------------------------
@@ -114,14 +114,6 @@ _CHAIN_DEFS = {
 # -- family registry ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    name: str
-    description: str
-    chain: str
-    build: Callable[[int], LaurentPoly]
-
-
 def _strip_factor(poly: LaurentPoly, var: str) -> LaurentPoly:
     """Exact quotient by the single variable var (e.g. reading a*Q_n as Q_n)."""
     return poly.exact_divide(LaurentPoly.variable(var))
@@ -137,33 +129,19 @@ def _project(poly: LaurentPoly, n: int, exponent_map) -> LaurentPoly:
     return LaurentPoly(("x",), terms)
 
 
-def _expect(condition: bool, message: str):
-    if not condition:
-        raise ValueError(message)
+def _peak_k(kind: str, lowest: int) -> Callable[[int, int, int], int]:
+    """Exponent map of a peak pattern: x^a y^b with a = lowest + 2k and
+    b = n + 1 - a projects to k."""
+
+    def k_of(a: int, b: int, n: int) -> int:
+        if a < lowest or (a - lowest) % 2 or b != n + 1 - a:
+            raise ValueError(f"not {kind} pattern: x^{a}y^{b}")
+        return (a - lowest) // 2
+
+    return k_of
 
 
-def _left_peak_k(a: int, b: int, n: int) -> int:
-    _expect(a % 2 == 1 and b == n - (a - 1), f"not a left-peak pattern: x^{a}y^{b}")
-    return (a - 1) // 2
-
-
-def _interior_peak_k(a: int, b: int, n: int) -> int:
-    _expect(
-        a % 2 == 0 and a >= 2 and b == n - (a - 2) - 1,
-        f"not an interior-peak pattern: x^{a}y^{b}",
-    )
-    return (a - 2) // 2
-
-
-def _lr_peak_k(a: int, b: int, n: int) -> int:
-    _expect(
-        a % 2 == 0 and a >= 0 and b == n - a + 1,
-        f"not a left-right-peak pattern: x^{a}y^{b}",
-    )
-    return a // 2
-
-
-def _build_registry() -> Dict[str, FamilySpec]:
+def _build_registry() -> Dict[str, Callable[[int], LaurentPoly]]:
     one = LaurentPoly.const(1, ("x",))
     x_inverse = LaurentPoly.monomial(("x",), (-1,))
 
@@ -186,7 +164,7 @@ def _build_registry() -> Dict[str, FamilySpec]:
         return _chain("peak_x", n)
 
     def left_peak_uni(n):
-        return _project(_chain("peak_x", n), n, _left_peak_k)
+        return _project(_chain("peak_x", n), n, _peak_k("a left-peak", 1))
 
     def interior_peak_biv(n):
         return _chain("peak_y", n)
@@ -194,7 +172,7 @@ def _build_registry() -> Dict[str, FamilySpec]:
     def interior_peak_uni(n):
         if n == 0:
             return x_inverse
-        return _project(_chain("peak_y", n), n, _interior_peak_k)
+        return _project(_chain("peak_y", n), n, _peak_k("an interior-peak", 2))
 
     def lr_peak_biv(n):
         return _chain("peak_y", n)
@@ -202,7 +180,7 @@ def _build_registry() -> Dict[str, FamilySpec]:
     def lr_peak_uni(n):
         if n == 0:
             return one
-        return _project(_chain("peak_y", n), n, _lr_peak_k)
+        return _project(_chain("peak_y", n), n, _peak_k("a left-right-peak", 0))
 
     def r_family(n):
         return _chain("peak_xy", n)
@@ -216,27 +194,26 @@ def _build_registry() -> Dict[str, FamilySpec]:
     def planted_forest(n):
         return _strip_factor(_chain("forest_a", n), "a").restricted(("v", "u"))
 
-    specs = [
-        FamilySpec("eulerian_biv", "bivariate descent/ascent polynomials", "eulerian", eulerian_biv),
-        FamilySpec("eulerian_uni", "descent polynomials at y=1", "eulerian", eulerian_uni),
-        FamilySpec("dumont", "increasing-binary-tree polynomials", "dumont", dumont),
-        FamilySpec("andre_biv", "0-1-2 increasing-tree polynomials", "andre", andre_biv),
-        FamilySpec("andre_uni", "0-1-2 tree polynomials at v=1", "andre", andre_uni),
-        FamilySpec("left_peak_biv", "bivariate left-peak polynomials", "peak_x", left_peak_biv),
-        FamilySpec("left_peak_uni", "left-peak polynomials", "peak_x", left_peak_uni),
-        FamilySpec("interior_peak_biv", "bivariate interior-peak polynomials", "peak_y", interior_peak_biv),
-        FamilySpec("interior_peak_uni", "interior-peak polynomials", "peak_y", interior_peak_uni),
-        FamilySpec("lr_peak_biv", "bivariate left-right-peak polynomials", "peak_y", lr_peak_biv),
-        FamilySpec("lr_peak_uni", "left-right-peak polynomials", "peak_y", lr_peak_uni),
-        FamilySpec("R_family", "seed x+y under the peak grammar", "peak_xy", r_family),
-        FamilySpec("deriv_P", "tangent derivative polynomials", "deriv_x", deriv_p),
-        FamilySpec("deriv_Q", "secant derivative polynomials", "deriv_a", deriv_q),
-        FamilySpec("planted_forest", "planted-forest polynomials in u,v", "forest_a", planted_forest),
-    ]
-    return {spec.name: spec for spec in specs}
+    return {
+        "eulerian_biv": eulerian_biv,  # bivariate descent/ascent polynomials
+        "eulerian_uni": eulerian_uni,  # descent polynomials at y=1
+        "dumont": dumont,  # increasing-binary-tree polynomials
+        "andre_biv": andre_biv,  # 0-1-2 increasing-tree polynomials
+        "andre_uni": andre_uni,  # 0-1-2 tree polynomials at v=1
+        "left_peak_biv": left_peak_biv,  # bivariate left-peak polynomials
+        "left_peak_uni": left_peak_uni,  # left-peak polynomials
+        "interior_peak_biv": interior_peak_biv,  # bivariate interior-peak polynomials
+        "interior_peak_uni": interior_peak_uni,  # interior-peak polynomials
+        "lr_peak_biv": lr_peak_biv,  # bivariate left-right-peak polynomials
+        "lr_peak_uni": lr_peak_uni,  # left-right-peak polynomials
+        "R_family": r_family,  # seed x+y under the peak grammar
+        "deriv_P": deriv_p,  # tangent derivative polynomials
+        "deriv_Q": deriv_q,  # secant derivative polynomials
+        "planted_forest": planted_forest,  # planted-forest polynomials in u,v
+    }
 
 
-REGISTRY: Dict[str, FamilySpec] = _build_registry()
+REGISTRY: Dict[str, Callable[[int], LaurentPoly]] = _build_registry()
 FAMILY_NAMES = tuple(REGISTRY)
 
 
@@ -246,7 +223,7 @@ def family_poly(name: str, n: int) -> LaurentPoly:
         raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
     if n < 0:
         raise ValueError("family index must be nonnegative")
-    return REGISTRY[name].build(n)
+    return REGISTRY[name](n)
 
 
 # sequence name -> (family, evaluation point)
@@ -259,8 +236,11 @@ SEQUENCES: Dict[str, Tuple[str, Dict[str, int]]] = {
 }
 
 
-def family_number(name: str, n: int) -> int:
-    """Integer sequences read off the families by exact evaluation."""
+def family_number(
+    name: str, n: int, poly: Callable[[str, int], LaurentPoly] = family_poly
+) -> int:
+    """Integer sequences read off the families (as `poly` gives them) by exact
+    evaluation."""
     if n < 0:
         raise ValueError("sequence index must be nonnegative")
     if name not in SEQUENCES:
@@ -268,7 +248,7 @@ def family_number(name: str, n: int) -> int:
             f"unknown sequence {name!r}; known: {', '.join(SEQUENCES)}"
         )
     family, point = SEQUENCES[name]
-    value = family_poly(family, n).evaluate(point)
+    value = poly(family, n).evaluate(point)
     return _as_int(value, lambda: ValueError(f"{name}({n}) is not an integer: {value}"))
 
 
@@ -304,6 +284,7 @@ def gamma_from_poly(poly: LaurentPoly, n: int) -> Dict[int, int]:
     """
     x = LaurentPoly.variable("x", ("x", "y"))
     y = LaurentPoly.variable("y", ("x", "y"))
+    xy, x_plus_y = Powers(x * y), Powers(x + y)
     remainder = poly
     entries: Dict[int, int] = {}
     for k in range(1, (n + 1) // 2 + 1):
@@ -312,7 +293,7 @@ def gamma_from_poly(poly: LaurentPoly, n: int) -> Dict[int, int]:
             entries[k] = _as_int(
                 coeff, lambda: NotGammaExpressible(f"gamma coefficient {coeff} is not an integer")
             )
-            basis = (x * y) ** k * (x + y) ** (n + 1 - 2 * k)
+            basis = xy[k] * x_plus_y[n + 1 - 2 * k]
             remainder = remainder - basis * coeff
     if not remainder.is_zero():
         raise NotGammaExpressible(
@@ -338,7 +319,7 @@ def beta_from_poly(which: str, poly: LaurentPoly, n: int) -> Dict[int, int]:
     of x pins each coefficient.  The residual must vanish exactly.
     """
     x = LaurentPoly.variable("x")
-    one_plus_x2 = LaurentPoly.const(1) + x * x
+    x_powers, one_plus_x2 = Powers(x), Powers(LaurentPoly.const(1) + x * x)
     if which == "Q":
         ks = range(n // 2, -1, -1)
         low_power = lambda k: n - 2 * k
@@ -357,7 +338,7 @@ def beta_from_poly(which: str, poly: LaurentPoly, n: int) -> Dict[int, int]:
             entries[k] = _as_int(
                 coeff, lambda: NotBetaExpressible(f"beta coefficient {coeff} is not an integer")
             )
-            basis = x ** low_power(k) * one_plus_x2 ** basis_power(k)
+            basis = x_powers[low_power(k)] * one_plus_x2[basis_power(k)]
             remainder = remainder - basis * coeff
     if not remainder.is_zero():
         raise NotBetaExpressible(

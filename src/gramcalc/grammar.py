@@ -13,7 +13,9 @@ from math import comb
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import CrossCheckFailed, ExtensionConflict, InsufficientClearing, ParseError
-from .laurent import LaurentPoly, parse_poly
+from .laurent import LaurentPoly, Powers, parse_poly, sum_of_products
+
+_ONE = LaurentPoly.const(1)
 
 
 class Grammar:
@@ -79,40 +81,30 @@ class Grammar:
             return f
         z = self.sqrt_var
         idx = f.vars.index(z)
-        out = LaurentPoly.zero(f.vars)
+        radicand = Powers(self.sqrt_radicand)
+        triples = []
         for exps, coeff in f.terms.items():
             e = exps[idx]
             q, r = divmod(e, 2)
-            if q == 0:
-                out = out + LaurentPoly(f.vars, {exps: coeff})
-                continue
-            base = exps[:idx] + (r,) + exps[idx + 1 :]
             try:
-                factor = self.sqrt_radicand ** q
+                # _ONE, not radicand[0]: a term left alone adds no variable to the table
+                factor = _ONE if q == 0 else radicand[q]
             except Exception as exc:
                 raise ExtensionConflict(
                     f"cannot reduce {z}^{e}: radicand not invertible"
                 ) from exc
-            out = out + LaurentPoly(f.vars, {base: coeff}) * factor
-        return out
+            base = exps[:idx] + (r,) + exps[idx + 1 :]
+            triples.append((coeff, LaurentPoly.monomial(f.vars, base), factor))
+        return sum_of_products(triples, f.vars)
 
     def derive(self, f: LaurentPoly) -> LaurentPoly:
         """One application of the formal derivative, extension-reduced."""
         f = self.reduce(f)
-        result = LaurentPoly.zero(self.vars)
-        for var, rhs in self.rules.items():
-            partial = f.partial_derivative(var)
-            if not partial.is_zero():
-                result = result + rhs * partial
-        return self.reduce(result)
+        partials = ((rhs, f.partial_derivative(var)) for var, rhs in self.rules.items())
+        return self.reduce(sum_of_products(((1, rhs, d) for rhs, d in partials if d), self.vars))
 
     def derive_n(self, f: LaurentPoly, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("derivative order must be nonnegative")
-        current = self.reduce(f)
-        for _ in range(n):
-            current = self.derive(current)
-        return current
+        return self.derivative_chain(f, n)[-1]
 
     def derivative_chain(self, f: LaurentPoly, n: int) -> Tuple[LaurentPoly, ...]:
         """D^0(f) .. D^n(f) in one pass."""
@@ -133,10 +125,11 @@ class Grammar:
         """sum_k C(n,k) D^k(f) D^{n-k}(g); checked against D^n(f*g)."""
         chain_f = self.derivative_chain(f, n)
         chain_g = self.derivative_chain(g, n)
-        total = LaurentPoly.zero(self.vars)
-        for k in range(n + 1):
-            total = total + comb(n, k) * (chain_f[k] * chain_g[n - k])
-        total = self.reduce(total)
+        total = self.reduce(
+            sum_of_products(
+                ((comb(n, k), chain_f[k], chain_g[n - k]) for k in range(n + 1)), self.vars
+            )
+        )
         if total != self.derive_n(f * g, n):
             raise CrossCheckFailed("Leibniz expansion mismatch")
         return total

@@ -23,10 +23,9 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import GramcalcError, InvalidPoint, UnknownIdentity
 from .families import (
-    SEQUENCES,
-    _as_int,
     beta_from_poly,
     eulerian_grammar,
+    family_number,
     family_poly,
     gamma_from_poly,
     leaf_split_grammar,
@@ -35,7 +34,15 @@ from .families import (
     tangent_secant_grammar,
 )
 from .grammar import verify_transformation
-from .laurent import LaurentPoly, RationalFunction, parse_poly, substitute_rational
+from .laurent import (
+    LaurentPoly,
+    Powers,
+    RationalFunction,
+    binomial_convolution,
+    parse_poly,
+    substitute_rational,
+    sum_of_products,
+)
 from .scalar import GaussianRational, Scalar, make_gaussian
 from .series import (
     RadicalPoint,
@@ -57,11 +64,7 @@ class GrammarFamilies:
         return family_poly(name, n)
 
     def number(self, name: str, n: int) -> int:
-        if name not in SEQUENCES:
-            raise ValueError(f"unknown sequence {name!r}")
-        family, point = SEQUENCES[name]
-        value = self.poly(family, n).evaluate(point)
-        return _as_int(value, lambda: ValueError(f"{name}({n}) is not an integer: {value}"))
+        return family_number(name, n, poly=self.poly)
 
 
 @dataclass(frozen=True)
@@ -150,39 +153,14 @@ def _uni_table(poly: LaurentPoly) -> Dict[int, Scalar]:
     return table
 
 
-def _binomial_convolution(chain_a, chain_b, n: int) -> LaurentPoly:
-    total = LaurentPoly.zero()
-    for k in range(n + 1):
-        total = total + comb(n, k) * (chain_a[k] * chain_b[n - k])
-    return total
-
-
 def _expand(table: Mapping[int, Scalar], basis, variables) -> LaurentPoly:
-    """Sum of coeff * basis(k) over a {k: coeff} table, in table order."""
-    total = LaurentPoly.zero(variables)
-    for k, coeff in table.items():
-        total = total + coeff * basis(k)
-    return total
+    """Sum of coeff * a * b over a {k: coeff} table, in table order, where
+    basis(k) gives the factors (a, b)."""
+    return sum_of_products(((coeff, *basis(k)) for k, coeff in table.items()), variables)
 
 
 def _coeff_pairs(lhs: TruncSeries, rhs: TruncSeries, order: int) -> Pairs:
     return ((n, lhs.coeffs[n], rhs.coeffs[n]) for n in range(order + 1))
-
-
-class _Powers:
-    """base^j on demand: nonnegative powers are kept, each new one is one
-    multiply from the last; a negative j goes to `**`."""
-
-    def __init__(self, base: LaurentPoly):
-        self.base = base
-        self.table = [LaurentPoly.const(1, base.vars)]
-
-    def __getitem__(self, j: int) -> LaurentPoly:
-        if j < 0:
-            return self.base ** j
-        while len(self.table) <= j:
-            self.table.append(self.table[-1] * self.base)
-        return self.table[j]
 
 
 X = LaurentPoly.variable("x")
@@ -262,7 +240,7 @@ def _steps(*steps, lead=None):
         for n in range(lo, hi + 1):
             for target, a, b, factor in steps:
                 lhs = ctx.provider.poly(target, n + 1)
-                conv = _binomial_convolution(chains[a], chains[b], n)
+                conv = binomial_convolution(chains[a], chains[b], n)
                 yield n, lhs, conv if factor is None else factor * conv
 
     return pairs
@@ -290,14 +268,14 @@ def _carlitz_scoville(ctx: CheckContext, lo: int, hi: int):
 
 
 def _gamma_expansion(ctx: CheckContext, lo: int, hi: int):
-    xy, x_plus_y = _Powers(X_OF_XY * Y_OF_XY), _Powers(X_OF_XY + Y_OF_XY)
+    xy, x_plus_y = Powers(X_OF_XY * Y_OF_XY), Powers(X_OF_XY + Y_OF_XY)
     for n in range(lo, hi + 1):
         poly = ctx.provider.poly("eulerian_biv", n)
         entries = gamma_from_poly(poly, n)
         if any(v < 0 for v in entries.values()):
             yield n, f"negative entry in {entries}", "nonnegative entries"
             continue
-        rebuilt = _expand(entries, lambda k: xy[k] * x_plus_y[n + 1 - 2 * k], ("x", "y"))
+        rebuilt = _expand(entries, lambda k: (xy[k], x_plus_y[n + 1 - 2 * k]), ("x", "y"))
         yield n, rebuilt, poly
 
 
@@ -327,7 +305,7 @@ def _left_peak_convolution(ctx: CheckContext, lo: int, hi: int):
     chain = ctx.chain("left_peak_biv", ctx.max_n)
     for n in range(lo, hi + 1):
         lhs = ctx.provider.poly("dumont", n + 1).substitute(_PEAK_SUB)
-        yield n, lhs, _binomial_convolution(chain, chain, n)
+        yield n, lhs, binomial_convolution(chain, chain, n)
 
 
 def _l_squared_egf(ctx: CheckContext, lo: int, hi: int):
@@ -412,29 +390,30 @@ def _david_barton_closed(ctx: CheckContext, lo: int, hi: int):
 
 def _petersen(ctx: CheckContext, lo: int, hi: int):
     poly = ctx.provider.poly
-    one_minus_x = _Powers(_ONE_MINUS_X)
+    one_minus_x = Powers(_ONE_MINUS_X)
     eulerian: List[LaurentPoly] = []  # each member fetched once, at first use
     for n in range(lo, hi + 1):
         lhs = substitute_rational(
             poly("left_peak_uni", n), "x", _PETERSEN, n, clear=_ONE_PLUS_X
         )
         eulerian += [poly("eulerian_uni", k) for k in range(len(eulerian), n + 1)]
-        rhs = LaurentPoly.zero(("x",))
-        for k in range(n + 1):
-            rhs = rhs + (comb(n, k) * 2 ** k) * one_minus_x[n - k] * eulerian[k]
+        rhs = sum_of_products(
+            ((comb(n, k) * 2 ** k, one_minus_x[n - k], eulerian[k]) for k in range(n + 1)), ("x",)
+        )
         yield n, lhs, rhs
     # bivariate route: multiply the half-sum powers through and compare
-    xy, half_sum, half_diff = _Powers(X_OF_XY * Y_OF_XY), _Powers(_HALF_SUM), _Powers(_HALF_DIFF)
+    xy, half_sum, half_diff = Powers(X_OF_XY * Y_OF_XY), Powers(_HALF_SUM), Powers(_HALF_DIFF)
     for n in range(lo, hi + 1):
         lhs = _expand(
             _uni_table(poly("left_peak_uni", n)),
-            lambda k: xy[k] * half_sum[n - 2 * k],
+            lambda k: (xy[k], half_sum[n - 2 * k]),
             ("x", "y"),
         )
         lhs = lhs * Y_OF_XY
-        rhs = LaurentPoly.zero(("x", "y"))
-        for k in range(n + 1):
-            rhs = rhs + comb(n, k) * (poly("eulerian_biv", k) * half_diff[n - k])
+        rhs = sum_of_products(
+            ((comb(n, k), poly("eulerian_biv", k), half_diff[n - k]) for k in range(n + 1)),
+            ("x", "y"),
+        )
         yield n, lhs, rhs
 
 
@@ -444,12 +423,8 @@ def _ll_mm(ctx: CheckContext, lo: int, hi: int):
     l_uni = ctx.chain("left_peak_uni", ctx.max_n)
     m_uni = ctx.chain("interior_peak_uni", ctx.max_n)
     for n in range(lo, hi + 1):
-        yield n, _binomial_convolution(l_biv, l_biv, n), _binomial_convolution(
-            m_biv, m_biv, n
-        )
-        yield n, _binomial_convolution(l_uni, l_uni, n), X * _binomial_convolution(
-            m_uni, m_uni, n
-        )
+        yield n, binomial_convolution(l_biv, l_biv, n), binomial_convolution(m_biv, m_biv, n)
+        yield n, binomial_convolution(l_uni, l_uni, n), X * binomial_convolution(m_uni, m_uni, n)
 
 
 def _hoffman_egf(ctx: CheckContext, lo: int, hi: int):
@@ -484,17 +459,17 @@ def _hoffman_conv(ctx: CheckContext, lo: int, hi: int):
     q_chain = ctx.chain("deriv_Q", ctx.max_n)
     for n in range(1, hi + 1):
         lhs = ctx.provider.poly("deriv_P", n + 1)
-        yield n, lhs, _binomial_convolution(p_chain, p_chain, n)
+        yield n, lhs, binomial_convolution(p_chain, p_chain, n)
     for n in range(lo, hi + 1):
         lhs = ctx.provider.poly("deriv_Q", n + 1)
-        yield n, lhs, _binomial_convolution(p_chain, q_chain, n)
+        yield n, lhs, binomial_convolution(p_chain, q_chain, n)
 
 
 def _mfmy_conv(ctx: CheckContext, lo: int, hi: int):
     p_chain = ctx.chain("deriv_P", ctx.max_n)
     for n in range(lo, hi + 1):
         lhs = ctx.provider.poly("deriv_P", n + 2)
-        yield n, lhs, 2 * _binomial_convolution(p_chain, p_chain[1:], n)
+        yield n, lhs, 2 * binomial_convolution(p_chain, p_chain[1:], n)
 
 
 def _pq_log(ctx: CheckContext, lo: int, hi: int):
@@ -506,10 +481,11 @@ def _pq_log(ctx: CheckContext, lo: int, hi: int):
 
 def _beta_exp(ctx: CheckContext, lo: int, hi: int):
     poly = ctx.provider.poly
+    x, one_plus_x2, two_x = Powers(X), Powers(_ONE_PLUS_X2), Powers(_TWO_X)
     for n in range(lo, hi + 1):
         q_n = poly("deriv_Q", n)
         l_table = _uni_table(poly("left_peak_uni", n))
-        yield n, q_n, _expand(l_table, lambda k: X ** (n - 2 * k) * _ONE_PLUS_X2 ** k, ("x",))
+        yield n, q_n, _expand(l_table, lambda k: (x[n - 2 * k], one_plus_x2[k]), ("x",))
     for n in range(1, hi + 1):
         extracted = sorted(beta_from_poly("Q", poly("deriv_Q", n), n).items())
         expected = sorted((k, int(v)) for k, v in _uni_table(poly("left_peak_uni", n)).items())
@@ -517,14 +493,10 @@ def _beta_exp(ctx: CheckContext, lo: int, hi: int):
     for n in range(1, hi + 1):
         p_n = poly("deriv_P", n)
         m_table = _uni_table(poly("interior_peak_uni", n))
-        yield n, p_n, _expand(
-            m_table, lambda k: X ** (n - 2 * k - 1) * _ONE_PLUS_X2 ** (k + 1), ("x",)
-        )
+        yield n, p_n, _expand(m_table, lambda k: (x[n - 2 * k - 1], one_plus_x2[k + 1]), ("x",))
     for n in range(1, ctx.oracle_cap() + 1):
         counts = structures.plane_leaf_counts(n, bound=ctx.oracle_max_n)
-        rebuilt = _expand(
-            counts, lambda k: _TWO_X ** (n + 1 - 2 * k) * _ONE_PLUS_X2 ** k, ("x",)
-        )
+        rebuilt = _expand(counts, lambda k: (two_x[n + 1 - 2 * k], one_plus_x2[k]), ("x",))
         yield n, poly("deriv_P", n), rebuilt
 
 
@@ -536,14 +508,15 @@ def _beta_grammar(ctx: CheckContext, lo: int, hi: int):
         var, lhs, rhs = witness
         yield 0, f"{var}: {lhs.render()}", rhs.render()
     x3, y3, z3 = (LaurentPoly.variable(v, ("x", "y", "z")) for v in ("x", "y", "z"))
+    lifted_chain = lifted.derivative_chain(x3, hi)
+    y_powers, z_powers = Powers(y3), Powers(z3)
     for n in range(lo, hi + 1):
-        lifted_poly = lifted.derive_n(x3, n)
         expected = _expand(
             _uni_table(ctx.provider.poly("left_peak_uni", n)),
-            lambda k: x3 * y3 ** (n - 2 * k) * z3 ** k,
+            lambda k: (x3 * y_powers[n - 2 * k], z_powers[k]),
             ("x", "y", "z"),
         )
-        yield n, lifted_poly, expected
+        yield n, lifted_chain[n], expected
 
 
 def _p_andre(ctx: CheckContext, lo: int, hi: int):

@@ -12,7 +12,8 @@ lexicographic exponent vector — fixes rendering and JSON byte-for-byte.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import comb, lcm
 from operator import add
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -218,20 +219,7 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         variables, a, b = self._aligned(other)
-        cleared_a, cleared_b = _cleared(a), _cleared(b)
-        if cleared_a is None or cleared_b is None:
-            return LaurentPoly._make(variables, _gaussian_product(a, b))
-        # Rational coefficients: integer numerators over each operand's lcm
-        # denominator, so each term pair costs one int multiply-add.
-        da, nums_a = cleared_a
-        db, nums_b = cleared_b
-        acc: Dict[Exponents, int] = {}
-        for ea, na in nums_a:
-            for eb, nb in nums_b:
-                key = tuple(map(add, ea, eb))
-                acc[key] = acc.get(key, 0) + na * nb
-        den = da * db
-        return LaurentPoly._make(variables, {k: Fraction(v, den) for k, v in acc.items() if v})
+        return _accumulate(variables, [(1, a, b)])
 
     __rmul__ = __mul__
 
@@ -484,11 +472,90 @@ def _reindex(poly: LaurentPoly, variables) -> Dict[Exponents, Scalar]:
     return out
 
 
+def sum_of_products(triples, variables: Iterable[str] = ()) -> LaurentPoly:
+    """sum of w*a*b over (scalar w, poly a, poly b), accumulated in one dict.
+
+    The result's table is `variables`, then each triple's a.vars and b.vars in
+    order (zero products included): the table that the chained sum
+    zero(variables) + w1*(a1*b1) + w2*(a2*b2) + ... ends with.
+    """
+    triples = list(triples)
+    table = tuple(
+        dict.fromkeys(chain(variables, *(p.vars for _, a, b in triples for p in (a, b))))
+    )
+
+    def terms(poly):
+        return poly.terms if poly.vars == table else _reindex(poly, table)
+
+    return _accumulate(table, [(w, terms(a), terms(b)) for w, a, b in triples])
+
+
+def binomial_convolution(a, b, n: int) -> LaurentPoly:
+    """sum_k C(n,k) a[k] b[n-k], k = 0..n: the EGF product's n-th coefficient."""
+    return sum_of_products((comb(n, k), a[k], b[n - k]) for k in range(n + 1))
+
+
+def _accumulate(variables, triples) -> LaurentPoly:
+    """sum of w*a*b over (scalar w, terms a, terms b), all aligned to `variables`.
+
+    Each operand is cleared once to integer numerators over its lcm
+    denominator, and every term pair is added into one dict over the common
+    denominator of all the products.  Int sums when every coefficient is
+    rational; (re, im) int sums when any coefficient or weight is Gaussian.
+    """
+    types = set()
+    for w, a, b in triples:
+        types.add(type(w))
+        types.update(map(type, a.values()), map(type, b.values()))
+    gaussian = GaussianRational in types
+    clear = _cleared_gaussian if gaussian else _cleared
+    cleared: Dict[int, tuple] = {}
+    scaled = []
+    for w, a, b in triples:
+        if not (w and a and b):
+            continue
+        da, nums_a = cleared.get(id(a)) or cleared.setdefault(id(a), clear(a))
+        db, nums_b = cleared.get(id(b)) or cleared.setdefault(id(b), clear(b))
+        if gaussian:
+            dw, [(_, *wn)] = _cleared_gaussian({(): as_scalar(w)})
+        else:
+            dw, wn = w.denominator, w.numerator
+        scaled.append((wn, dw * da * db, nums_a, nums_b))
+    den = lcm(*[d for _, d, _, _ in scaled])
+    if not gaussian:
+        acc: Dict[Exponents, int] = {}
+        for wn, d, nums_a, nums_b in scaled:
+            scale = wn * (den // d)
+            for ea, na in nums_a:
+                na *= scale
+                for eb, nb in nums_b:
+                    key = tuple(map(add, ea, eb))
+                    acc[key] = acc.get(key, 0) + na * nb
+        return LaurentPoly._make(variables, {k: Fraction(v, den) for k, v in acc.items() if v})
+    sums: Dict[Exponents, list] = {}
+    for (wr, wi), d, nums_a, nums_b in scaled:
+        scale = den // d
+        for ea, ra, ia in nums_a:
+            ra, ia = (ra * wr - ia * wi) * scale, (ra * wi + ia * wr) * scale
+            for eb, rb, ib in nums_b:
+                key = tuple(map(add, ea, eb))
+                pair = sums.get(key)
+                if pair is None:
+                    sums[key] = [ra * rb - ia * ib, ra * ib + ia * rb]
+                else:
+                    pair[0] += ra * rb - ia * ib
+                    pair[1] += ra * ib + ia * rb
+    out: Dict[Exponents, Scalar] = {}
+    for key, (re, im) in sums.items():
+        if im:
+            out[key] = GaussianRational(Fraction(re, den), Fraction(im, den))
+        elif re:
+            out[key] = Fraction(re, den)
+    return LaurentPoly._make(variables, out)
+
+
 def _cleared(terms: Mapping[Exponents, Scalar]):
-    """(d, [(exps, c*d)]) with d the lcm denominator, or None for Gaussian terms."""
-    for c in terms.values():
-        if type(c) is not Fraction:
-            return None
+    """(d, [(exps, c*d)]) with d the lcm denominator of rational terms."""
     d = lcm(*[c.denominator for c in terms.values()])
     return d, [(exps, c.numerator * (d // c.denominator)) for exps, c in terms.items()]
 
@@ -506,29 +573,21 @@ def _cleared_gaussian(terms: Mapping[Exponents, Scalar]):
     ]
 
 
-def _gaussian_product(a, b) -> Dict[Exponents, Scalar]:
-    """Aligned terms a*b when a coefficient is Gaussian: integer (re, im)
-    numerators over each operand's lcm denominator, two int sums per term."""
-    da, nums_a = _cleared_gaussian(a)
-    db, nums_b = _cleared_gaussian(b)
-    acc: Dict[Exponents, list] = {}
-    for ea, ra, ia in nums_a:
-        for eb, rb, ib in nums_b:
-            key = tuple(map(add, ea, eb))
-            sums = acc.get(key)
-            if sums is None:
-                acc[key] = [ra * rb - ia * ib, ra * ib + ia * rb]
-            else:
-                sums[0] += ra * rb - ia * ib
-                sums[1] += ra * ib + ia * rb
-    den = da * db
-    out: Dict[Exponents, Scalar] = {}
-    for key, (re, im) in acc.items():
-        if im:
-            out[key] = GaussianRational(Fraction(re, den), Fraction(im, den))
-        elif re:
-            out[key] = Fraction(re, den)
-    return out
+class Powers:
+    """base^j on demand: nonnegative powers are kept, each new one is one
+    multiply from the last; a negative j goes to `**`.  base^0 is 1 over
+    `variables` (default: the base's table)."""
+
+    def __init__(self, base: LaurentPoly, variables: Iterable[str] | None = None):
+        self.base = base
+        self.table = [LaurentPoly.const(1, base.vars if variables is None else variables)]
+
+    def __getitem__(self, j: int) -> LaurentPoly:
+        if j < 0:
+            return self.base ** j
+        while len(self.table) <= j:
+            self.table.append(self.table[-1] * self.base)
+        return self.table[j]
 
 
 def _coerce(value, variables):
@@ -604,10 +663,7 @@ def substitute_rational(
         rest_exps = tuple(e for i, e in enumerate(exps) if i != idx)
         part = LaurentPoly(rest_vars, {rest_exps: coeff})
         by_power[k] = by_power.get(k, LaurentPoly.zero(rest_vars)) + part
-    # D^0..D^degree, one multiply per step.
-    den_powers = [LaurentPoly.const(1, value.denominator.vars)]
-    for _ in range(degree):
-        den_powers.append(den_powers[-1] * value.denominator)
+    den_powers = Powers(value.denominator)
     # Numerator of f(value) over D^degree, sum_k a_k N^k D^(degree-k), by
     # homogeneous Horner: num = num*N + a_k D^(degree-k), k from degree down.
     table = rest_vars + value.numerator.vars + value.denominator.vars if by_power else ()

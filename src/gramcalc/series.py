@@ -18,8 +18,11 @@ from .errors import (
     InvalidRadicalWitness,
     NonUnitConstantTerm,
 )
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, Powers, binomial_convolution, sum_of_products
 from .scalar import GaussianRational, Scalar, as_scalar, exact_sqrt
+
+
+_ONE = LaurentPoly.const(1)
 
 
 def _as_poly(value) -> LaurentPoly:
@@ -88,13 +91,7 @@ class TruncSeries:
             factor = _as_poly(other)
             return TruncSeries([factor * c for c in self.coeffs])
         n, a, b = self._aligned(other)
-        out = []
-        for m in range(n + 1):
-            acc = LaurentPoly.zero()
-            for k in range(m + 1):
-                acc = acc + comb(m, k) * (a[k] * b[m - k])
-            out.append(acc)
-        return TruncSeries(out)
+        return TruncSeries([binomial_convolution(a, b, m) for m in range(n + 1)])
 
     __rmul__ = __mul__
 
@@ -144,11 +141,9 @@ class TruncSeries:
                 f"exp needs zero constant term, found {self.coeffs[0].render()}"
             )
         out = [LaurentPoly.const(1)]
+        shifted = self.coeffs[1:]
         for n in range(self.order):
-            acc = LaurentPoly.zero()
-            for k in range(n + 1):
-                acc = acc + comb(n, k) * (out[k] * self.coeffs[n - k + 1])
-            out.append(acc)
+            out.append(binomial_convolution(out, shifted, n))
         return TruncSeries(out)
 
     def map(self, fn: Callable[[LaurentPoly], LaurentPoly]) -> "TruncSeries":
@@ -183,9 +178,9 @@ def _divide(a: TruncSeries, b: TruncSeries, exact_poly: bool) -> TruncSeries:
         inv0 = c.inverse() if isinstance(c, GaussianRational) else Fraction(1) / c
     out = []
     for m in range(n + 1):
-        acc = a.coeffs[m]
-        for k in range(m):
-            acc = acc - comb(m, k) * (out[k] * b.coeffs[m - k])
+        acc = sum_of_products(
+            [(1, a.coeffs[m], _ONE)] + [(-comb(m, k), out[k], b.coeffs[m - k]) for k in range(m)]
+        )
         if inv0 is not None:
             out.append(acc * inv0)
         else:
@@ -216,10 +211,7 @@ def elementary_series(name: str, order: int, scale=1) -> TruncSeries:
     """EGF coefficients of f(scale * t) for the classical elementary f."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    scale_poly = _as_poly(scale)
-    powers = [LaurentPoly.const(1)]
-    for _ in range(order):
-        powers.append(powers[-1] * scale_poly)
+    powers = Powers(_as_poly(scale), ())
 
     def from_pattern(pattern):
         return TruncSeries(
@@ -227,7 +219,7 @@ def elementary_series(name: str, order: int, scale=1) -> TruncSeries:
         )
 
     if name == "exp":
-        return TruncSeries(powers)
+        return TruncSeries([powers[n] for n in range(order + 1)])
     if name == "sin":
         return from_pattern([Fraction(0), Fraction(1), Fraction(0), Fraction(-1)])
     if name == "cos":
@@ -270,14 +262,16 @@ def compose_poly_series(poly: LaurentPoly, inner: TruncSeries) -> TruncSeries:
     by_power: Dict[int, Scalar] = {}
     for exps, coeff in poly.terms.items():
         by_power[exps[idx]] = by_power.get(exps[idx], Fraction(0)) + coeff
-    result = TruncSeries.zero(order)
-    power = TruncSeries.constant(1, order)
-    for k in range(max(by_power) + 1):
-        if k:
-            power = power * inner
-        if k in by_power:
-            result = result + power * by_power[k]
-    return result
+    powers = [TruncSeries.constant(1, order)]
+    for _ in range(max(by_power)):
+        powers.append(powers[-1] * inner)
+    weights = sorted(by_power.items())
+    return TruncSeries(
+        [
+            sum_of_products((c, powers[k].coeffs[m], _ONE) for k, c in weights)
+            for m in range(order + 1)
+        ]
+    )
 
 
 def compare_series(a: TruncSeries, b: TruncSeries) -> Tuple[bool, Optional[int]]:

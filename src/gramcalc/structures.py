@@ -32,16 +32,6 @@ from .laurent import LaurentPoly
 
 DEFAULT_ENUM_BOUND = 9
 
-TREE_KINDS = (
-    "inc_binary",
-    "plane_012",
-    "tree_012",
-    "jv_tree",
-    "jv_forest",
-    "planted_forest",
-)
-STRUCTURE_KINDS = ("permutations",) + TREE_KINDS
-
 
 def _check_bound(n: int, bound: int | None):
     bound = DEFAULT_ENUM_BOUND if bound is None else bound
@@ -264,25 +254,7 @@ def jv_forests(labels: Tuple[int, ...]):
 def enumerate_structures(kind: str, n: int, bound: int | None = None):
     """Yield every structure of the kind on [n] exactly once, deterministically."""
     _check_bound(n, bound)
-    labels = tuple(range(1, n + 1))
-    if kind == "permutations":
-        yield from permutations(n)
-    elif kind == "inc_binary":
-        if n == 0:
-            return
-        yield from inc_binary_trees(labels)
-    elif kind == "plane_012":
-        yield from plane_012_trees(labels)
-    elif kind == "tree_012":
-        yield from tree_012_trees(labels)
-    elif kind == "jv_tree":
-        yield from jv_trees(labels)
-    elif kind == "jv_forest":
-        yield from jv_forests(labels)
-    elif kind == "planted_forest":
-        yield from planted_forests(labels)
-    else:
-        raise ValueError(f"unknown structure kind {kind!r}")
+    yield from _kind(kind)[0](tuple(range(1, n + 1)))
 
 
 def count_structures(kind: str, n: int, bound: int | None = None) -> int:
@@ -566,22 +538,7 @@ def alternating_count(n: int, bound: int | None = None) -> int:
 
 def structure_to_json(kind: str, structure):
     """Nested-list JSON: node = [label or null, [children...]]; forests are lists."""
-    if kind == "permutations":
-        return list(structure)
-    if kind == "inc_binary":
-        return _binary_json(structure)
-    if kind in ("plane_012", "tree_012"):
-        return _tree_json(structure)
-    if kind == "jv_tree":
-        return _jv_json(structure)
-    if kind == "jv_forest":
-        return [[root, [_jv_json(sub)]] for root, sub in structure]
-    if kind == "planted_forest":
-        return [
-            [root, [] if sub is None else [_binary_json(sub)]]
-            for root, sub in structure
-        ]
-    raise ValueError(f"unknown structure kind {kind!r}")
+    return _kind(kind)[1](structure)
 
 
 def _binary_json(tree):
@@ -603,3 +560,27 @@ def _jv_json(tree):
         return [None, []]
     label, children = tree
     return [label, [_jv_json(c) for c in children]]
+
+
+# kind -> (enumerator over the labels 1..n, JSON codec of one structure)
+_KINDS = {
+    "permutations": (lambda labels: permutations(len(labels)), list),
+    "inc_binary": (lambda labels: inc_binary_trees(labels) if labels else (), _binary_json),
+    "plane_012": (plane_012_trees, _tree_json),
+    "tree_012": (tree_012_trees, _tree_json),
+    "jv_tree": (jv_trees, _jv_json),
+    "jv_forest": (jv_forests, lambda forest: [[root, [_jv_json(sub)]] for root, sub in forest]),
+    "planted_forest": (
+        planted_forests,
+        lambda forest: [
+            [root, [] if sub is None else [_binary_json(sub)]] for root, sub in forest
+        ],
+    ),
+}
+STRUCTURE_KINDS = tuple(_KINDS)
+
+
+def _kind(kind: str):
+    if kind not in _KINDS:
+        raise ValueError(f"unknown structure kind {kind!r}")
+    return _KINDS[kind]

@@ -4,7 +4,7 @@ Runnable standalone: pytest tests/test_properties.py
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from gramcalc.families import (
     peak_grammar,
 )
 from gramcalc.errors import NonInvertibleSubstitution
-from gramcalc.laurent import LaurentPoly, parse_poly
+from gramcalc.laurent import LaurentPoly, binomial_convolution, parse_poly, sum_of_products
 from gramcalc.scalar import GaussianRational, make_gaussian
 from gramcalc.series import TruncSeries, compare_series, elementary_series
 
@@ -176,6 +176,68 @@ def test_gaussian_mul_cancelling_imaginary_parts():
     assert all(type(c) is Fraction for c in product.terms.values())
     # the x term cancels outright and is dropped
     assert ((x + a) * (x - a)).terms == {(2,): Fraction(1), (0,): -a * a}
+
+
+# -- sum_of_products against the chained sum of reference products ---------------------
+
+_SUM_TABLES = st.sampled_from([("x", "y"), ("y", "x"), ("y", "z"), ("z",), ()])
+_WEIGHTS = st.one_of(st.just(0), st.integers(min_value=-5, max_value=5), rationals, scalars)
+
+
+@st.composite
+def _sum_operand(draw):
+    table = draw(_SUM_TABLES)
+    return draw(poly_strategy(table, max_terms=4, coeffs=_COEFFS[draw(_KINDS)]))
+
+
+@st.composite
+def _sum_cases(draw):
+    triples = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        a = draw(_sum_operand())
+        b = a if draw(st.booleans()) else draw(_sum_operand())  # a shared operand too
+        triples.append((draw(_WEIGHTS), a, b))
+    return draw(_SUM_TABLES), triples
+
+
+def _scaled(w, poly):
+    return LaurentPoly(poly.vars, {e: w * c for e, c in poly.terms.items()})
+
+
+def _assert_canonical(poly):
+    for c in poly.terms.values():
+        assert (type(c) is Fraction and c != 0) or (type(c) is GaussianRational and c.im != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sum_cases())
+def test_sum_of_products_matches_chained_sum(case):
+    variables, triples = case
+    expected = LaurentPoly.zero(variables)
+    for w, a, b in triples:
+        expected = expected + _scaled(w, _reference_mul(a, b))
+    result = sum_of_products(triples, variables)
+    assert result.vars == expected.vars
+    assert result.terms == expected.terms
+    _assert_canonical(result)
+    if not triples:
+        assert result.vars == variables and not result.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.tuples(st.just(n), *[st.lists(_sum_operand(), min_size=n + 1, max_size=n + 1)] * 2)
+))
+def test_binomial_convolution_matches_explicit_sum(case):
+    n, a, b = case
+    for left, right in ((a, b), (a, a)):
+        expected = LaurentPoly.zero()
+        for k in range(n + 1):
+            expected = expected + _scaled(comb(n, k), _reference_mul(left[k], right[n - k]))
+        result = binomial_convolution(left, right, n)
+        assert result.vars == expected.vars
+        assert result.terms == expected.terms
+        _assert_canonical(result)
 
 
 # -- substitute against the per-term reference -------------------------------------------
