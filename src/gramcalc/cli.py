@@ -31,6 +31,7 @@ from .laurent import LaurentPoly
 from .series import (
     CLOSED_FORM_NAMES,
     ELEMENTARY_NAMES,
+    RADICAL_CLOSED_FORMS,
     RadicalPoint,
     TruncSeries,
     closed_form_series,
@@ -202,7 +203,7 @@ def _series_by_name(name: str, order: int, points: dict) -> TruncSeries:
 def cmd_series(args) -> int:
     points = _parse_assignments(args.at)
     series = _series_by_name(args.name, args.order, points)
-    if args.name in FAMILY_NAMES and points:
+    if points and args.name not in RADICAL_CLOSED_FORMS:
         values = series.evaluate_coeffs(points)
         series = TruncSeries([LaurentPoly.const(v) for v in values])
     if args.format == "json":
@@ -294,7 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     ser.add_argument(
         "--at",
         action="append",
-        help="var=rational point (radical closed forms; or evaluate a family series)",
+        help=(
+            "var=rational point: the radical point of gessel_L and bivariate_L; "
+            "any other series is evaluated coefficientwise there"
+        ),
     )
     ser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     ser.set_defaults(func=cmd_series)

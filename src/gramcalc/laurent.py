@@ -12,9 +12,10 @@ lexicographic exponent vector — fixes rendering and JSON byte-for-byte.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import comb, lcm
-from operator import add
+from operator import add, mul
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import (
@@ -305,26 +306,17 @@ class LaurentPoly:
             var for exps in self.terms for var, e in zip(self.vars, exps) if e
         )
         variables = tuple(dict.fromkeys(v for var in reached for v in images[var].vars))
-        one = {(0,) * len(variables): ONE}
-        # Image powers over the result's table, so products need no realignment.
-        power_cache: Dict[Tuple[str, int], LaurentPoly] = {}
-        out: Dict[Exponents, Scalar] = {}
+        powers = {
+            var: Powers(LaurentPoly._make(variables, _reindex(images[var], variables)))
+            for var in reached
+        }
+        one = LaurentPoly.const(1, variables)
+        # Per term: coeff * (all its image powers but the last) * the last one.
+        triples = []
         for exps, coeff in self.terms.items():
-            product = None
-            for var, e in zip(self.vars, exps):
-                if e == 0:
-                    continue
-                key = (var, e)
-                if key not in power_cache:
-                    power = images[var] ** e
-                    if power.vars != variables:
-                        power = LaurentPoly._make(variables, _reindex(power, variables))
-                    power_cache[key] = power
-                product = power_cache[key] if product is None else product * power_cache[key]
-            for key, c in (one if product is None else product.terms).items():
-                prev = out.get(key)
-                out[key] = coeff * c if prev is None else prev + coeff * c
-        return LaurentPoly._make(variables, {k: v for k, v in out.items() if v})
+            *head, last = [powers[var][e] for var, e in zip(self.vars, exps) if e] or [one]
+            triples.append((coeff, reduce(mul, head) if head else one, last))
+        return sum_of_products(triples, variables)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
         """Exact value at a scalar point; every effective variable needs a value."""
@@ -653,26 +645,24 @@ def substitute_rational(
         )
     clear = value.denominator if clear is None else clear
     degree = f.degree_in(var)
-    if var not in f.vars:
-        degree = 0
     idx = f.vars.index(var) if var in f.vars else None
     rest_vars = tuple(v for v in f.vars if v != var)
-    by_power: Dict[int, LaurentPoly] = {}
+    # f's terms grouped by their power of var: f = sum_k a_k var^k.
+    by_power: Dict[int, Dict[Exponents, Scalar]] = {}
     for exps, coeff in f.terms.items():
         k = exps[idx] if idx is not None else 0
-        rest_exps = tuple(e for i, e in enumerate(exps) if i != idx)
-        part = LaurentPoly(rest_vars, {rest_exps: coeff})
-        by_power[k] = by_power.get(k, LaurentPoly.zero(rest_vars)) + part
+        by_power.setdefault(k, {})[tuple(e for i, e in enumerate(exps) if i != idx)] = coeff
     den_powers = Powers(value.denominator)
     # Numerator of f(value) over D^degree, sum_k a_k N^k D^(degree-k), by
     # homogeneous Horner: num = num*N + a_k D^(degree-k), k from degree down.
     table = rest_vars + value.numerator.vars + value.denominator.vars if by_power else ()
     num = LaurentPoly.zero(tuple(dict.fromkeys(table)))
     for k in range(degree, -1, -1):
-        if k < degree:
-            num = num * value.numerator
+        triples = [(ONE, num, value.numerator)] if k < degree else []
         if k in by_power:
-            num = num + by_power[k] * den_powers[degree - k]
+            a_k = LaurentPoly._make(rest_vars, by_power[k])
+            triples.append((ONE, a_k, den_powers[degree - k]))
+        num = sum_of_products(triples, num.vars)
     cleared = clear ** clear_power * num
     return cleared.exact_divide(den_powers[degree])
 

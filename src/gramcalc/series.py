@@ -330,6 +330,8 @@ CLOSED_FORM_NAMES = (
     "hoffman_Q",
     "eulerian_egf",
 )
+# The closed forms expanded at a RadicalPoint; the others are symbolic.
+RADICAL_CLOSED_FORMS = ("gessel_L", "bivariate_L")
 
 
 def closed_form_series(

@@ -254,11 +254,13 @@ def jv_forests(labels: Tuple[int, ...]):
 def enumerate_structures(kind: str, n: int, bound: int | None = None):
     """Yield every structure of the kind on [n] exactly once, deterministically."""
     _check_bound(n, bound)
-    yield from _kind(kind)[0](tuple(range(1, n + 1)))
+    yield from _kind(kind).enumerate(tuple(range(1, n + 1)))
 
 
 def count_structures(kind: str, n: int, bound: int | None = None) -> int:
-    return sum(1 for _ in enumerate_structures(kind, n, bound))
+    """Number of structures of the kind on [n]: each is visited once, none is built."""
+    _check_bound(n, bound)
+    return _kind(kind).count(tuple(range(1, n + 1)))
 
 
 # -- statistics on trees ----------------------------------------------------------
@@ -380,6 +382,18 @@ def _forest_tally(
             lists.append(stats)
         tally.update(map(sum, itertools.product(*lists)))
     return tally
+
+
+def _count(stats: Iterator) -> int:
+    return sum(1 for _ in stats)
+
+
+def _forest_count(labels: Tuple[int, ...], tree_stats: Callable[[Tuple[int, ...]], Iterator]) -> int:
+    """Number of forests whose blocks carry the trees that tree_stats walks.
+
+    Every tree's statistic is read as 0, so the tally holds each forest at 0.
+    """
+    return _forest_tally(labels, lambda rest: [0 for _ in tree_stats(rest)])[0]
 
 
 # -- the oracle: families by weighted counting -------------------------------------
@@ -538,7 +552,7 @@ def alternating_count(n: int, bound: int | None = None) -> int:
 
 def structure_to_json(kind: str, structure):
     """Nested-list JSON: node = [label or null, [children...]]; forests are lists."""
-    return _kind(kind)[1](structure)
+    return _kind(kind).json(structure)
 
 
 def _binary_json(tree):
@@ -562,16 +576,31 @@ def _jv_json(tree):
     return [label, [_jv_json(c) for c in children]]
 
 
-# kind -> (enumerator over the labels 1..n, JSON codec of one structure)
+_Kind = namedtuple("_Kind", "enumerate count json")
+# kind -> enumerator over the labels 1..n, its count by the stat-only walker,
+# JSON codec of one structure
 _KINDS = {
-    "permutations": (lambda labels: permutations(len(labels)), list),
-    "inc_binary": (lambda labels: inc_binary_trees(labels) if labels else (), _binary_json),
-    "plane_012": (plane_012_trees, _tree_json),
-    "tree_012": (tree_012_trees, _tree_json),
-    "jv_tree": (jv_trees, _jv_json),
-    "jv_forest": (jv_forests, lambda forest: [[root, [_jv_json(sub)]] for root, sub in forest]),
-    "planted_forest": (
+    "permutations": _Kind(
+        lambda labels: permutations(len(labels)),
+        lambda labels: _count(permutations(len(labels))),
+        list,
+    ),
+    "inc_binary": _Kind(
+        lambda labels: inc_binary_trees(labels) if labels else (),
+        lambda labels: _count(_binary_stats(labels)) if labels else 0,
+        _binary_json,
+    ),
+    "plane_012": _Kind(plane_012_trees, lambda labels: _count(_stats_012(labels, True)), _tree_json),
+    "tree_012": _Kind(tree_012_trees, lambda labels: _count(_stats_012(labels, False)), _tree_json),
+    "jv_tree": _Kind(jv_trees, lambda labels: _count(_jv_stats(labels)), _jv_json),
+    "jv_forest": _Kind(
+        jv_forests,
+        lambda labels: _forest_count(labels, _jv_stats),
+        lambda forest: [[root, [_jv_json(sub)]] for root, sub in forest],
+    ),
+    "planted_forest": _Kind(
         planted_forests,
+        lambda labels: _forest_count(labels, _binary_stats),
         lambda forest: [
             [root, [] if sub is None else [_binary_json(sub)]] for root, sub in forest
         ],

@@ -214,6 +214,15 @@ def test_series_closed_form(capsys):
     assert lines[3].endswith("6*x^3 + 5*x")
 
 
+def test_series_closed_form_at_point(capsys):
+    code, out, _ = run_cli(capsys, "series", "hoffman_Q", "--order", "3", "--at", "x=2")
+    assert code == 0
+    assert [line.split(": ")[1] for line in out.strip().splitlines()] == ["1", "2", "9", "58"]
+    code, _, err = run_cli(capsys, "series", "hoffman_Q", "--order", "3", "--at", "y=2")
+    assert code == 2
+    assert "no value given for variable 'x'" in err
+
+
 def test_series_radical_point(capsys):
     code, out, _ = run_cli(capsys, "series", "gessel_L", "--order", "2", "--at", "x=3/4")
     assert code == 0

@@ -3,13 +3,15 @@
 `tests/data/cli_golden.json` maps each command line to [exit code, sha256 of
 stdout], with `"millis": N` timings blanked before hashing.  The corpus:
 
-- `family <name> --n N` in text and json, every family, N = 0..30;
+- `family <name> --n N` in text and json, every family, N = 0..30, and in
+  json for N = 31..60;
 - `oracle <name> --n N --diff --format json`, every family, N = 0..8;
 - `series <name> --order 10 --format json`, every elementary, closed-form
   and family name;
-- `trees <kind> --n N`, listing and `--count`, every kind, N = 0..6;
-- `check all --format json` at the defaults and at
-  `--max-n 20 --oracle-max-n 0`.
+- `trees <kind> --n N`, listing and `--count`, every kind, N = 0..6, and
+  `--count` for N = 7..8;
+- `check all --format json` at the defaults, at `--max-n 20 --oracle-max-n 0`
+  and at `--max-n 24 --oracle-max-n 0`.
 
 Every call runs in process through `gramcalc.cli.main`.  To re-record after
 an intended output change: `PYTHONPATH=src python tests/test_cli_golden.py`.
@@ -41,6 +43,10 @@ def corpus() -> dict:
             for name in FAMILY_NAMES
             for n in range(31)
             for fmt in ("text", "json")
+        ] + [
+            ["family", name, "--n", str(n), "--format", "json"]
+            for name in FAMILY_NAMES
+            for n in range(31, 61)
         ],
         "oracle": [
             ["oracle", name, "--n", str(n), "--diff", "--format", "json"]
@@ -56,10 +62,15 @@ def corpus() -> dict:
             for kind in STRUCTURE_KINDS
             for n in range(7)
             for count in ([], ["--count"])
+        ] + [
+            ["trees", kind, "--n", str(n), "--count"]
+            for kind in STRUCTURE_KINDS
+            for n in (7, 8)
         ],
         "check": [
             ["check", "all", "--format", "json"],
             ["check", "all", "--format", "json", "--max-n", "20", "--oracle-max-n", "0"],
+            ["check", "all", "--format", "json", "--max-n", "24", "--oracle-max-n", "0"],
         ],
     }
 

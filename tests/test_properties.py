@@ -17,8 +17,15 @@ from gramcalc.families import (
     gamma_expansion,
     peak_grammar,
 )
-from gramcalc.errors import NonInvertibleSubstitution
-from gramcalc.laurent import LaurentPoly, binomial_convolution, parse_poly, sum_of_products
+from gramcalc.errors import InsufficientClearing, NonInvertibleSubstitution
+from gramcalc.identities import _CAYLEY, _ONE_PLUS_X, _PETERSEN
+from gramcalc.laurent import (
+    LaurentPoly,
+    binomial_convolution,
+    parse_poly,
+    substitute_rational,
+    sum_of_products,
+)
 from gramcalc.scalar import GaussianRational, make_gaussian
 from gramcalc.series import TruncSeries, compare_series, elementary_series
 
@@ -336,9 +343,6 @@ def _reference_substitute_rational(f, var, value, clear_power, clear=None):
 
 @pytest.mark.parametrize("n", range(0, 13))
 def test_substitute_rational_matches_reference(n):
-    from gramcalc.identities import _CAYLEY, _ONE_PLUS_X, _PETERSEN
-    from gramcalc.laurent import substitute_rational
-
     cases = [
         (family_poly("eulerian_uni", n), _CAYLEY, n + 1, None),
         (family_poly("left_peak_uni", n), _PETERSEN, n, _ONE_PLUS_X),
@@ -350,6 +354,33 @@ def test_substitute_rational_matches_reference(n):
         expected = _reference_substitute_rational(f, "x", value, power, clear=clear)
         assert result.vars == expected.vars
         assert result.terms == expected.terms
+
+
+@st.composite
+def _rational_substitutions(draw):
+    """f over (x, y) with x-exponents 0..3, a catalog value, a clearing choice."""
+    exps = st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=-2, max_value=3))
+    coeffs = _COEFFS[draw(st.sampled_from(["rational", "gaussian"]))]
+    terms = draw(st.dictionaries(exps, coeffs.filter(bool), max_size=6))
+    f = LaurentPoly(("x", "y"), terms)
+    value = draw(st.sampled_from([_PETERSEN, _CAYLEY]))
+    clear = draw(st.sampled_from([None, _ONE_PLUS_X]))
+    return f, value, draw(st.integers(min_value=0, max_value=6)), clear
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_substitutions())
+def test_substitute_rational_with_remaining_variables(case):
+    f, value, power, clear = case
+    try:
+        expected = _reference_substitute_rational(f, "x", value, power, clear=clear)
+    except InsufficientClearing:
+        with pytest.raises(InsufficientClearing):
+            substitute_rational(f, "x", value, power, clear=clear)
+        return
+    result = substitute_rational(f, "x", value, power, clear=clear)
+    assert result.vars == expected.vars
+    assert result.terms == expected.terms
 
 
 # -- substitution is a homomorphism ---------------------------------------------
