@@ -24,6 +24,8 @@ from .families import (
 from .identities import (
     DEFAULT_MAX_N,
     DEFAULT_ORACLE_MAX_N,
+    IDENTITY_NAMES,
+    check_points,
     run_all,
     run_identity,
 )
@@ -40,7 +42,7 @@ from .series import (
 
 
 def _parse_assignments(items) -> dict:
-    """Parse repeated/comma-joined var=rational assignments."""
+    """Parse repeated/comma-joined var=rational assignments; a key may occur once."""
     values = {}
     for item in items or ():
         for piece in item.split(","):
@@ -50,7 +52,10 @@ def _parse_assignments(items) -> dict:
             if "=" not in piece:
                 raise ValueError(f"expected var=rational, got {piece!r}")
             var, _, raw = piece.partition("=")
-            values[var.strip()] = Fraction(raw.strip())
+            var = var.strip()
+            if var in values:
+                raise ValueError(f"{var!r} is assigned more than once")
+            values[var] = Fraction(raw.strip())
     return values
 
 
@@ -88,8 +93,9 @@ def _report_line(report) -> str:
 
 
 def cmd_check(args) -> int:
-    _warn_bound(args.oracle_max_n)
     points = _parse_assignments(args.points)
+    check_points(points, IDENTITY_NAMES if args.name == "all" else (args.name,))
+    _warn_bound(args.oracle_max_n)
     if args.name == "all":
         reports = run_all(
             max_n=args.max_n, points=points, oracle_max_n=args.oracle_max_n

@@ -578,13 +578,15 @@ def _gen_multiplicative(ctx: CheckContext, lo: int, hi: int):
 
 @dataclass(frozen=True)
 class IdentityEntry:
-    """A check: pairs(ctx, lo, hi) yields (n, lhs, rhs) over lo..hi(ctx)."""
+    """A check: pairs(ctx, lo, hi) yields (n, lhs, rhs) over lo..hi(ctx).
+    `points` names the variables it reads through ctx.point."""
 
     name: str
     description: str
     lo: int
     hi: Callable[[CheckContext], int]
     pairs: Callable[[CheckContext, int, int], Pairs]
+    points: Tuple[str, ...] = ()
 
 
 _MAX = _upto(0)
@@ -599,9 +601,9 @@ _ENTRIES = [
     IdentityEntry("andre_oracle", "0-1-2-tree family equals its exhaustive tree count and the alternating count", 0, _ORACLE, _vs_oracle("andre_biv", extra=lambda ctx, n, _: (Fraction(ctx.provider.number("euler", n)), Fraction(structures.alternating_count(n, bound=ctx.oracle_max_n))))),
     IdentityEntry("beta_exp", "derivative polynomials expand over x^j (1+x^2)^k with peak coefficients and plane-tree leaf counts", 0, _MAX, _beta_exp),
     IdentityEntry("beta_grammar", "the z = x^2 lift of the peak grammar reproduces the left-peak expansion", 0, _MAX, _beta_grammar),
-    IdentityEntry("bivariate_gessel", "bivariate left-peak closed form (corrected prefactor) at a radical-rational point", 0, _capped(12), _bivariate_gessel),
+    IdentityEntry("bivariate_gessel", "bivariate left-peak closed form (corrected prefactor) at a radical-rational point", 0, _capped(12), _bivariate_gessel, ("x", "y")),
     IdentityEntry("carlitz_scoville", "cross-multiplied exponential form of the descent generating function", 1, _MAX, _carlitz_scoville),
-    IdentityEntry("david_barton_closed", "cosh(z) closed forms match the peak families at a Pythagorean point (corrected normalization)", 0, _capped(10), _david_barton_closed),
+    IdentityEntry("david_barton_closed", "cosh(z) closed forms match the peak families at a Pythagorean point (corrected normalization)", 0, _capped(10), _david_barton_closed, ("x",)),
     IdentityEntry("david_barton_pde", "coefficient recurrences expanded from the peak partial differential equations", 0, _MAX, _david_barton_pde),
     IdentityEntry("deriv_recurrence", "grammar route equals the analytic recurrences for both derivative families", 0, _MAX, _per_n(lambda p, n: (recurrence_poly("P", n), p.poly("deriv_P", n)), lambda p, n: (recurrence_poly("Q", n), p.poly("deriv_Q", n)))),
     IdentityEntry("dumont_andre", "doubling the leaf weight turns binary-tree polynomials into scaled 0-1-2-tree polynomials", 1, _MAX, _per_n(lambda p, n: (p.poly("dumont", n).substitute(_TWO_U), 2 ** n * p.poly("andre_biv", n)))),
@@ -614,14 +616,14 @@ _ENTRIES = [
     IdentityEntry("gamma_eulerian", "binary-tree polynomials substitute to the descent polynomials (u=xy, 2v=x+y)", 1, _MAX, _per_n(lambda p, n: (p.poly("dumont", n).substitute(_GAMMA_SUB), p.poly("eulerian_biv", n)))),
     IdentityEntry("gamma_expansion", "descent polynomials have nonnegative expansions over (xy)^k (x+y)^{n+1-2k}", 1, _MAX, _gamma_expansion),
     IdentityEntry("gen_multiplicative", "generating functions multiply: Gen(fg) = Gen(f) Gen(g)", 0, _capped(8), _gen_multiplicative),
-    IdentityEntry("gessel", "left-peak closed form matches the family at a radical-rational point", 0, _MAX, _gessel),
+    IdentityEntry("gessel", "left-peak closed form matches the family at a radical-rational point", 0, _MAX, _gessel, ("x",)),
     IdentityEntry("hoffman_conv", "binomial convolutions stepping both derivative families", 0, _upto(-1), _hoffman_conv),
     IdentityEntry("hoffman_egf", "four cross-multiplied trig generating functions for the derivative families", 0, _MAX, _hoffman_egf),
     IdentityEntry("hoffman_PQQ", "the (1+x^2)-weighted square of the secant family steps the tangent family", 0, _upto(-1), _steps(("deriv_P", "deriv_Q", "deriv_Q", _ONE_PLUS_X2), lead=lambda: (0, tangent_secant_grammar().derive(_PQQ_SEED), LaurentPoly.zero()))),
     IdentityEntry("inverse_pattern", "period-four sign pattern of the derivative chain on the reciprocal seed", 0, _MAX, _inverse_pattern),
     IdentityEntry("jv_oracles", "derivative families equal their empty-leaf tree and forest counts", 0, _ORACLE, _vs_oracle("deriv_P", "deriv_Q")),
     IdentityEntry("knuth_buckholtz", "tangent family at 1 equals 2^n times the Euler numbers", 0, _MAX, _per_n(lambda p, n: (p.number("p_at_one", n), 2 ** n * p.number("euler", n)))),
-    IdentityEntry("L_squared_egf", "shifted descent series equals the squared left-peak series at a radical point", 0, _capped(10), _l_squared_egf),
+    IdentityEntry("L_squared_egf", "shifted descent series equals the squared left-peak series at a radical point", 0, _capped(10), _l_squared_egf, ("x", "y")),
     IdentityEntry("left_peak_convolution", "binary-tree polynomials at u=x^2 convolve the left-peak family (corrected prefactor)", 0, _upto(-1), _left_peak_convolution),
     IdentityEntry("LL_MM", "left-peak and interior-peak self-convolutions agree (univariate form corrected by x)", 1, _MAX, _ll_mm),
     IdentityEntry("LM_convolution", "left-peak family steps by convolving with the interior-peak family", 0, _upto(-1), _steps(("left_peak_biv", "left_peak_biv", "interior_peak_biv", None), ("left_peak_uni", "left_peak_uni", "interior_peak_uni", X))),
@@ -647,6 +649,38 @@ REGISTRY: Dict[str, IdentityEntry] = {entry.name: entry for entry in _ENTRIES}
 IDENTITY_NAMES = tuple(sorted(REGISTRY))
 
 
+def _entry(name: str) -> IdentityEntry:
+    if name not in REGISTRY:
+        raise UnknownIdentity(
+            f"unknown identity {name!r}; run with 'all' or one of {IDENTITY_NAMES}"
+        )
+    return REGISTRY[name]
+
+
+def check_points(points: Mapping[str, Fraction], names: Iterable[str]) -> None:
+    """Reject point keys that no check among `names` would read.
+
+    A scoped key "identity.var" must name a registered identity and a
+    variable it reads; it may target an identity that is not selected.  A
+    bare key must be read by at least one selected identity.
+    """
+    read = {var for name in names for var in _entry(name).points}
+    for key in points:
+        target, dot, var = key.partition(".")
+        if not dot:
+            if key not in read:
+                raise InvalidPoint(f"point {key!r}: no selected identity reads {key!r}")
+        elif target not in REGISTRY:
+            raise InvalidPoint(f"point {key!r}: no identity named {target!r}")
+        elif var not in REGISTRY[target].points:
+            reads = ", ".join(REGISTRY[target].points)
+            raise InvalidPoint(
+                f"point {key!r}: {target} reads {reads}, not {var!r}"
+                if reads
+                else f"point {key!r}: {target} reads no point"
+            )
+
+
 def run_identity(
     name: str,
     max_n: int = DEFAULT_MAX_N,
@@ -659,11 +693,7 @@ def run_identity(
     A range with hi < lo is reported as "empty", without running the check.
     A user-supplied point the check cannot use is reported as "invalid".
     """
-    if name not in REGISTRY:
-        raise UnknownIdentity(
-            f"unknown identity {name!r}; run with 'all' or one of {IDENTITY_NAMES}"
-        )
-    entry = REGISTRY[name]
+    entry = _entry(name)
     # bare keys apply directly; "identity.var" keys apply to that identity only
     scoped = {}
     for key, value in (points or {}).items():

@@ -5,6 +5,13 @@ vectors (tuples of signed ints, aligned with the table) to nonzero scalars.
 Values are immutable; every operation returns a fresh polynomial.  Mixed-table
 arithmetic aligns on the union of the two tables (left operand's order first).
 
+Storage is integer: a positive int `den` and `nums`, exponent vector -> int
+numerator, or -> (re, im) int pair when some coefficient is Gaussian, with
+gcd(den, every numerator part) == 1 and the pair form used only when some
+im != 0.  Equal polynomials over one table store equal (den, nums).  `.terms`
+is a read-only view of the same map with Fraction/GaussianRational values,
+built on first read.
+
 Canonical term order — descending total degree, ties broken by descending
 lexicographic exponent vector — fixes rendering and JSON byte-for-byte.
 """
@@ -13,9 +20,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import comb, lcm
-from operator import add, mul
+from math import comb, gcd, lcm
+from operator import add, mul, sub
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import (
@@ -25,8 +34,6 @@ from .errors import (
     ParseError,
 )
 from .scalar import (
-    ONE,
-    ZERO,
     GaussianRational,
     Scalar,
     as_scalar,
@@ -47,36 +54,40 @@ def _term_sort_key(exps: Exponents):
 class LaurentPoly:
     """Immutable sparse Laurent polynomial."""
 
-    __slots__ = ("vars", "terms")
+    # _terms stays unset until .terms is first read
+    __slots__ = ("vars", "den", "nums", "_terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar]):
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable in table {variables}")
-        clean: Dict[Exponents, Scalar] = {}
+        variables = _table(variables)
+        parts = []
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != len(variables):
                 raise ValueError(
                     f"exponent vector {exps} does not match table {variables}"
                 )
-            coeff = as_scalar(coeff)
-            if coeff != 0:
-                clean[exps] = coeff
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "terms", clean)
+            parts.append((exps, *_cleared(as_scalar(coeff))))
+        den = lcm(*[d for _, d, _ in parts])
+        if any(type(n) is tuple for _, _, n in parts):
+            parts = [(e, d, n if type(n) is tuple else (n, 0)) for e, d, n in parts]
+        nums = {e: _scaled(n, den // d) for e, d, n in parts}
+        _stored(variables, *_normal_form(den, nums), self)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    @staticmethod
-    def _make(variables: Tuple[str, ...], terms: Dict[Exponents, Scalar]) -> "LaurentPoly":
-        # Trusted constructor for kernel results: a duplicate-free table and
-        # aligned, nonzero Fraction/GaussianRational terms; no per-term checks.
-        poly = object.__new__(LaurentPoly)
-        object.__setattr__(poly, "vars", variables)
-        object.__setattr__(poly, "terms", terms)
-        return poly
+    @property
+    def terms(self) -> Mapping[Exponents, Scalar]:
+        """Exponent vector -> Fraction/GaussianRational, in `nums` order."""
+        try:
+            return self._terms
+        except AttributeError:  # first read
+            pass
+        den = self.den
+        # built whole, then published: a concurrent reader sees no view or all of it
+        terms = MappingProxyType({e: _scalar(n, den) for e, n in self.nums.items()})
+        object.__setattr__(self, "_terms", terms)
+        return terms
 
     # -- constructors -------------------------------------------------------
 
@@ -86,8 +97,9 @@ class LaurentPoly:
 
     @staticmethod
     def const(value, variables: Iterable[str] = ()) -> "LaurentPoly":
-        variables = tuple(variables)
-        return LaurentPoly(variables, {(0,) * len(variables): as_scalar(value)})
+        variables = _table(variables)
+        den, n = _cleared(as_scalar(value))
+        return _stored(variables, *_normal_form(den, {(0,) * len(variables): n}))
 
     @staticmethod
     def variable(name: str, variables: Iterable[str] | None = None) -> "LaurentPoly":
@@ -106,34 +118,34 @@ class LaurentPoly:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(not any(exps) for exps in self.terms)
+        return all(not any(exps) for exps in self.nums)
 
     def constant_value(self) -> Scalar:
         """The scalar value of a constant polynomial (0 if zero)."""
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
-        [(exps, coeff)] = self.terms.items()
+        [(exps, n)] = self.nums.items()
         if any(exps):
             raise ValueError(f"{self} is not constant")
-        return coeff
+        return _scalar(n, self.den)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.nums) == 1
 
     def degree_in(self, var: str) -> int:
-        if var not in self.vars or not self.terms:
+        if var not in self.vars or not self.nums:
             return 0
         idx = self.vars.index(var)
-        return max(exps[idx] for exps in self.terms)
+        return max(exps[idx] for exps in self.nums)
 
     def min_degree_in(self, var: str) -> int:
-        if var not in self.vars or not self.terms:
+        if var not in self.vars or not self.nums:
             return 0
         idx = self.vars.index(var)
-        return min(exps[idx] for exps in self.terms)
+        return min(exps[idx] for exps in self.nums)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: _term_sort_key(item[0]))
@@ -143,7 +155,7 @@ class LaurentPoly:
 
         Dropping a variable that actually occurs is an error.
         """
-        return LaurentPoly(variables, _reindex(self, tuple(variables)))
+        return _reindex(self, _table(variables))
 
     def coefficient(self, exps_by_var: Mapping[str, int]) -> Scalar:
         """Coefficient of the monomial with the given exponents (others zero)."""
@@ -151,24 +163,20 @@ class LaurentPoly:
         for var, e in exps_by_var.items():
             if var not in self.vars and e != 0:
                 return Fraction(0)
-        return self.terms.get(exps, Fraction(0))
+        n = self.nums.get(exps)
+        return Fraction(0) if n is None else _scalar(n, self.den)
 
     def _signature(self):
-        # Table-independent canonical form: per term, the set of (var, exp≠0).
-        return frozenset(
-            (
-                frozenset(
-                    (v, e) for v, e in zip(self.vars, exps) if e != 0
-                ),
-                coeff,
-            )
-            for exps, coeff in self.terms.items()
+        # Table-independent canonical form: den, and per term the set of (var, exp≠0).
+        return self.den, frozenset(
+            (frozenset((v, e) for v, e in zip(self.vars, exps) if e != 0), n)
+            for exps, n in self.nums.items()
         )
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             if self.vars == other.vars:
-                return self.terms == other.terms
+                return self.den == other.den and self.nums == other.nums
             return self._signature() == other._signature()
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.is_constant() and self.constant_value() == other
@@ -178,25 +186,34 @@ class LaurentPoly:
         return hash(self._signature())
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- arithmetic ---------------------------------------------------------
 
     def _aligned(self, other: "LaurentPoly"):
         if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        merged = list(self.vars) + [v for v in other.vars if v not in self.vars]
-        return tuple(merged), _reindex(self, merged), _reindex(other, merged)
+            return self.vars, self, other
+        merged = tuple(self.vars) + tuple(v for v in other.vars if v not in self.vars)
+        return merged, _reindex(self, merged), _reindex(other, merged)
 
     def __add__(self, other):
         other = _coerce(other, self.vars)
         if other is NotImplemented:
             return NotImplemented
         variables, a, b = self._aligned(other)
-        out = dict(a)
-        for exps, coeff in b.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return LaurentPoly._make(variables, {k: v for k, v in out.items() if v})
+        den = lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        if _is_pair(a.nums) or _is_pair(b.nums):
+            na, nb = _pairs(a.nums), _pairs(b.nums)
+            out = {e: (re * sa, im * sa) for e, (re, im) in na.items()}
+            for e, (re, im) in nb.items():
+                r0, i0 = out.get(e, (0, 0))
+                out[e] = (r0 + re * sb, i0 + im * sb)
+        else:
+            out = {e: n * sa for e, n in a.nums.items()}
+            for e, n in b.nums.items():
+                out[e] = out.get(e, 0) + n * sb
+        return _stored(variables, *_normal_form(den, out))
 
     __radd__ = __add__
 
@@ -213,14 +230,14 @@ class LaurentPoly:
         return other + (-self)
 
     def __neg__(self):
-        return LaurentPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
+        return _stored(self.vars, self.den, {e: _scaled(n, -1) for e, n in self.nums.items()})
 
     def __mul__(self, other):
         other = _coerce(other, self.vars)
         if other is NotImplemented:
             return NotImplemented
         variables, a, b = self._aligned(other)
-        return _accumulate(variables, [(1, a, b)])
+        return _accumulate(variables, [((1, 1), a, b)])
 
     __rmul__ = __mul__
 
@@ -250,7 +267,7 @@ class LaurentPoly:
 
     def monomial_inverse(self) -> "LaurentPoly":
         """Inverse of a single-term polynomial (negated exponents)."""
-        if len(self.terms) != 1:
+        if len(self.nums) != 1:
             raise NonInvertibleSubstitution(
                 f"{self.render()} is not a monomial, cannot invert"
             )
@@ -270,13 +287,16 @@ class LaurentPoly:
             return LaurentPoly.zero(self.vars)
         idx = self.vars.index(var)
         # Lowering one exponent maps distinct terms to distinct terms.
-        return LaurentPoly._make(
+        return _stored(
             self.vars,
-            {
-                exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: coeff * exps[idx]
-                for exps, coeff in self.terms.items()
-                if exps[idx]
-            },
+            *_normal_form(
+                self.den,
+                {
+                    exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: _scaled(n, exps[idx])
+                    for exps, n in self.nums.items()
+                    if exps[idx]
+                },
+            ),
         )
 
     def substitute(self, mapping: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
@@ -303,27 +323,24 @@ class LaurentPoly:
                 )
         # The result's table: the images' tables in the order the terms reach them.
         reached = dict.fromkeys(
-            var for exps in self.terms for var, e in zip(self.vars, exps) if e
+            var for exps in self.nums for var, e in zip(self.vars, exps) if e
         )
         variables = tuple(dict.fromkeys(v for var in reached for v in images[var].vars))
-        powers = {
-            var: Powers(LaurentPoly._make(variables, _reindex(images[var], variables)))
-            for var in reached
-        }
+        powers = {var: Powers(_reindex(images[var], variables)) for var in reached}
         one = LaurentPoly.const(1, variables)
-        # Per term: coeff * (all its image powers but the last) * the last one.
+        # Per term: n/den * (all its image powers but the last) * the last one.
         triples = []
-        for exps, coeff in self.terms.items():
+        for exps, n in self.nums.items():
             *head, last = [powers[var][e] for var, e in zip(self.vars, exps) if e] or [one]
-            triples.append((coeff, reduce(mul, head) if head else one, last))
-        return sum_of_products(triples, variables)
+            triples.append(((self.den, n), reduce(mul, head) if head else one, last))
+        return _accumulate(variables, triples)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
         """Exact value at a scalar point; every effective variable needs a value."""
         values = {v: as_scalar(c) for v, c in point.items()}
         total: Scalar = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term: Scalar = coeff
+        for exps, n in self.nums.items():
+            term: Scalar = _scalar(n, 1)
             for var, e in zip(self.vars, exps):
                 if e == 0:
                     continue
@@ -339,58 +356,81 @@ class LaurentPoly:
                     break
                 term = term * base ** e
             total = total + term
-        return total
+        return total / self.den
 
     # -- exact division -----------------------------------------------------
 
     def exact_divide(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor in the Laurent ring.
 
-        Strips the monomial content of both operands, runs leading-term
-        polynomial division in canonical order, and reattaches the monomial
-        quotient.  Raises InsufficientClearing when the division is not exact.
+        Strips the monomial content of both operands and runs leading-term
+        polynomial division in canonical order on the integer numerators,
+        fraction-free: when the divisor's leading coefficient does not divide
+        the remainder's, the remainder and the quotient are scaled by an int
+        first, and the scale goes into the result's denominator.  Reattaches
+        the monomial quotient.  Raises InsufficientClearing when the division
+        is not exact.
         """
         if divisor.is_zero():
             raise DivisionByZero("exact division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(self.vars)
         variables, a, b = self._aligned(divisor)
-        nvars = len(variables)
-        shift_a = _content_shift(a, nvars)
-        shift_b = _content_shift(b, nvars)
-        num = {tuple(e - s for e, s in zip(exps, shift_a)): c for exps, c in a.items()}
-        den = {tuple(e - s for e, s in zip(exps, shift_b)): c for exps, c in b.items()}
+        pair = _is_pair(a.nums) or _is_pair(b.nums)
+        zero = (0, 0) if pair else 0
+        rem, den = (_pairs(p.nums) if pair else p.nums for p in (a, b))
+        shift_a, shift_b = _content_shift(rem), _content_shift(den)
+        rem = {tuple(map(sub, exps, shift_a)): n for exps, n in rem.items()}
+        den = {tuple(map(sub, exps, shift_b)): n for exps, n in den.items()}
         lead_den = min(den, key=_term_sort_key)
         lead_den_coeff = den[lead_den]
-        quotient: Dict[Exponents, Scalar] = {}
-        rem = dict(num)
+        quotient: Dict[Exponents, object] = {}
+        heap = [(_term_sort_key(exps), exps) for exps in rem]
+        heapify(heap)
+        scale = 1  # self / divisor == quotient * b.den / (a.den * scale)
         while rem:
-            lead = min(rem, key=_term_sort_key)
-            q_exps = tuple(x - y for x, y in zip(lead, lead_den))
+            lead = heappop(heap)[1]
+            if lead not in rem:
+                continue  # a stale entry: the term cancelled after it was pushed
+            q_exps = tuple(map(sub, lead, lead_den))
             if any(e < 0 for e in q_exps):
                 raise InsufficientClearing(
                     f"{self.render()} is not exactly divisible by {divisor.render()}"
                 )
-            q_coeff = rem[lead] / lead_den_coeff
+            q_coeff, s = _lead_quotient(rem[lead], lead_den_coeff)
+            if s != 1:
+                rem = {exps: _scaled(n, s) for exps, n in rem.items()}
+                quotient = {exps: _scaled(n, s) for exps, n in quotient.items()}
+                scale *= s
             quotient[q_exps] = q_coeff
-            for exps, coeff in den.items():
-                key = tuple(x + y for x, y in zip(q_exps, exps))
-                value = rem.get(key, Fraction(0)) - q_coeff * coeff
-                if value == 0:
-                    rem.pop(key, None)
+            for exps, n in den.items():
+                key = tuple(map(add, q_exps, exps))
+                old = rem.get(key)
+                if pair:
+                    (qr, qi), (dr, di), (r0, i0) = q_coeff, n, old or zero
+                    value = (r0 - qr * dr + qi * di, i0 - qr * di - qi * dr)
                 else:
-                    rem[key] = value
-        shift = tuple(sa - sb for sa, sb in zip(shift_a, shift_b))
-        return LaurentPoly(
+                    value = (old or zero) - q_coeff * n
+                if value == zero:  # only a present term cancels: q_coeff * n != 0
+                    del rem[key]
+                    continue
+                if old is None:
+                    heappush(heap, (_term_sort_key(key), key))
+                rem[key] = value
+        shift = tuple(map(sub, shift_a, shift_b))
+        return _stored(
             variables,
-            {tuple(e + s for e, s in zip(exps, shift)): c for exps, c in quotient.items()},
+            *_normal_form(
+                a.den * scale,
+                {tuple(map(add, exps, shift)): _scaled(n, b.den) for exps, n in quotient.items()},
+            ),
         )
 
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
         """Canonical text form, e.g. 'x^2*y + x*y^2' or '3/4*x - 1'."""
-        if not self.terms:
+        if not self.nums:
             return "0"
         pieces = []
         for exps, coeff in self.sorted_terms():
@@ -448,11 +488,110 @@ class LaurentPoly:
         return LaurentPoly(variables, terms)
 
 
-def _reindex(poly: LaurentPoly, variables) -> Dict[Exponents, Scalar]:
-    """poly's terms over another table; dropping a variable that occurs raises."""
+# -- the stored form ---------------------------------------------------------
+#
+# A numerator is an int, or an (re, im) int pair in the Gaussian form.
+
+
+def _table(variables) -> Tuple[str, ...]:
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"duplicate variable in table {variables}")
+    return variables
+
+
+# the slots' own setters: LaurentPoly.__setattr__ refuses every assignment
+_set_vars, _set_den, _set_nums = (getattr(LaurentPoly, s).__set__ for s in ("vars", "den", "nums"))
+
+
+def _stored(variables, den: int, nums: dict, poly: LaurentPoly | None = None) -> LaurentPoly:
+    """A polynomial holding the normalised (den, nums) as given; no checks."""
+    if poly is None:
+        poly = object.__new__(LaurentPoly)
+    _set_vars(poly, variables)
+    _set_den(poly, den)
+    _set_nums(poly, nums)
+    return poly
+
+
+def _normal_form(den: int, acc: dict):
+    """(den, nums) for sum(acc[e] x^e) / den, den > 0: zero numerators dropped,
+    the gcd of den and every numerator part divided out, and pairs made ints
+    when no imaginary part is left.  Keeps acc's key order."""
+    if _is_pair(acc):
+        acc = {e: (re, im) for e, (re, im) in acc.items() if re or im}
+        if any(im for _, im in acc.values()):
+            g = gcd(den, *chain.from_iterable(acc.values()))
+            if g == 1:
+                return den, acc
+            return den // g, {e: (re // g, im // g) for e, (re, im) in acc.items()}
+        acc = {e: re for e, (re, _) in acc.items()}
+    else:
+        acc = {e: n for e, n in acc.items() if n}
+    g = gcd(den, *acc.values())
+    if g == 1:
+        return den, acc
+    return den // g, {e: n // g for e, n in acc.items()}
+
+
+def _is_pair(nums: dict) -> bool:
+    return type(next(iter(nums.values()), 0)) is not int
+
+
+def _pairs(nums: dict) -> dict:
+    return nums if _is_pair(nums) else {e: (n, 0) for e, n in nums.items()}
+
+
+def _scaled(n, k: int):
+    """The numerator n * k."""
+    if type(n) is int:
+        return n * k
+    re, im = n
+    return (re * k, im * k)
+
+
+def _scalar(n, den: int) -> Scalar:
+    if type(n) is int:
+        return Fraction(n, den)
+    re, im = n
+    return GaussianRational(Fraction(re, den), Fraction(im, den)) if im else Fraction(re, den)
+
+
+def _cleared(value):
+    """(d, n) with value == n / d for an int, Fraction or GaussianRational value:
+    n an int, or an (re, im) pair for a Gaussian value."""
+    if isinstance(value, GaussianRational):
+        re, im = value.re, value.im
+        d = lcm(re.denominator, im.denominator)
+        return d, (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+    return value.denominator, value.numerator
+
+
+def _lead_quotient(r, c):
+    """(q, s) with s * r == q * c for integer numerators q, and s >= 1 an
+    int that is 1 whenever c divides r."""
+    if type(c) is int:
+        s = abs(c) // gcd(r, c)
+        return r * s // c, s
+    (rr, ri), (cr, ci) = r, c
+    tr, ti = rr * cr + ri * ci, ri * cr - rr * ci  # r * conj(c)
+    norm = cr * cr + ci * ci
+    s = norm // gcd(norm, tr, ti)
+    return (tr * s // norm, ti * s // norm), s
+
+
+def _content_shift(nums: dict) -> Exponents:
+    # Componentwise min exponent: the monomial content of the polynomial.
+    return tuple(map(min, zip(*nums)))
+
+
+def _reindex(poly: LaurentPoly, variables: Tuple[str, ...]) -> LaurentPoly:
+    """poly over another table; dropping a variable that occurs raises."""
+    if poly.vars == variables:
+        return poly
     index = {v: i for i, v in enumerate(variables)}
-    out: Dict[Exponents, Scalar] = {}
-    for exps, coeff in poly.terms.items():
+    out = {}
+    for exps, n in poly.nums.items():
         new = [0] * len(variables)
         for var, e in zip(poly.vars, exps):
             if e == 0:
@@ -460,8 +599,8 @@ def _reindex(poly: LaurentPoly, variables) -> Dict[Exponents, Scalar]:
             if var not in index:
                 raise ValueError(f"cannot drop live variable {var!r}")
             new[index[var]] = e
-        out[tuple(new)] = coeff
-    return out
+        out[tuple(new)] = n
+    return _stored(variables, poly.den, out)
 
 
 def sum_of_products(triples, variables: Iterable[str] = ()) -> LaurentPoly:
@@ -475,11 +614,10 @@ def sum_of_products(triples, variables: Iterable[str] = ()) -> LaurentPoly:
     table = tuple(
         dict.fromkeys(chain(variables, *(p.vars for _, a, b in triples for p in (a, b))))
     )
-
-    def terms(poly):
-        return poly.terms if poly.vars == table else _reindex(poly, table)
-
-    return _accumulate(table, [(w, terms(a), terms(b)) for w, a, b in triples])
+    return _accumulate(
+        table,
+        [(_cleared(w), _reindex(a, table), _reindex(b, table)) for w, a, b in triples],
+    )
 
 
 def binomial_convolution(a, b, n: int) -> LaurentPoly:
@@ -488,48 +626,38 @@ def binomial_convolution(a, b, n: int) -> LaurentPoly:
 
 
 def _accumulate(variables, triples) -> LaurentPoly:
-    """sum of w*a*b over (scalar w, terms a, terms b), all aligned to `variables`.
+    """sum of w*a*b over ((d, n) with w == n/d, poly a, poly b), a and b over `variables`.
 
-    Each operand is cleared once to integer numerators over its lcm
-    denominator, and every term pair is added into one dict over the common
-    denominator of all the products.  Int sums when every coefficient is
-    rational; (re, im) int sums when any coefficient or weight is Gaussian.
+    Every term pair is added as an int into one dict over the common
+    denominator of all the products, (re, im) ints when any numerator is a
+    pair; the sum is normalised once.
     """
-    types = set()
-    for w, a, b in triples:
-        types.add(type(w))
-        types.update(map(type, a.values()), map(type, b.values()))
-    gaussian = GaussianRational in types
-    clear = _cleared_gaussian if gaussian else _cleared
-    cleared: Dict[int, tuple] = {}
-    scaled = []
-    for w, a, b in triples:
-        if not (w and a and b):
-            continue
-        da, nums_a = cleared.get(id(a)) or cleared.setdefault(id(a), clear(a))
-        db, nums_b = cleared.get(id(b)) or cleared.setdefault(id(b), clear(b))
-        if gaussian:
-            dw, [(_, *wn)] = _cleared_gaussian({(): as_scalar(w)})
-        else:
-            dw, wn = w.denominator, w.numerator
-        scaled.append((wn, dw * da * db, nums_a, nums_b))
-    den = lcm(*[d for _, d, _, _ in scaled])
-    if not gaussian:
+    live = []
+    pair = False
+    for (wd, wn), a, b in triples:
+        if wn and a.nums and b.nums:
+            live.append((wd * a.den * b.den, wn, a.nums, b.nums))
+            pair = pair or type(wn) is tuple or _is_pair(a.nums) or _is_pair(b.nums)
+    den = lcm(*[d for d, _, _, _ in live])
+    if not pair:
         acc: Dict[Exponents, int] = {}
-        for wn, d, nums_a, nums_b in scaled:
+        for d, wn, nums_a, nums_b in live:
             scale = wn * (den // d)
-            for ea, na in nums_a:
+            nums_b = nums_b.items()
+            for ea, na in nums_a.items():
                 na *= scale
                 for eb, nb in nums_b:
                     key = tuple(map(add, ea, eb))
                     acc[key] = acc.get(key, 0) + na * nb
-        return LaurentPoly._make(variables, {k: Fraction(v, den) for k, v in acc.items() if v})
+        return _stored(variables, *_normal_form(den, acc))
     sums: Dict[Exponents, list] = {}
-    for (wr, wi), d, nums_a, nums_b in scaled:
+    for d, wn, nums_a, nums_b in live:
         scale = den // d
-        for ea, ra, ia in nums_a:
+        wr, wi = wn if type(wn) is tuple else (wn, 0)
+        nums_b = _pairs(nums_b).items()
+        for ea, (ra, ia) in _pairs(nums_a).items():
             ra, ia = (ra * wr - ia * wi) * scale, (ra * wi + ia * wr) * scale
-            for eb, rb, ib in nums_b:
+            for eb, (rb, ib) in nums_b:
                 key = tuple(map(add, ea, eb))
                 pair = sums.get(key)
                 if pair is None:
@@ -537,32 +665,7 @@ def _accumulate(variables, triples) -> LaurentPoly:
                 else:
                     pair[0] += ra * rb - ia * ib
                     pair[1] += ra * ib + ia * rb
-    out: Dict[Exponents, Scalar] = {}
-    for key, (re, im) in sums.items():
-        if im:
-            out[key] = GaussianRational(Fraction(re, den), Fraction(im, den))
-        elif re:
-            out[key] = Fraction(re, den)
-    return LaurentPoly._make(variables, out)
-
-
-def _cleared(terms: Mapping[Exponents, Scalar]):
-    """(d, [(exps, c*d)]) with d the lcm denominator of rational terms."""
-    d = lcm(*[c.denominator for c in terms.values()])
-    return d, [(exps, c.numerator * (d // c.denominator)) for exps, c in terms.items()]
-
-
-def _cleared_gaussian(terms: Mapping[Exponents, Scalar]):
-    """(d, [(exps, re*d, im*d)]) with d the lcm denominator of every part."""
-    parts = [
-        (exps, c, ZERO) if type(c) is Fraction else (exps, c.re, c.im)
-        for exps, c in terms.items()
-    ]
-    d = lcm(*[p.denominator for _, re, im in parts for p in (re, im)])
-    return d, [
-        (exps, re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
-        for exps, re, im in parts
-    ]
+    return _stored(variables, *_normal_form(den, sums))
 
 
 class Powers:
@@ -588,16 +691,6 @@ def _coerce(value, variables):
     if isinstance(value, (int, Fraction, GaussianRational)):
         return LaurentPoly.const(value, variables)
     return NotImplemented
-
-
-def _content_shift(terms: Mapping[Exponents, Scalar], nvars: int) -> Exponents:
-    # Componentwise min exponent: the monomial content of the polynomial.
-    mins = [None] * nvars
-    for exps in terms:
-        for i, e in enumerate(exps):
-            if mins[i] is None or e < mins[i]:
-                mins[i] = e
-    return tuple(m or 0 for m in mins)
 
 
 class RationalFunction:
@@ -647,21 +740,21 @@ def substitute_rational(
     degree = f.degree_in(var)
     idx = f.vars.index(var) if var in f.vars else None
     rest_vars = tuple(v for v in f.vars if v != var)
-    # f's terms grouped by their power of var: f = sum_k a_k var^k.
-    by_power: Dict[int, Dict[Exponents, Scalar]] = {}
-    for exps, coeff in f.terms.items():
+    # f's numerators grouped by their power of var: f = sum_k a_k var^k.
+    by_power: Dict[int, dict] = {}
+    for exps, n in f.nums.items():
         k = exps[idx] if idx is not None else 0
-        by_power.setdefault(k, {})[tuple(e for i, e in enumerate(exps) if i != idx)] = coeff
+        by_power.setdefault(k, {})[tuple(e for i, e in enumerate(exps) if i != idx)] = n
     den_powers = Powers(value.denominator)
     # Numerator of f(value) over D^degree, sum_k a_k N^k D^(degree-k), by
     # homogeneous Horner: num = num*N + a_k D^(degree-k), k from degree down.
     table = rest_vars + value.numerator.vars + value.denominator.vars if by_power else ()
     num = LaurentPoly.zero(tuple(dict.fromkeys(table)))
     for k in range(degree, -1, -1):
-        triples = [(ONE, num, value.numerator)] if k < degree else []
+        triples = [(1, num, value.numerator)] if k < degree else []
         if k in by_power:
-            a_k = LaurentPoly._make(rest_vars, by_power[k])
-            triples.append((ONE, a_k, den_powers[degree - k]))
+            a_k = _stored(rest_vars, *_normal_form(f.den, by_power[k]))
+            triples.append((1, a_k, den_powers[degree - k]))
         num = sum_of_products(triples, num.vars)
     cleared = clear ** clear_power * num
     return cleared.exact_divide(den_powers[degree])
@@ -679,11 +772,11 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> LaurentPoly
         extra = [
             v
             for i, v in enumerate(poly.vars)
-            if v not in variables and any(exps[i] for exps in poly.terms)
+            if v not in variables and any(exps[i] for exps in poly.nums)
         ]
         if extra:
             raise ParseError(f"unexpected variables {extra}", 0)
-        return LaurentPoly(variables, _reindex(poly, variables))
+        return _reindex(poly, _table(variables))
     return poly
 
 

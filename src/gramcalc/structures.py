@@ -329,19 +329,22 @@ def _jv_stats(labels: Tuple[int, ...]) -> Iterator[int]:
                 yield a + b
 
 
-def _binary_stats(labels: Tuple[int, ...]) -> Iterator[Tuple[int, int]]:
-    """(leaves, one-child) counts of each inc_binary tree, in inc_binary_trees order."""
+def _binary_stats(labels: Tuple[int, ...], base: int) -> Iterator[int]:
+    """f0 * base + f1 for the (leaves, one-child) counts (f0, f1) of each
+    inc_binary tree, in inc_binary_trees order; base > len(labels) keeps the
+    packing one-to-one.  Packed counts add like the pairs they pack."""
     if not labels:
-        yield (0, 0)
+        yield 0
         return
     rest = labels[1:]
     for left_set, right_set in _subsets(rest):
         children = bool(left_set) + bool(right_set)
-        f0, f1 = children == 0, children == 1
-        rights = list(_binary_stats(right_set))
-        for a0, a1 in _binary_stats(left_set):
-            for b0, b1 in rights:
-                yield (f0 + a0 + b0, f1 + a1 + b1)
+        own = base if children == 0 else 1 if children == 1 else 0
+        rights = list(_binary_stats(right_set, base))
+        for a in _binary_stats(left_set, base):
+            a += own
+            for b in rights:
+                yield a + b
 
 
 def _stats_012(labels: Tuple[int, ...], ordered: bool) -> Iterator[Tuple[int, int]]:
@@ -486,7 +489,9 @@ def family_poly_oracle(name: str, n: int, bound: int | None = None) -> LaurentPo
     elif name == "dumont":
         if n < 1:
             raise ValueError("dumont oracle needs n >= 1")
-        return _poly_from_counter(UV, Counter(_binary_stats(labels)))
+        base = n + 1
+        counter = Counter(_binary_stats(labels, base))
+        return _poly_from_counter(UV, {divmod(key, base): c for key, c in counter.items()})
     elif name in ("andre_biv", "andre_uni"):
         counter = Counter(_stats_012(labels, False))
         if n == 0:
@@ -507,7 +512,7 @@ def family_poly_oracle(name: str, n: int, bound: int | None = None) -> LaurentPo
         def packed(rest):
             if not rest:
                 return [1]  # a lone root is labeled v
-            return [f0 * base + f1 for f0, f1 in _binary_stats(rest)]
+            return list(_binary_stats(rest, base))
 
         counter = {}
         for key, count in _forest_tally(labels, packed).items():
@@ -587,7 +592,7 @@ _KINDS = {
     ),
     "inc_binary": _Kind(
         lambda labels: inc_binary_trees(labels) if labels else (),
-        lambda labels: _count(_binary_stats(labels)) if labels else 0,
+        lambda labels: _count(_binary_stats(labels, 1)) if labels else 0,
         _binary_json,
     ),
     "plane_012": _Kind(plane_012_trees, lambda labels: _count(_stats_012(labels, True)), _tree_json),
@@ -600,7 +605,7 @@ _KINDS = {
     ),
     "planted_forest": _Kind(
         planted_forests,
-        lambda labels: _forest_count(labels, _binary_stats),
+        lambda labels: _forest_count(labels, lambda rest: _binary_stats(rest, 1)),
         lambda forest: [
             [root, [] if sub is None else [_binary_json(sub)]] for root, sub in forest
         ],

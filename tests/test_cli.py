@@ -89,6 +89,31 @@ def test_check_bad_point_is_input_error(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "petersen", "--points", "x=2", "--max-n", "3"], "no selected identity reads 'x'"),
+        (["check", "gessel", "--points", "gessel.q=2"], "gessel reads x, not 'q'"),
+        (["check", "gessel", "--points", "gesel.x=3/4"], "no identity named 'gesel'"),
+        (["check", "gessel", "--points", "x=3/4,x=8/9"], "'x' is assigned more than once"),
+        (["check", "all", "--points", "x=3/4", "--points", "x=8/9"], "'x' is assigned more than once"),
+        (["series", "gessel_L", "--at", "x=3/4", "--at", "x=8/9"], "'x' is assigned more than once"),
+    ],
+)
+def test_unread_or_repeated_points_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_scoped_points_for_unselected_identities_are_allowed(capsys):
+    code, out, err = run_cli(
+        capsys, "check", "petersen", "--max-n", "3", "--points", "gessel.x=8/9,bivariate_gessel.y=5"
+    )
+    assert code == 0 and out.startswith("pass petersen") and err == ""
+
+
 def test_check_mismatch_at_valid_point_still_fails(capsys, monkeypatch):
     import gramcalc.identities as identities
 

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from gramcalc.errors import UnknownIdentity
+from gramcalc.errors import InvalidPoint, UnknownIdentity
 from gramcalc.identities import (
+    CheckContext,
     GrammarFamilies,
     IDENTITY_NAMES,
     REGISTRY,
+    check_points,
     run_all,
     run_identity,
 )
@@ -82,6 +84,49 @@ def test_scoped_point_override():
     assert run_identity("bivariate_gessel", max_n=6, points=points).passed
     reports = run_all(max_n=4, oracle_max_n=3, points=points)
     assert all(r.passed for r in reports)
+
+
+class _RecordingPoints(dict):
+    """An empty point table that records every variable a check looks up."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name", IDENTITY_NAMES)
+def test_declared_point_variables_are_the_ones_read(name):
+    entry = REGISTRY[name]
+    points = _RecordingPoints()
+    ctx = CheckContext(max_n=2, oracle_max_n=2, provider=GrammarFamilies(), points=points)
+    for _ in entry.pairs(ctx, entry.lo, max(entry.lo, entry.hi(ctx))):
+        pass
+    assert points.read == set(entry.points)
+    if name in ("gessel", "bivariate_gessel", "L_squared_egf", "david_barton_closed"):
+        assert entry.points
+
+
+def test_check_points_rules():
+    scoped = {f"{name}.{var}": Fraction(3, 4) for name in IDENTITY_NAMES for var in REGISTRY[name].points}
+    assert len(scoped) == 6
+    check_points(scoped, ["petersen"])  # scoped keys for identities not selected
+    check_points({"x": Fraction(3, 4), "y": Fraction(5)}, IDENTITY_NAMES)
+    check_points({"y": Fraction(5)}, ["petersen", "bivariate_gessel"])
+    for points, names in (
+        ({"x": Fraction(2)}, ["petersen"]),
+        ({"y": Fraction(2)}, ["gessel"]),
+        ({"gessel.q": Fraction(2)}, ["gessel"]),
+        ({"gesel.x": Fraction(2)}, ["gessel"]),
+        ({"petersen.x": Fraction(2)}, IDENTITY_NAMES),
+    ):
+        with pytest.raises(InvalidPoint):
+            check_points(points, names)
+    with pytest.raises(UnknownIdentity):
+        check_points({}, ["nosuch"])
 
 
 def test_run_all_small():

@@ -4,7 +4,7 @@ Runnable standalone: pytest tests/test_properties.py
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -381,6 +381,175 @@ def test_substitute_rational_with_remaining_variables(case):
     result = substitute_rational(f, "x", value, power, clear=clear)
     assert result.vars == expected.vars
     assert result.terms == expected.terms
+
+
+# -- the stored form: integer numerators over one denominator -----------------------
+
+
+def _assert_stored(poly):
+    """den > 0, gcd(den, every numerator part) == 1, no zero numerator, and
+    the (re, im) pair form only when some im != 0; .terms reads the same."""
+    den, nums = poly.den, poly.nums
+    assert type(den) is int and den > 0
+    if any(type(n) is tuple for n in nums.values()):
+        assert all(type(re) is int and type(im) is int for re, im in nums.values())
+        assert all(n != (0, 0) for n in nums.values())
+        assert any(im for _, im in nums.values())
+        parts = [p for n in nums.values() for p in n]
+    else:
+        assert all(type(n) is int and n != 0 for n in nums.values())
+        parts = list(nums.values())
+    assert gcd(den, *parts) == 1
+    view = {
+        e: make_gaussian(Fraction(n[0], den), Fraction(n[1], den))
+        if type(n) is tuple
+        else Fraction(n, den)
+        for e, n in nums.items()
+    }
+    assert list(poly.terms.items()) == list(view.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_operands(), _WEIGHTS)
+def test_results_are_in_stored_form(operands, w):
+    f, g = operands
+    results = [f, g, f + g, f - g, -g, f * g, g * g, sum_of_products([(w, f, g), (1, g, g)])]
+    results += [(f * g).partial_derivative("x"), f.partial_derivative("y")]
+    if g.is_monomial() or f.min_degree_in("x") >= 0:
+        results.append(f.substitute({"x": g}))
+    if g:
+        results += [(f * g).exact_divide(g)]
+    for result in results:
+        _assert_stored(result)
+
+
+@SETTINGS
+@given(_kernel_operands())
+def test_equality_and_hash_agree_across_routes(operands):
+    f, g = operands
+    for poly in (f, f * g, f + g, f.partial_derivative("x")):
+        rebuilt = LaurentPoly(poly.vars, dict(poly.terms))
+        assert (rebuilt.den, rebuilt.nums) == (poly.den, poly.nums)
+        assert rebuilt == poly and hash(rebuilt) == hash(poly)
+        reordered = poly.restricted(tuple(reversed(poly.vars)))
+        assert reordered == poly and hash(reordered) == hash(poly)
+        if poly:
+            assert poly * 2 != poly and poly * Fraction(1, 2) != poly
+
+
+def test_equal_values_store_equal_forms():
+    x = LaurentPoly.variable("x")
+    half_x = LaurentPoly(("x",), {(1,): Fraction(2, 4)})
+    for other in (x * Fraction(1, 2), (x * 3) * LaurentPoly.const(Fraction(1, 6)), x / 2):
+        assert (other.den, other.nums) == (2, {(1,): 1})
+        assert other == half_x and hash(other) == hash(half_x)
+    assert half_x != x and LaurentPoly.const(Fraction(1, 2)) != LaurentPoly.const(1)
+    # a Gaussian product whose imaginary parts cancel stores ints
+    i = make_gaussian(0, 1)
+    product = (x + i) * (x - i)
+    assert (product.den, product.nums) == (1, {(2,): 1, (0,): 1})
+    assert product == parse_poly("x^2 + 1") and hash(product) == hash(parse_poly("x^2 + 1"))
+    gaussian = (x + i / 2) * 2
+    assert (gaussian.den, gaussian.nums) == (1, {(1,): (2, 0), (0,): (0, 1)})
+
+
+def _reference_exact_divide(f, g):
+    """Leading-term long division on Fraction/GaussianRational scalars."""
+    if f.is_zero():
+        return LaurentPoly.zero(f.vars)
+    if f.vars == g.vars:
+        variables, a, b = f.vars, dict(f.terms), dict(g.terms)
+    else:
+        variables = tuple(list(f.vars) + [v for v in g.vars if v not in f.vars])
+        a, b = (_reference_reindex(p, variables) for p in (f, g))
+    shift_a = tuple(map(min, zip(*a)))
+    shift_b = tuple(map(min, zip(*b)))
+    num = {tuple(e - s for e, s in zip(exps, shift_a)): c for exps, c in a.items()}
+    den = {tuple(e - s for e, s in zip(exps, shift_b)): c for exps, c in b.items()}
+
+    def order(exps):
+        return (-sum(exps), tuple(-e for e in exps))
+
+    lead_den = min(den, key=order)
+    quotient = {}
+    rem = dict(num)
+    while rem:
+        lead = min(rem, key=order)
+        q_exps = tuple(x - y for x, y in zip(lead, lead_den))
+        if any(e < 0 for e in q_exps):
+            raise InsufficientClearing("not exactly divisible")
+        q_coeff = rem[lead] / den[lead_den]
+        quotient[q_exps] = q_coeff
+        for exps, coeff in den.items():
+            key = tuple(x + y for x, y in zip(q_exps, exps))
+            value = rem.get(key, Fraction(0)) - q_coeff * coeff
+            if value == 0:
+                rem.pop(key, None)
+            else:
+                rem[key] = value
+    shift = tuple(sa - sb for sa, sb in zip(shift_a, shift_b))
+    return LaurentPoly(
+        variables, {tuple(e + s for e, s in zip(exps, shift)): c for exps, c in quotient.items()}
+    )
+
+
+_NON_UNIT = st.sampled_from(
+    [Fraction(2), Fraction(-3), Fraction(5, 2), Fraction(2, 7)]
+    + [make_gaussian(re, im) for re, im in ((2, 1), (1, 1), (Fraction(1, 2), -3), (0, 2))]
+)
+
+
+@st.composite
+def _divisors(draw):
+    """A nonzero divisor times a Laurent monomial with a non-unit coefficient."""
+    table = draw(_TABLES)
+    g = draw(poly_strategy(table, max_terms=4, coeffs=_COEFFS[draw(_KINDS)]).filter(bool))
+    exps = draw(st.tuples(*[st.integers(min_value=-2, max_value=2)] * len(table)))
+    return g * LaurentPoly.monomial(table, exps, draw(_NON_UNIT))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_operands(), _divisors())
+def test_exact_divide_inverts_products(operands, g):
+    f, h = operands
+    for dividend in (f, f + h, f * h):
+        quotient = (dividend * g).exact_divide(g)
+        assert quotient == dividend
+        _assert_stored(quotient)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_operands(), _divisors())
+def test_exact_divide_matches_fraction_reference(operands, g):
+    f, h = operands
+    for dividend in (f * g, f * g + h, h, f * g * g, g):
+        try:
+            expected = _reference_exact_divide(dividend, g)
+        except InsufficientClearing:
+            with pytest.raises(InsufficientClearing):
+                dividend.exact_divide(g)
+            continue
+        result = dividend.exact_divide(g)
+        assert result.vars == expected.vars
+        assert list(result.terms.items()) == list(expected.terms.items())
+
+
+def test_exact_divide_scales_by_the_leading_coefficient():
+    # the product's numerators lose the divisor's integer content to the
+    # normalising gcd, so the divisor's leading numerator does not divide theirs
+    x = LaurentPoly.variable("x")
+    i = make_gaussian(0, 1)
+    for f, g in (
+        (x / 2 + Fraction(1, 3), 2 * x + 4),
+        (x / 2 + Fraction(1, 3), (2 + 2 * i) * x + 2),
+        (x * x / 3 + i * x / 2 + 1, (2 + i) * 6 * x - 6 * i),
+        (x / 2 + i / 3, (1 + i) * x + 1 + i),
+    ):
+        quotient = (f * g).exact_divide(g)
+        assert quotient == f and quotient.terms == f.terms
+        _assert_stored(quotient)
+    with pytest.raises(InsufficientClearing):
+        (x * x + 1).exact_divide(2 * x + 1)
 
 
 # -- substitution is a homomorphism ---------------------------------------------

@@ -345,8 +345,8 @@ def test_stat_routes_match_tree_routes():
     for n in range(0, 9):
         labels = tuple(range(1, n + 1))
         assert list(_jv_stats(labels)) == [jv_empty_leaves(t) for t in jv_trees(labels)], n
-        assert list(_binary_stats(labels)) == [
-            binary_degree_counts(t)[:2] for t in inc_binary_trees(labels)
+        assert list(_binary_stats(labels, n + 1)) == [
+            f0 * (n + 1) + f1 for f0, f1, _ in map(binary_degree_counts, inc_binary_trees(labels))
         ], n
         for ordered, trees in ((True, plane_012_trees), (False, tree_012_trees)):
             assert list(_stats_012(labels, ordered)) == [
