@@ -8,7 +8,7 @@ identities tying the families together - all in exact rational and
 Gaussian-rational arithmetic.
 """
 
-from .errata import ERRATA
+from . import errata
 from .families import (
     CoefficientTable,
     FAMILY_NAMES,
@@ -44,6 +44,13 @@ from .structures import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "ERRATA":  # read on first access, see gramcalc.errata
+        return errata.ERRATA
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CoefficientTable",

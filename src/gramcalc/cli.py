@@ -14,8 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import structures
-from .errata import ERRATA
+from . import errata, structures
 from .errors import GramcalcError
 from .families import (
     FAMILY_NAMES,
@@ -94,6 +93,7 @@ def _report_line(report) -> str:
 
 def cmd_check(args) -> int:
     points = _parse_assignments(args.points)
+    # before the bound warning: a bad point prints its error alone
     check_points(points, IDENTITY_NAMES if args.name == "all" else (args.name,))
     _warn_bound(args.oracle_max_n)
     if args.name == "all":
@@ -236,9 +236,9 @@ def cmd_trees(args) -> int:
 
 def cmd_errata(args) -> int:
     if args.format == "json":
-        print(json.dumps(ERRATA, indent=2))
+        print(json.dumps(errata.ERRATA, indent=2))
     else:
-        for entry in ERRATA:
+        for entry in errata.ERRATA:
             print(f"[{entry['id']}] {entry['location']}")
             print(f"  printed:   {entry['printed']}")
             print(f"  corrected: {entry['corrected']}")

@@ -3,18 +3,18 @@
 Each entry maps a printed statement to the corrected form this suite verifies,
 with the independent confirmation used (recurrence, oracle, or derivation).
 The identity suite encodes only the corrected forms; nothing is silently
-patched.
+patched.  ERRATA and ERRATA_BY_ID are read on first access, not at import.
 """
 
 from __future__ import annotations
-
-import json
-from importlib import resources
 
 _REQUIRED_KEYS = {"id", "location", "printed", "corrected", "confirmation"}
 
 
 def _load():
+    import json
+    from importlib import resources
+
     data = json.loads(
         resources.files("gramcalc").joinpath("data/errata.json").read_text()
     )
@@ -25,5 +25,10 @@ def _load():
     return data
 
 
-ERRATA = _load()
-ERRATA_BY_ID = {entry["id"]: entry for entry in ERRATA}
+def __getattr__(name: str):
+    if name not in ("ERRATA", "ERRATA_BY_ID"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global ERRATA, ERRATA_BY_ID
+    ERRATA = _load()
+    ERRATA_BY_ID = {entry["id"]: entry for entry in ERRATA}
+    return globals()[name]

@@ -11,9 +11,8 @@ by brute-force enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Tuple
 
 from .errors import (
     CrossCheckFailed,
@@ -23,47 +22,41 @@ from .errors import (
     UnknownSequence,
 )
 from .grammar import Grammar
-from .laurent import LaurentPoly, Powers
+from .laurent import LaurentPoly, Powers, parse_poly
 from .scalar import Scalar
 
 # -- the grammars -------------------------------------------------------------
 
 
-def _poly(text: str, variables) -> LaurentPoly:
-    from .laurent import parse_poly
-
-    return parse_poly(text, variables)
-
-
 def eulerian_grammar() -> Grammar:
     v = ("x", "y")
-    return Grammar(v, {"x": _poly("x*y", v), "y": _poly("x*y", v)})
+    return Grammar(v, {"x": parse_poly("x*y", v), "y": parse_poly("x*y", v)})
 
 
 def binary_tree_grammar() -> Grammar:
     v = ("u", "v")
-    return Grammar(v, {"u": _poly("2*u*v", v), "v": _poly("u", v)})
+    return Grammar(v, {"u": parse_poly("2*u*v", v), "v": parse_poly("u", v)})
 
 
 def plane_tree_grammar() -> Grammar:
     v = ("u", "v")
-    return Grammar(v, {"u": _poly("u*v", v), "v": _poly("u", v)})
+    return Grammar(v, {"u": parse_poly("u*v", v), "v": parse_poly("u", v)})
 
 
 def peak_grammar() -> Grammar:
     v = ("x", "y")
-    return Grammar(v, {"x": _poly("x*y", v), "y": _poly("x^2", v)})
+    return Grammar(v, {"x": parse_poly("x*y", v), "y": parse_poly("x^2", v)})
 
 
 def tangent_secant_grammar() -> Grammar:
     v = ("a", "x")
-    return Grammar(v, {"a": _poly("a*x", v), "x": _poly("1 + x^2", v)})
+    return Grammar(v, {"a": parse_poly("a*x", v), "x": parse_poly("1 + x^2", v)})
 
 
 def forest_grammar() -> Grammar:
     v = ("a", "v", "u")
     return Grammar(
-        v, {"a": _poly("a*v", v), "v": _poly("u", v), "u": _poly("2*u*v", v)}
+        v, {"a": parse_poly("a*v", v), "v": parse_poly("u", v), "u": parse_poly("2*u*v", v)}
     )
 
 
@@ -71,7 +64,7 @@ def leaf_split_grammar() -> Grammar:
     """The three-variable form of the peak grammar with z standing for x^2."""
     v = ("x", "y", "z")
     return Grammar(
-        v, {"x": _poly("x*y", v), "y": _poly("z", v), "z": _poly("2*y*z", v)}
+        v, {"x": parse_poly("x*y", v), "y": parse_poly("z", v), "z": parse_poly("2*y*z", v)}
     )
 
 
@@ -89,7 +82,7 @@ def _chain(key: str, n: int) -> LaurentPoly:
         if key not in _CHAINS:
             grammar_factory, seed_text = _CHAIN_DEFS[key]
             grammar = grammar_factory()
-            _CHAINS[key] = (grammar, _poly(seed_text, grammar.vars))
+            _CHAINS[key] = (grammar, parse_poly(seed_text, grammar.vars))
         grammar, seed = _CHAINS[key]
         built = list(chain or (seed,))
         while len(built) <= n:
@@ -121,12 +114,12 @@ def _strip_factor(poly: LaurentPoly, var: str) -> LaurentPoly:
 
 def _project(poly: LaurentPoly, n: int, exponent_map) -> LaurentPoly:
     """Collapse a bivariate x,y polynomial onto x^k via (x-exp, y-exp) -> k."""
-    terms: Dict[Tuple[int, ...], Scalar] = {}
-    for exps, coeff in poly.terms.items():
+
+    def k_of(exps):
         by_var = dict(zip(poly.vars, exps))
-        k = exponent_map(by_var.get("x", 0), by_var.get("y", 0), n)
-        terms[(k,)] = terms.get((k,), Fraction(0)) + coeff
-    return LaurentPoly(("x",), terms)
+        return (exponent_map(by_var.get("x", 0), by_var.get("y", 0), n),)
+
+    return poly.collect(k_of, ("x",))
 
 
 def _peak_k(kind: str, lowest: int) -> Callable[[int, int, int], int]:
@@ -262,8 +255,7 @@ def _as_int(value: Scalar, error: Callable[[], Exception]) -> int:
 # -- gamma / beta expansions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     family: str
     n: int
     entries: Mapping[int, int]
@@ -276,6 +268,23 @@ class CoefficientTable:
         }
 
 
+def _extract(poly, ks, monomial, basis, error, label) -> Dict[int, int]:
+    """Integer coefficients of poly over basis(k), extracted in ks order: the
+    monomial(k) coefficient of the remainder pins the k-th one.  The residual
+    must vanish exactly; otherwise error(message) is raised."""
+    remainder = poly
+    entries: Dict[int, int] = {}
+    for k in ks:
+        coeff = remainder.coefficient(monomial(k))
+        if coeff != 0:
+            not_int = f"{label} coefficient {coeff} is not an integer"
+            entries[k] = _as_int(coeff, lambda: error(not_int))
+            remainder = remainder - basis(k) * coeff
+    if not remainder.is_zero():
+        raise error(f"residual {remainder.render()} after extracting {entries}")
+    return entries
+
+
 def gamma_from_poly(poly: LaurentPoly, n: int) -> Dict[int, int]:
     """Coefficients in the basis (xy)^k (x+y)^{n+1-2k}, k = 1..floor((n+1)/2).
 
@@ -285,21 +294,14 @@ def gamma_from_poly(poly: LaurentPoly, n: int) -> Dict[int, int]:
     x = LaurentPoly.variable("x", ("x", "y"))
     y = LaurentPoly.variable("y", ("x", "y"))
     xy, x_plus_y = Powers(x * y), Powers(x + y)
-    remainder = poly
-    entries: Dict[int, int] = {}
-    for k in range(1, (n + 1) // 2 + 1):
-        coeff = remainder.coefficient({"x": k, "y": n + 1 - k})
-        if coeff != 0:
-            entries[k] = _as_int(
-                coeff, lambda: NotGammaExpressible(f"gamma coefficient {coeff} is not an integer")
-            )
-            basis = xy[k] * x_plus_y[n + 1 - 2 * k]
-            remainder = remainder - basis * coeff
-    if not remainder.is_zero():
-        raise NotGammaExpressible(
-            f"residual {remainder.render()} after extracting {entries}"
-        )
-    return entries
+    return _extract(
+        poly,
+        range(1, (n + 1) // 2 + 1),
+        lambda k: {"x": k, "y": n + 1 - k},
+        lambda k: xy[k] * x_plus_y[n + 1 - 2 * k],
+        NotGammaExpressible,
+        "gamma",
+    )
 
 
 def gamma_expansion(n: int) -> CoefficientTable:
@@ -318,33 +320,19 @@ def beta_from_poly(which: str, poly: LaurentPoly, n: int) -> Dict[int, int]:
     numbers).  Extraction runs from the top k down; the lowest surviving power
     of x pins each coefficient.  The residual must vanish exactly.
     """
+    if which not in ("P", "Q"):
+        raise ValueError("which must be 'P' or 'Q'")
+    shift = 0 if which == "Q" else 1
     x = LaurentPoly.variable("x")
     x_powers, one_plus_x2 = Powers(x), Powers(LaurentPoly.const(1) + x * x)
-    if which == "Q":
-        ks = range(n // 2, -1, -1)
-        low_power = lambda k: n - 2 * k
-        basis_power = lambda k: k
-    elif which == "P":
-        ks = range((n - 1) // 2, -1, -1)
-        low_power = lambda k: n - 2 * k - 1
-        basis_power = lambda k: k + 1
-    else:
-        raise ValueError("which must be 'P' or 'Q'")
-    remainder = poly
-    entries: Dict[int, int] = {}
-    for k in ks:
-        coeff = remainder.coefficient({"x": low_power(k)})
-        if coeff != 0:
-            entries[k] = _as_int(
-                coeff, lambda: NotBetaExpressible(f"beta coefficient {coeff} is not an integer")
-            )
-            basis = x_powers[low_power(k)] * one_plus_x2[basis_power(k)]
-            remainder = remainder - basis * coeff
-    if not remainder.is_zero():
-        raise NotBetaExpressible(
-            f"residual {remainder.render()} after extracting {entries}"
-        )
-    return entries
+    return _extract(
+        poly,
+        range((n - shift) // 2, -1, -1),
+        lambda k: {"x": n - 2 * k - shift},
+        lambda k: x_powers[n - 2 * k - shift] * one_plus_x2[k + shift],
+        NotBetaExpressible,
+        "beta",
+    )
 
 
 def beta_expansion(which: str, n: int) -> CoefficientTable:

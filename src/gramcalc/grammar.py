@@ -38,9 +38,8 @@ class Grammar:
         for var, rhs in rules.items():
             if var not in table:
                 raise ValueError(f"rule for unknown variable {var!r}")
-            for used in rhs.vars:
-                used_somewhere = rhs.degree_in(used) != 0 or rhs.min_degree_in(used) != 0
-                if used_somewhere and used not in table:
+            for used in rhs.live_vars():
+                if used not in table:
                     raise ValueError(
                         f"rule {var} -> {rhs.render()} uses unknown variable {used!r}"
                     )
@@ -82,19 +81,23 @@ class Grammar:
         z = self.sqrt_var
         idx = f.vars.index(z)
         radicand = Powers(self.sqrt_radicand)
+        # f = sum over q of (its terms in z^(2q) and z^(2q+1), read as z^0, z^1) * radicand^q
+        first_e = {}
+        for exps in f.nums:
+            first_e.setdefault(exps[idx] // 2, exps[idx])
         triples = []
-        for exps, coeff in f.terms.items():
-            e = exps[idx]
-            q, r = divmod(e, 2)
+        for q, e in first_e.items():
             try:
                 # _ONE, not radicand[0]: a term left alone adds no variable to the table
                 factor = _ONE if q == 0 else radicand[q]
             except Exception as exc:
-                raise ExtensionConflict(
-                    f"cannot reduce {z}^{e}: radicand not invertible"
-                ) from exc
-            base = exps[:idx] + (r,) + exps[idx + 1 :]
-            triples.append((coeff, LaurentPoly.monomial(f.vars, base), factor))
+                raise ExtensionConflict(f"cannot reduce {z}^{e}: radicand not invertible") from exc
+
+            def lowered(exps):
+                if exps[idx] // 2 == q:
+                    return exps[:idx] + (exps[idx] - 2 * q,) + exps[idx + 1 :]
+
+            triples.append((1, f.collect(lowered, f.vars), factor))
         return sum_of_products(triples, f.vars)
 
     def derive(self, f: LaurentPoly) -> LaurentPoly:

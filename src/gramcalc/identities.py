@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import GramcalcError, InvalidPoint, UnknownIdentity
 from .families import (
@@ -67,12 +67,11 @@ class GrammarFamilies:
         return family_number(name, n, poly=self.poly)
 
 
-@dataclass(frozen=True)
-class CheckContext:
+class CheckContext(NamedTuple):
     max_n: int
     oracle_max_n: int
     provider: GrammarFamilies
-    points: Mapping[str, Fraction] = field(default_factory=dict)
+    points: Mapping[str, Fraction] = MappingProxyType({})
 
     def oracle_cap(self) -> int:
         return min(self.max_n, self.oracle_max_n)
@@ -99,8 +98,7 @@ class CheckContext:
         return [self.provider.poly(name, k) for k in range(top + 1)]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     lo: int
     hi: int
@@ -143,14 +141,8 @@ def _mismatch(pairs: Pairs) -> Optional[dict]:
 
 def _uni_table(poly: LaurentPoly) -> Dict[int, Scalar]:
     """Univariate polynomial as exponent -> coefficient."""
-    table: Dict[int, Scalar] = {}
-    for exps, coeff in poly.terms.items():
-        degree = 0
-        for e in exps:
-            if e:
-                degree = e
-        table[degree] = table.get(degree, Fraction(0)) + coeff
-    return table
+    uni = poly.collect(lambda exps: (next((e for e in reversed(exps) if e), 0),), ("x",))
+    return {k: uni.coefficient({"x": k}) for (k,) in uni.nums}
 
 
 def _expand(table: Mapping[int, Scalar], basis, variables) -> LaurentPoly:
@@ -576,8 +568,7 @@ def _gen_multiplicative(ctx: CheckContext, lo: int, hi: int):
         yield from _coeff_pairs(lhs, grammar.gen_coeffs(f, hi) * grammar.gen_coeffs(g, hi), hi)
 
 
-@dataclass(frozen=True)
-class IdentityEntry:
+class IdentityEntry(NamedTuple):
     """A check: pairs(ctx, lo, hi) yields (n, lhs, rhs) over lo..hi(ctx).
     `points` names the variables it reads through ctx.point."""
 
@@ -657,28 +648,37 @@ def _entry(name: str) -> IdentityEntry:
     return REGISTRY[name]
 
 
-def check_points(points: Mapping[str, Fraction], names: Iterable[str]) -> None:
-    """Reject point keys that no check among `names` would read.
+def check_points(points: Mapping[str, Fraction], names: Iterable[str]) -> Dict[str, Dict[str, Fraction]]:
+    """Reject point keys that no check among `names` would read; return the
+    values each of `names` reads: its bare keys, overridden by its
+    "name.var" keys.
 
     A scoped key "identity.var" must name a registered identity and a
     variable it reads; it may target an identity that is not selected.  A
     bare key must be read by at least one selected identity.
     """
-    read = {var for name in names for var in _entry(name).points}
-    for key in points:
+    values = {name: {} for name in names}
+    reads = {name: _entry(name).points for name in values}
+    for key, value in points.items():
         target, dot, var = key.partition(".")
         if not dot:
-            if key not in read:
+            readers = [name for name in values if key in reads[name]]
+            if not readers:
                 raise InvalidPoint(f"point {key!r}: no selected identity reads {key!r}")
+            for name in readers:
+                values[name].setdefault(key, value)
         elif target not in REGISTRY:
             raise InvalidPoint(f"point {key!r}: no identity named {target!r}")
         elif var not in REGISTRY[target].points:
-            reads = ", ".join(REGISTRY[target].points)
+            listed = ", ".join(REGISTRY[target].points)
             raise InvalidPoint(
-                f"point {key!r}: {target} reads {reads}, not {var!r}"
-                if reads
+                f"point {key!r}: {target} reads {listed}, not {var!r}"
+                if listed
                 else f"point {key!r}: {target} reads no point"
             )
+        elif target in values:
+            values[target][var] = value
+    return values
 
 
 def run_identity(
@@ -690,25 +690,17 @@ def run_identity(
 ) -> IdentityReport:
     """Run one registered identity and report pass/fail with a witness.
 
+    A point key the identity would not read raises InvalidPoint (check_points).
     A range with hi < lo is reported as "empty", without running the check.
     A user-supplied point the check cannot use is reported as "invalid".
     """
-    entry = _entry(name)
-    # bare keys apply directly; "identity.var" keys apply to that identity only
-    scoped = {}
-    for key, value in (points or {}).items():
-        if "." in key:
-            target, _, var = key.partition(".")
-            if target == name:
-                scoped[var] = value
-        else:
-            scoped.setdefault(key, value)
     ctx = CheckContext(
         max_n=max_n,
         oracle_max_n=oracle_max_n,
         provider=provider or GrammarFamilies(),
-        points=scoped,
+        points=check_points(points or {}, (name,))[name],
     )
+    entry = REGISTRY[name]
     lo, hi = entry.lo, entry.hi(ctx)
     if hi < lo:
         return IdentityReport(name, lo, hi, "empty", None, 0)
@@ -732,8 +724,13 @@ def run_all(
     provider: Optional[GrammarFamilies] = None,
     oracle_max_n: int = DEFAULT_ORACLE_MAX_N,
 ) -> List[IdentityReport]:
-    """Run every registered identity; reports come back ordered by name."""
+    """Run every registered identity; reports come back ordered by name.
+
+    The points are checked once against all identities, so a bare key that
+    any of them reads is accepted.
+    """
+    values = check_points(points or {}, IDENTITY_NAMES)
     return [
-        run_identity(name, max_n, points, provider, oracle_max_n)
+        run_identity(name, max_n, values[name], provider, oracle_max_n)
         for name in IDENTITY_NAMES
     ]

@@ -147,6 +147,10 @@ class LaurentPoly:
         idx = self.vars.index(var)
         return min(exps[idx] for exps in self.nums)
 
+    def live_vars(self) -> Tuple[str, ...]:
+        """The variables with a nonzero exponent in some term, in table order."""
+        return tuple(v for i, v in enumerate(self.vars) if any(exps[i] for exps in self.nums))
+
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: _term_sort_key(item[0]))
 
@@ -156,6 +160,18 @@ class LaurentPoly:
         Dropping a variable that actually occurs is an error.
         """
         return _reindex(self, _table(variables))
+
+    def collect(self, key, variables: Iterable[str]) -> "LaurentPoly":
+        """The terms moved to the exponent vectors key(exps) over `variables`,
+        terms that meet summed, in first-seen order; key None drops a term."""
+        pair = _is_pair(self.nums)
+        acc = {}
+        for exps, n in self.nums.items():
+            new = key(exps)
+            if new is not None:
+                old = acc.get(new)
+                acc[new] = n if old is None else tuple(map(add, old, n)) if pair else old + n
+        return _stored(_table(variables), *_normal_form(self.den, acc))
 
     def coefficient(self, exps_by_var: Mapping[str, int]) -> Scalar:
         """Coefficient of the monomial with the given exponents (others zero)."""
@@ -769,11 +785,7 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> LaurentPoly
     poly = parser.parse()
     if variables is not None:
         variables = tuple(variables)
-        extra = [
-            v
-            for i, v in enumerate(poly.vars)
-            if v not in variables and any(exps[i] for exps in poly.nums)
-        ]
+        extra = [v for v in poly.live_vars() if v not in variables]
         if extra:
             raise ParseError(f"unexpected variables {extra}", 0)
         return _reindex(poly, _table(variables))

@@ -8,10 +8,10 @@ convolutions; everything is exact.  Closed forms with radicals are expanded at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import (
     InsufficientClearing,
@@ -77,8 +77,7 @@ class TruncSeries:
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
             other = TruncSeries.constant(other, self.order)
-        n, a, b = self._aligned(other)
-        return TruncSeries([a[k] - b[k] for k in range(n + 1)])
+        return self + -other
 
     def __rsub__(self, other):
         return TruncSeries.constant(other, self.order) - self
@@ -245,11 +244,7 @@ def elementary_series(name: str, order: int, scale=1) -> TruncSeries:
 
 def compose_poly_series(poly: LaurentPoly, inner: TruncSeries) -> TruncSeries:
     """poly with its variable replaced by the series (outer polynomial only)."""
-    effective = [
-        v
-        for v in poly.vars
-        if poly.degree_in(v) != 0 or poly.min_degree_in(v) != 0
-    ]
+    effective = poly.live_vars()
     if len(effective) > 1:
         raise ValueError(f"composition needs a univariate polynomial, got {poly.vars}")
     if effective and poly.min_degree_in(effective[0]) < 0:
@@ -259,9 +254,8 @@ def compose_poly_series(poly: LaurentPoly, inner: TruncSeries) -> TruncSeries:
         return TruncSeries.constant(poly.constant_value(), order)
     var = effective[0]
     idx = poly.vars.index(var)
-    by_power: Dict[int, Scalar] = {}
-    for exps, coeff in poly.terms.items():
-        by_power[exps[idx]] = by_power.get(exps[idx], Fraction(0)) + coeff
+    # every other exponent is 0, so each term has its own power of var
+    by_power = {exps[idx]: poly.coefficient({var: exps[idx]}) for exps in poly.nums}
     powers = [TruncSeries.constant(1, order)]
     for _ in range(max(by_power)):
         powers.append(powers[-1] * inner)
@@ -287,8 +281,7 @@ def compare_series(a: TruncSeries, b: TruncSeries) -> Tuple[bool, Optional[int]]
 # -- radical-rational points and closed forms ---------------------------------
 
 
-@dataclass(frozen=True)
-class RadicalPoint:
+class RadicalPoint(NamedTuple):
     """A rational assignment at which needed square roots are rational.
 
     `witnesses` may pre-supply roots keyed by a label; a supplied witness is
@@ -296,8 +289,8 @@ class RadicalPoint:
     missing one is derived by exact square root when possible.
     """
 
-    values: Mapping[str, Fraction] = field(default_factory=dict)
-    witnesses: Mapping[str, Fraction] = field(default_factory=dict)
+    values: Mapping[str, Fraction] = MappingProxyType({})
+    witnesses: Mapping[str, Fraction] = MappingProxyType({})
 
     def value(self, var: str) -> Fraction:
         if var not in self.values:

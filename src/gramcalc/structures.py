@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import gt
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import BoundExceeded, NotAPermutation, UnknownFamily
 from .laurent import LaurentPoly
@@ -47,8 +46,7 @@ def _check_bound(n: int, bound: int | None):
 # -- permutations --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PermRecord:
+class PermRecord(NamedTuple):
     """A permutation of [n] with its descent and peak statistics."""
 
     perm: Tuple[int, ...]
@@ -229,26 +227,22 @@ def set_partitions(labels: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], .
             yield sub[:i] + ((first,) + block,) + sub[i + 1 :]
 
 
+def _forests(labels: Tuple[int, ...], trees):
+    """Forests with one (block root, tree on the rest of the block) per block
+    of each set partition."""
+    for partition in set_partitions(labels):
+        options = [[(block[0], sub) for sub in trees(block[1:])] for block in partition]
+        yield from itertools.product(*options)
+
+
 def planted_forests(labels: Tuple[int, ...]):
     """Forests of planted increasing binary trees (one per partition block)."""
-    for partition in set_partitions(labels):
-        block_options = [
-            [(block[0], sub) for sub in inc_binary_trees(block[1:])]
-            for block in partition
-        ]
-        for choice in itertools.product(*block_options):
-            yield tuple(choice)
+    yield from _forests(labels, inc_binary_trees)
 
 
 def jv_forests(labels: Tuple[int, ...]):
     """Forests of planted jv trees; a singleton block is a root + empty leaf."""
-    for partition in set_partitions(labels):
-        block_options = [
-            [(block[0], sub) for sub in jv_trees(block[1:])]
-            for block in partition
-        ]
-        for choice in itertools.product(*block_options):
-            yield tuple(choice)
+    yield from _forests(labels, jv_trees)
 
 
 def enumerate_structures(kind: str, n: int, bound: int | None = None):

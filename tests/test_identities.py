@@ -86,6 +86,33 @@ def test_scoped_point_override():
     assert all(r.passed for r in reports)
 
 
+def test_library_calls_apply_the_point_rules():
+    # keys no check would read raise instead of passing at the default point
+    for name, points in (
+        ("petersen", {"x": Fraction(2)}),
+        ("gessel", {"gesel.x": Fraction(3, 4)}),
+        ("gessel", {"gessel.q": Fraction(3, 4)}),
+        ("gessel", {"y": Fraction(5)}),
+    ):
+        with pytest.raises(InvalidPoint):
+            run_identity(name, max_n=3, points=points)
+    with pytest.raises(InvalidPoint):
+        run_all(max_n=2, oracle_max_n=2, points={"petersen.x": Fraction(2)})
+    # run_all checks once over every name: a bare key some identity reads is
+    # accepted and reaches exactly the identities that read it
+    reports = {
+        r.name: r for r in run_all(max_n=3, oracle_max_n=2, points={"x": Fraction(1, 3)})
+    }
+    reads_x = {name for name in IDENTITY_NAMES if "x" in REGISTRY[name].points}
+    assert {name for name, r in reports.items() if r.status == "invalid"} == reads_x
+    assert all(r.passed for name, r in reports.items() if name not in reads_x)
+    # a scoped key overrides a bare one, in either order
+    for points in ({"x": Fraction(1, 3), "gessel.x": Fraction(8, 9)},
+                   {"gessel.x": Fraction(8, 9), "x": Fraction(1, 3)}):
+        assert run_identity("gessel", max_n=3, points=points).passed
+        assert not run_identity("david_barton_closed", max_n=3, points=points).passed
+
+
 class _RecordingPoints(dict):
     """An empty point table that records every variable a check looks up."""
 

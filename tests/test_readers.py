@@ -1,0 +1,173 @@
+"""Term readers on the stored numerators.
+
+`LaurentPoly.collect` and the readers built on it (`families._project`,
+`identities._uni_table`, `Grammar.reduce`, `series.compose_poly_series`) are
+compared with copies of their earlier versions, which summed the `.terms`
+view, and must leave their argument without that view.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gramcalc.errors import ExtensionConflict
+from gramcalc.families import _chain, _peak_k, _project
+from gramcalc.grammar import Grammar
+from gramcalc.identities import _uni_table
+from gramcalc.laurent import LaurentPoly, Powers, parse_poly, sum_of_products
+from gramcalc.series import TruncSeries, compose_poly_series, elementary_series
+
+from conftest import poly_strategy, scalars
+
+SETTINGS = settings(max_examples=100, deadline=None)
+XYZ = ("x", "y", "z")
+_ONE = LaurentPoly.const(1)
+
+
+def _fresh(poly):
+    """An equal polynomial whose `.terms` view has not been built."""
+    return LaurentPoly(poly.vars, dict(poly.terms))
+
+
+def _stored(poly):
+    return poly.vars, poly.den, list(poly.nums.items())
+
+
+def _reference_project(poly, n, exponent_map):
+    terms = {}
+    for exps, coeff in poly.terms.items():
+        by_var = dict(zip(poly.vars, exps))
+        k = exponent_map(by_var.get("x", 0), by_var.get("y", 0), n)
+        terms[(k,)] = terms.get((k,), Fraction(0)) + coeff
+    return LaurentPoly(("x",), terms)
+
+
+def _reference_uni_table(poly):
+    table = {}
+    for exps, coeff in poly.terms.items():
+        degree = 0
+        for e in exps:
+            if e:
+                degree = e
+        table[degree] = table.get(degree, Fraction(0)) + coeff
+    return table
+
+
+def _reference_reduce(grammar, f):
+    if grammar.sqrt_var is None or grammar.sqrt_var not in f.vars:
+        return f
+    z = grammar.sqrt_var
+    idx = f.vars.index(z)
+    radicand = Powers(grammar.sqrt_radicand)
+    triples = []
+    for exps, coeff in f.terms.items():
+        e = exps[idx]
+        q, r = divmod(e, 2)
+        try:
+            factor = _ONE if q == 0 else radicand[q]
+        except Exception as exc:
+            raise ExtensionConflict(f"cannot reduce {z}^{e}: radicand not invertible") from exc
+        base = exps[:idx] + (r,) + exps[idx + 1 :]
+        triples.append((coeff, LaurentPoly.monomial(f.vars, base), factor))
+    return sum_of_products(triples, f.vars)
+
+
+def _reference_compose(poly, inner):
+    (var,) = poly.live_vars()
+    idx = poly.vars.index(var)
+    by_power = {}
+    for exps, coeff in poly.terms.items():
+        by_power[exps[idx]] = by_power.get(exps[idx], Fraction(0)) + coeff
+    powers = [TruncSeries.constant(1, inner.order)]
+    for _ in range(max(by_power)):
+        powers.append(powers[-1] * inner)
+    weights = sorted(by_power.items())
+    return TruncSeries(
+        [
+            sum_of_products((c, powers[k].coeffs[m], _ONE) for k, c in weights)
+            for m in range(inner.order + 1)
+        ]
+    )
+
+
+@SETTINGS
+@given(poly_strategy(XYZ, coeffs=scalars, max_terms=8), st.sampled_from(["sum", "drop", "swap"]))
+def test_collect_matches_summed_terms(f, how):
+    keys = {
+        "sum": lambda exps: (exps[0] + exps[1],),
+        "drop": lambda exps: None if exps[2] < 0 else (exps[0] % 2,),
+        "swap": lambda exps: (exps[1], exps[0]),
+    }
+    key = keys[how]
+    variables = ("y", "x") if how == "swap" else ("x",)
+    terms = {}
+    for exps, coeff in f.terms.items():
+        new = key(exps)
+        if new is not None:
+            terms[new] = terms.get(new, Fraction(0)) + coeff
+    assert _stored(_fresh(f).collect(key, variables)) == _stored(LaurentPoly(variables, terms))
+
+
+@pytest.mark.parametrize(
+    "chain, kind, lowest",
+    [("peak_x", "a left-peak", 1), ("peak_y", "an interior-peak", 2), ("peak_y", "a left-right-peak", 0)],
+)
+def test_project_matches_reference(chain, kind, lowest):
+    for n in range(1, 13):
+        member = _chain(chain, n)
+        expected = _reference_project(member, n, _peak_k(kind, lowest))
+        fresh = _fresh(member)
+        assert _stored(_project(fresh, n, _peak_k(kind, lowest))) == _stored(expected)
+        assert not hasattr(fresh, "_terms")
+
+
+@SETTINGS
+@given(poly_strategy(("x",), min_exp=0, max_exp=9, coeffs=scalars, max_terms=6))
+def test_uni_table_matches_reference(f):
+    fresh = _fresh(f)
+    assert str(_uni_table(fresh)) == str(_reference_uni_table(f))
+    assert not hasattr(fresh, "_terms")
+
+
+_GRAMMAR = Grammar(XYZ, {"x": parse_poly("x*y", XYZ), "y": parse_poly("x*y", XYZ)})
+
+
+@SETTINGS
+@given(
+    poly_strategy(XYZ, min_exp=-2, max_exp=5, coeffs=scalars, max_terms=8),
+    st.sampled_from(["x*y", "2*x^2", "x + y", "1/3*x - y^2"]),
+)
+def test_reduce_matches_per_term_reference(f, radicand):
+    grammar = Grammar(
+        XYZ, _GRAMMAR.rules, sqrt_var="z", sqrt_radicand=parse_poly(radicand, ("x", "y"))
+    )
+    try:
+        expected = _reference_reduce(grammar, f)
+    except ExtensionConflict as exc:
+        with pytest.raises(ExtensionConflict) as raised:
+            grammar.reduce(_fresh(f))
+        assert str(raised.value) == str(exc)
+        return
+    fresh = _fresh(f)
+    reduced = grammar.reduce(fresh)
+    assert reduced.vars == expected.vars and reduced == expected
+    assert not hasattr(fresh, "_terms")
+
+
+@SETTINGS
+@given(
+    poly_strategy(("x",), min_exp=0, max_exp=4, coeffs=scalars, max_terms=5),
+    st.sampled_from([("x",), ("y", "x"), ("x", "y")]),
+    st.sampled_from(["tan", "sin", "exp"]),
+)
+def test_compose_poly_series_matches_reference(f, variables, name):
+    if not f.live_vars():
+        return
+    poly = f.restricted(variables)
+    inner = elementary_series(name, 6)
+    expected = _reference_compose(poly, inner)
+    fresh = _fresh(poly)
+    assert compose_poly_series(fresh, inner).to_json() == expected.to_json()
+    assert not hasattr(fresh, "_terms")
