@@ -236,7 +236,7 @@ def cmd_trees(args) -> int:
 
 def cmd_errata(args) -> int:
     if args.format == "json":
-        print(json.dumps(errata.ERRATA, indent=2))
+        print(json.dumps([dict(entry) for entry in errata.ERRATA], indent=2))
     else:
         for entry in errata.ERRATA:
             print(f"[{entry['id']}] {entry['location']}")

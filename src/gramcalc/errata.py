@@ -3,10 +3,13 @@
 Each entry maps a printed statement to the corrected form this suite verifies,
 with the independent confirmation used (recurrence, oracle, or derivation).
 The identity suite encodes only the corrected forms; nothing is silently
-patched.  ERRATA and ERRATA_BY_ID are read on first access, not at import.
+patched.  ERRATA (a tuple of read-only mappings) and ERRATA_BY_ID (a
+read-only mapping by id) are read on first access, not at import.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 _REQUIRED_KEYS = {"id", "location", "printed", "corrected", "confirmation"}
 
@@ -29,6 +32,6 @@ def __getattr__(name: str):
     if name not in ("ERRATA", "ERRATA_BY_ID"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     global ERRATA, ERRATA_BY_ID
-    ERRATA = _load()
-    ERRATA_BY_ID = {entry["id"]: entry for entry in ERRATA}
+    ERRATA = tuple(MappingProxyType(entry) for entry in _load())
+    ERRATA_BY_ID = MappingProxyType({entry["id"]: entry for entry in ERRATA})
     return globals()[name]

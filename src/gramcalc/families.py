@@ -1,7 +1,8 @@
 """Named polynomial families, their grammars and seeds, and expansion extractors.
 
-Every family is produced by iterating a grammar derivative on a seed;
-univariate variants are exponent-pattern projections of the bivariate ones.
+Every family is one row of a table: a grammar and a seed, whose member n is
+the n-th derivative of the seed, or a read-out of another row (univariate
+variants are exponent-pattern projections of the bivariate ones).
 Two table values that standard printings get wrong are corrected here and
 recorded in the errata data (see gramcalc.errata): the secant-side value at
 n=2 is 1+2x^2 (not 1+x^2), and the second forest derivative is a(v^2+u)
@@ -68,155 +69,100 @@ def leaf_split_grammar() -> Grammar:
     )
 
 
-# -- derivative chains, cached -------------------------------------------------
-
-_CHAINS: Dict[str, Tuple[Grammar, LaurentPoly]] = {}
-# key -> (D^0 seed, D^1 seed, ...); only finished tuples are published, so
-# concurrent callers never see a chain another thread is still extending
-_CHAIN_CACHE: Dict[str, Tuple[LaurentPoly, ...]] = {}
+# -- the family table -----------------------------------------------------------
 
 
-def _chain(key: str, n: int) -> LaurentPoly:
-    chain = _CHAIN_CACHE.get(key, ())
+def _at_one(var: str):
+    """Read-out: the member with var set to 1."""
+    return lambda poly, n: poly.substitute({var: LaurentPoly.const(1)})
+
+
+def _restricted(*variables: str):
+    """Read-out: the member on the table `variables`."""
+    return lambda poly, n: poly.restricted(variables)
+
+
+def _over_a(*variables: str):
+    """Read-out: the member divided exactly by a (reading a*Q_n as Q_n)."""
+    return lambda poly, n: poly.exact_divide(LaurentPoly.variable("a")).restricted(variables)
+
+
+def _peaks(kind: str, lowest: int, at_zero: str | None = None):
+    """Read-out onto x^k: x^a y^b with a = lowest + 2k and b = n + 1 - a gives
+    x^k, and any other term raises ValueError.  Member 0 is at_zero if given."""
+    zero = None if at_zero is None else parse_poly(at_zero, ("x",))
+
+    def read(poly: LaurentPoly, n: int) -> LaurentPoly:
+        if n == 0 and zero is not None:
+            return zero
+
+        def k_of(exps):
+            by_var = dict(zip(poly.vars, exps))
+            a, b = by_var.get("x", 0), by_var.get("y", 0)
+            if a < lowest or (a - lowest) % 2 or b != n + 1 - a:
+                raise ValueError(f"not {kind} pattern: x^{a}y^{b}")
+            return ((a - lowest) // 2,)
+
+        return poly.collect(k_of, ("x",))
+
+    return read
+
+
+# name -> (grammar factory, seed text): member n is D^n(seed); or
+# name -> (source row, read): member n is read(source member n, n).
+# Rows named _... are chains that only other rows read.
+_FAMILIES: Dict[str, Tuple[Callable | str, Callable | str]] = {
+    "eulerian_biv": (eulerian_grammar, "y"),  # bivariate descent/ascent polynomials
+    "eulerian_uni": ("eulerian_biv", _at_one("y")),  # descent polynomials
+    "dumont": (binary_tree_grammar, "v"),  # increasing-binary-tree polynomials
+    "_andre": (plane_tree_grammar, "v"),  # 0-1-2 increasing trees, but D^0 is v
+    "andre_biv": ("_andre", lambda poly, n: poly if n else LaurentPoly.const(1, ("u", "v"))),
+    "andre_uni": ("andre_biv", _at_one("v")),  # 0-1-2 tree polynomials at v=1
+    "left_peak_biv": (peak_grammar, "x"),  # bivariate left-peak polynomials
+    "left_peak_uni": ("left_peak_biv", _peaks("a left-peak", 1)),
+    "interior_peak_biv": (peak_grammar, "y"),  # bivariate interior-peak polynomials
+    "interior_peak_uni": ("interior_peak_biv", _peaks("an interior-peak", 2, "x^-1")),
+    "lr_peak_biv": ("interior_peak_biv", lambda poly, n: poly),  # the same polynomials
+    "lr_peak_uni": ("interior_peak_biv", _peaks("a left-right-peak", 0, "1")),
+    "R_family": (peak_grammar, "x + y"),
+    "_tangent": (tangent_secant_grammar, "x"),
+    "deriv_P": ("_tangent", _restricted("x")),  # tangent derivative polynomials
+    "_secant": (tangent_secant_grammar, "a"),
+    "deriv_Q": ("_secant", _over_a("x")),  # secant derivative polynomials
+    "_forest": (forest_grammar, "a"),
+    "planted_forest": ("_forest", _over_a("v", "u")),  # planted forests in u,v
+}
+FAMILY_NAMES = tuple(name for name in _FAMILIES if not name.startswith("_"))
+
+# chain row -> (grammar, (D^0 seed, D^1 seed, ...)); only finished tuples are
+# published, so no caller sees a chain another thread is still extending
+_CHAINS: Dict[str, Tuple[Grammar, Tuple[LaurentPoly, ...]]] = {}
+
+
+def _member(name: str, n: int) -> LaurentPoly:
+    source, rule = _FAMILIES[name]
+    if isinstance(source, str):
+        return rule(_member(source, n), n)
+    if name not in _CHAINS:
+        grammar = source()
+        _CHAINS[name] = grammar, (parse_poly(rule, grammar.vars),)
+    grammar, chain = _CHAINS[name]
     if len(chain) <= n:
-        if key not in _CHAINS:
-            grammar_factory, seed_text = _CHAIN_DEFS[key]
-            grammar = grammar_factory()
-            _CHAINS[key] = (grammar, parse_poly(seed_text, grammar.vars))
-        grammar, seed = _CHAINS[key]
-        built = list(chain or (seed,))
+        built = list(chain)
         while len(built) <= n:
             built.append(grammar.derive(built[-1]))
-        chain = _CHAIN_CACHE[key] = tuple(built)
+        chain = tuple(built)
+        _CHAINS[name] = grammar, chain
     return chain[n]
-
-
-_CHAIN_DEFS = {
-    "eulerian": (eulerian_grammar, "y"),
-    "dumont": (binary_tree_grammar, "v"),
-    "andre": (plane_tree_grammar, "v"),
-    "peak_x": (peak_grammar, "x"),
-    "peak_y": (peak_grammar, "y"),
-    "peak_xy": (peak_grammar, "x + y"),
-    "deriv_x": (tangent_secant_grammar, "x"),
-    "deriv_a": (tangent_secant_grammar, "a"),
-    "forest_a": (forest_grammar, "a"),
-}
-
-
-# -- family registry ------------------------------------------------------------
-
-
-def _strip_factor(poly: LaurentPoly, var: str) -> LaurentPoly:
-    """Exact quotient by the single variable var (e.g. reading a*Q_n as Q_n)."""
-    return poly.exact_divide(LaurentPoly.variable(var))
-
-
-def _project(poly: LaurentPoly, n: int, exponent_map) -> LaurentPoly:
-    """Collapse a bivariate x,y polynomial onto x^k via (x-exp, y-exp) -> k."""
-
-    def k_of(exps):
-        by_var = dict(zip(poly.vars, exps))
-        return (exponent_map(by_var.get("x", 0), by_var.get("y", 0), n),)
-
-    return poly.collect(k_of, ("x",))
-
-
-def _peak_k(kind: str, lowest: int) -> Callable[[int, int, int], int]:
-    """Exponent map of a peak pattern: x^a y^b with a = lowest + 2k and
-    b = n + 1 - a projects to k."""
-
-    def k_of(a: int, b: int, n: int) -> int:
-        if a < lowest or (a - lowest) % 2 or b != n + 1 - a:
-            raise ValueError(f"not {kind} pattern: x^{a}y^{b}")
-        return (a - lowest) // 2
-
-    return k_of
-
-
-def _build_registry() -> Dict[str, Callable[[int], LaurentPoly]]:
-    one = LaurentPoly.const(1, ("x",))
-    x_inverse = LaurentPoly.monomial(("x",), (-1,))
-
-    def eulerian_biv(n):
-        return _chain("eulerian", n)
-
-    def eulerian_uni(n):
-        return _chain("eulerian", n).substitute({"y": LaurentPoly.const(1)})
-
-    def dumont(n):
-        return _chain("dumont", n)
-
-    def andre_biv(n):
-        return LaurentPoly.const(1, ("u", "v")) if n == 0 else _chain("andre", n)
-
-    def andre_uni(n):
-        return andre_biv(n).substitute({"v": LaurentPoly.const(1)})
-
-    def left_peak_biv(n):
-        return _chain("peak_x", n)
-
-    def left_peak_uni(n):
-        return _project(_chain("peak_x", n), n, _peak_k("a left-peak", 1))
-
-    def interior_peak_biv(n):
-        return _chain("peak_y", n)
-
-    def interior_peak_uni(n):
-        if n == 0:
-            return x_inverse
-        return _project(_chain("peak_y", n), n, _peak_k("an interior-peak", 2))
-
-    def lr_peak_biv(n):
-        return _chain("peak_y", n)
-
-    def lr_peak_uni(n):
-        if n == 0:
-            return one
-        return _project(_chain("peak_y", n), n, _peak_k("a left-right-peak", 0))
-
-    def r_family(n):
-        return _chain("peak_xy", n)
-
-    def deriv_p(n):
-        return _chain("deriv_x", n).restricted(("x",))
-
-    def deriv_q(n):
-        return _strip_factor(_chain("deriv_a", n), "a").restricted(("x",))
-
-    def planted_forest(n):
-        return _strip_factor(_chain("forest_a", n), "a").restricted(("v", "u"))
-
-    return {
-        "eulerian_biv": eulerian_biv,  # bivariate descent/ascent polynomials
-        "eulerian_uni": eulerian_uni,  # descent polynomials at y=1
-        "dumont": dumont,  # increasing-binary-tree polynomials
-        "andre_biv": andre_biv,  # 0-1-2 increasing-tree polynomials
-        "andre_uni": andre_uni,  # 0-1-2 tree polynomials at v=1
-        "left_peak_biv": left_peak_biv,  # bivariate left-peak polynomials
-        "left_peak_uni": left_peak_uni,  # left-peak polynomials
-        "interior_peak_biv": interior_peak_biv,  # bivariate interior-peak polynomials
-        "interior_peak_uni": interior_peak_uni,  # interior-peak polynomials
-        "lr_peak_biv": lr_peak_biv,  # bivariate left-right-peak polynomials
-        "lr_peak_uni": lr_peak_uni,  # left-right-peak polynomials
-        "R_family": r_family,  # seed x+y under the peak grammar
-        "deriv_P": deriv_p,  # tangent derivative polynomials
-        "deriv_Q": deriv_q,  # secant derivative polynomials
-        "planted_forest": planted_forest,  # planted-forest polynomials in u,v
-    }
-
-
-REGISTRY: Dict[str, Callable[[int], LaurentPoly]] = _build_registry()
-FAMILY_NAMES = tuple(REGISTRY)
 
 
 def family_poly(name: str, n: int) -> LaurentPoly:
     """The n-th member of a registered family."""
-    if name not in REGISTRY:
+    if name not in FAMILY_NAMES:
         raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
     if n < 0:
         raise ValueError("family index must be nonnegative")
-    return REGISTRY[name](n)
+    return _member(name, n)
 
 
 # sequence name -> (family, evaluation point)

@@ -56,22 +56,6 @@ class Grammar:
     def __setattr__(self, name, value):
         raise AttributeError("Grammar is immutable")
 
-    @staticmethod
-    def from_rules(rule_map: Mapping[str, str | LaurentPoly], variables=None) -> "Grammar":
-        """Convenience constructor; rule values may be text."""
-        parsed = {
-            var: rhs if isinstance(rhs, LaurentPoly) else parse_poly(rhs)
-            for var, rhs in rule_map.items()
-        }
-        if variables is None:
-            seen = list(parsed)
-            for rhs in parsed.values():
-                for v in rhs.vars:
-                    if v not in seen:
-                        seen.append(v)
-            variables = seen
-        return Grammar(variables, parsed)
-
     # -- the derivative ------------------------------------------------------
 
     def reduce(self, f: LaurentPoly) -> LaurentPoly:

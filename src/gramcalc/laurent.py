@@ -199,6 +199,8 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        if self.is_constant():  # equal to its scalar, so hashed as the scalar
+            return hash(self.constant_value())
         return hash(self._signature())
 
     def __bool__(self):
@@ -728,8 +730,8 @@ class RationalFunction:
             return NotImplemented
         return self.numerator * other.denominator == other.numerator * self.denominator
 
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
+    # equal pairs (x, 1) and (2x, 2) share no canonical form to hash
+    __hash__ = None
 
     def __repr__(self):
         return f"({self.numerator.render()}) / ({self.denominator.render()})"

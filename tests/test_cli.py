@@ -1,4 +1,5 @@
 import json
+import operator
 import re
 
 import pytest
@@ -281,6 +282,27 @@ def test_errata_output(capsys):
     code, out, _ = run_cli(capsys, "errata", "--format", "json")
     entries = json.loads(out)
     assert {entry["id"] for entry in entries} >= {"secant-table-n2", "forest-table-n2"}
+
+
+def test_errata_is_read_only(capsys):
+    import gramcalc
+    from gramcalc import errata
+
+    before = [run_cli(capsys, "errata", "--format", fmt) for fmt in ("text", "json")]
+    attempts = [
+        lambda: gramcalc.ERRATA.clear(),
+        lambda: errata.ERRATA.append({}),
+        lambda: operator.setitem(errata.ERRATA, 0, {}),
+        lambda: operator.setitem(errata.ERRATA[0], "printed", "x"),
+        lambda: operator.delitem(errata.ERRATA[0], "id"),
+        lambda: errata.ERRATA_BY_ID.clear(),
+        lambda: operator.setitem(errata.ERRATA_BY_ID, "new", {}),
+        lambda: errata.ERRATA_BY_ID["secant-table-n2"].pop("corrected"),
+    ]
+    for attempt in attempts:
+        with pytest.raises((AttributeError, TypeError)):
+            attempt()
+    assert [run_cli(capsys, "errata", "--format", fmt) for fmt in ("text", "json")] == before
 
 
 def test_byte_determinism(capsys):

@@ -139,6 +139,8 @@ def test_tables(table, name):
 def test_interior_equals_lr_bivariate():
     for n in range(0, 9):
         assert family_poly("interior_peak_biv", n) == family_poly("lr_peak_biv", n)
+        # one row reads the other as is
+        assert family_poly("lr_peak_biv", n) is family_poly("interior_peak_biv", n)
 
 
 def test_univariate_conventions():
@@ -231,7 +233,7 @@ def test_chain_cache_under_concurrent_extension():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            families._CHAIN_CACHE.pop("eulerian", None)
+            families._CHAINS.pop("eulerian_biv", None)
             barrier = threading.Barrier(8)
             results = [None] * 8
 
@@ -295,10 +297,27 @@ def test_errata_entries_cover_corrected_tables():
 
 
 def test_registry_names_stable():
-    expected = {
+    assert FAMILY_NAMES == (
         "eulerian_biv", "eulerian_uni", "dumont", "andre_biv", "andre_uni",
         "left_peak_biv", "left_peak_uni", "interior_peak_biv", "interior_peak_uni",
         "lr_peak_biv", "lr_peak_uni", "R_family", "deriv_P", "deriv_Q",
         "planted_forest",
-    }
-    assert set(FAMILY_NAMES) == expected
+    )
+
+
+def test_family_table_rows():
+    rows = families._FAMILIES
+    sources = {source for source, _ in rows.values() if isinstance(source, str)}
+    assert sources <= set(rows)
+    reached = set()
+    for name in FAMILY_NAMES:
+        while name in rows and name not in reached:
+            reached.add(name)
+            name = rows[name][0]
+    assert reached == set(rows)  # no dead rows
+    private = [name for name in rows if name not in FAMILY_NAMES]
+    assert private == ["_andre", "_tangent", "_secant", "_forest"]
+    for name in private:
+        assert callable(rows[name][0])  # chains only
+        with pytest.raises(UnknownFamily):
+            family_poly(name, 1)

@@ -92,7 +92,7 @@ def test_verify_transformation_identity():
 
 
 def test_verify_transformation_false_witness():
-    bad_target = Grammar.from_rules({"u": "u*v", "v": "u"})
+    bad_target = parse_grammar("u -> u*v\nv -> u")
     ok, witness = verify_transformation(
         eulerian_grammar(),
         {"u": X * Y, "v": parse_poly("1/2*x + 1/2*y")},
@@ -141,7 +141,7 @@ def test_extend_sqrt_conflicts():
 def test_square_root_transformation():
     # adjoining z with z^2 = xy turns the descent grammar into the peak grammar
     ext = eulerian_grammar().extend_sqrt("z", X * Y)
-    target = Grammar.from_rules({"p": "p*q", "q": "p^2"})
+    target = parse_grammar("p -> p*q\nq -> p^2")
     ok, witness = verify_transformation(
         ext,
         {"p": LaurentPoly.variable("z"), "q": parse_poly("1/2*x + 1/2*y")},
@@ -174,6 +174,6 @@ def test_parse_grammar_errors():
 
 
 def test_unruled_variables_are_constants():
-    g = Grammar.from_rules({"x": "x*c"}, variables=("x", "c"))
+    g = Grammar(("x", "c"), {"x": parse_poly("x*c", ("x", "c"))})
     assert g.derive(LaurentPoly.variable("c", ("x", "c"))).is_zero()
     assert g.derive(LaurentPoly.variable("x", ("x", "c"))) == parse_poly("x*c")

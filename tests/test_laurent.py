@@ -183,3 +183,20 @@ def test_rational_function_equality():
     assert half == also_half
     with pytest.raises(DivisionByZero):
         RationalFunction(X, LaurentPoly.zero())
+
+
+def test_rational_function_is_unhashable():
+    # equal by cross-multiplication, with no canonical form a hash could read
+    assert RationalFunction(X, LaurentPoly.const(1)) == RationalFunction(2 * X, LaurentPoly.const(2))
+    with pytest.raises(TypeError):
+        {RationalFunction(X, LaurentPoly.const(1))}
+
+
+@pytest.mark.parametrize(
+    "scalar, variables",
+    [(3, ()), (Fraction(-2, 3), ("x", "y")), (0, ()), (0, ("x",)), (make_gaussian(1, 2), ("x",))],
+)
+def test_constant_hashes_as_its_scalar(scalar, variables):
+    poly = LaurentPoly.const(scalar, variables)
+    assert poly == scalar and hash(poly) == hash(scalar)
+    assert len({poly, scalar}) == 1

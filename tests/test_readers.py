@@ -1,6 +1,6 @@
 """Term readers on the stored numerators.
 
-`LaurentPoly.collect` and the readers built on it (`families._project`,
+`LaurentPoly.collect` and the readers built on it (`families._peaks`,
 `identities._uni_table`, `Grammar.reduce`, `series.compose_poly_series`) are
 compared with copies of their earlier versions, which summed the `.terms`
 view, and must leave their argument without that view.
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramcalc.errors import ExtensionConflict
-from gramcalc.families import _chain, _peak_k, _project
+from gramcalc.families import _FAMILIES, _member
 from gramcalc.grammar import Grammar
 from gramcalc.identities import _uni_table
 from gramcalc.laurent import LaurentPoly, Powers, parse_poly, sum_of_products
@@ -35,11 +35,14 @@ def _stored(poly):
     return poly.vars, poly.den, list(poly.nums.items())
 
 
-def _reference_project(poly, n, exponent_map):
+def _reference_project(poly, n, lowest):
     terms = {}
     for exps, coeff in poly.terms.items():
         by_var = dict(zip(poly.vars, exps))
-        k = exponent_map(by_var.get("x", 0), by_var.get("y", 0), n)
+        a, b = by_var.get("x", 0), by_var.get("y", 0)
+        if a < lowest or (a - lowest) % 2 or b != n + 1 - a:
+            raise ValueError(f"x^{a}y^{b} is off the pattern")
+        k = (a - lowest) // 2
         terms[(k,)] = terms.get((k,), Fraction(0)) + coeff
     return LaurentPoly(("x",), terms)
 
@@ -111,16 +114,23 @@ def test_collect_matches_summed_terms(f, how):
 
 
 @pytest.mark.parametrize(
-    "chain, kind, lowest",
-    [("peak_x", "a left-peak", 1), ("peak_y", "an interior-peak", 2), ("peak_y", "a left-right-peak", 0)],
+    "family, lowest",
+    [  # ids: the peak chain read (seeded at x or y), the pattern, its lowest x-exponent
+        pytest.param("left_peak_uni", 1, id="peak_x-a left-peak-1"),
+        pytest.param("interior_peak_uni", 2, id="peak_y-an interior-peak-2"),
+        pytest.param("lr_peak_uni", 0, id="peak_y-a left-right-peak-0"),
+    ],
 )
-def test_project_matches_reference(chain, kind, lowest):
+def test_project_matches_reference(family, lowest):
+    source, read = _FAMILIES[family]
     for n in range(1, 13):
-        member = _chain(chain, n)
-        expected = _reference_project(member, n, _peak_k(kind, lowest))
+        member = _member(source, n)
+        expected = _reference_project(member, n, lowest)
         fresh = _fresh(member)
-        assert _stored(_project(fresh, n, _peak_k(kind, lowest))) == _stored(expected)
+        assert _stored(read(fresh, n)) == _stored(expected)
         assert not hasattr(fresh, "_terms")
+        with pytest.raises(ValueError, match="pattern"):
+            read(member * LaurentPoly.variable("x"), n)  # every term off the pattern
 
 
 @SETTINGS
