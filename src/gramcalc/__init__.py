@@ -19,12 +19,6 @@ from .families import (
     recurrence_poly,
 )
 from .grammar import Grammar, parse_grammar, verify_transformation
-from .identities import (
-    IDENTITY_NAMES,
-    IdentityReport,
-    run_all,
-    run_identity,
-)
 from .laurent import LaurentPoly, RationalFunction, parse_poly, substitute_rational
 from .scalar import GaussianRational, exact_sqrt, make_gaussian
 from .series import (
@@ -46,9 +40,17 @@ from .structures import (
 __version__ = "0.1.0"
 
 
+# imported on first access: the identity catalog is built at import
+_FROM_IDENTITIES = ("IDENTITY_NAMES", "IdentityReport", "run_all", "run_identity")
+
+
 def __getattr__(name: str):
     if name == "ERRATA":  # read on first access, see gramcalc.errata
         return errata.ERRATA
+    if name in _FROM_IDENTITIES:
+        from . import identities
+
+        return getattr(identities, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -15,18 +15,10 @@ import sys
 from fractions import Fraction
 
 from . import errata, structures
-from .errors import GramcalcError
+from .errors import GramcalcError, InvalidPoint
 from .families import (
     FAMILY_NAMES,
     family_poly,
-)
-from .identities import (
-    DEFAULT_MAX_N,
-    DEFAULT_ORACLE_MAX_N,
-    IDENTITY_NAMES,
-    check_points,
-    run_all,
-    run_identity,
 )
 from .laurent import LaurentPoly
 from .series import (
@@ -54,7 +46,10 @@ def _parse_assignments(items) -> dict:
             var = var.strip()
             if var in values:
                 raise ValueError(f"{var!r} is assigned more than once")
-            values[var] = Fraction(raw.strip())
+            try:
+                values[var] = Fraction(raw.strip())
+            except ZeroDivisionError:
+                raise ValueError(f"{var!r} = {raw.strip()!r} has a zero denominator") from None
     return values
 
 
@@ -92,21 +87,25 @@ def _report_line(report) -> str:
 
 
 def cmd_check(args) -> int:
+    # imported here: its catalog is built at import, and only `check` reads it
+    from . import identities
+
     points = _parse_assignments(args.points)
     # before the bound warning: a bad point prints its error alone
-    check_points(points, IDENTITY_NAMES if args.name == "all" else (args.name,))
+    identities.check_points(
+        points, identities.IDENTITY_NAMES if args.name == "all" else (args.name,)
+    )
     _warn_bound(args.oracle_max_n)
+    max_n = identities.DEFAULT_MAX_N if args.max_n is None else args.max_n
+    oracle_max_n = (
+        identities.DEFAULT_ORACLE_MAX_N if args.oracle_max_n is None else args.oracle_max_n
+    )
     if args.name == "all":
-        reports = run_all(
-            max_n=args.max_n, points=points, oracle_max_n=args.oracle_max_n
-        )
+        reports = identities.run_all(max_n=max_n, points=points, oracle_max_n=oracle_max_n)
     else:
         reports = [
-            run_identity(
-                args.name,
-                max_n=args.max_n,
-                points=points,
-                oracle_max_n=args.oracle_max_n,
+            identities.run_identity(
+                args.name, max_n=max_n, points=points, oracle_max_n=oracle_max_n
             )
         ]
     if args.format == "json":
@@ -209,9 +208,20 @@ def _series_by_name(name: str, order: int, points: dict) -> TruncSeries:
 def cmd_series(args) -> int:
     points = _parse_assignments(args.at)
     series = _series_by_name(args.name, args.order, points)
-    if points and args.name not in RADICAL_CLOSED_FORMS:
-        values = series.evaluate_coeffs(points)
-        series = TruncSeries([LaurentPoly.const(v) for v in values])
+    if args.name in RADICAL_CLOSED_FORMS:
+        reads = RADICAL_CLOSED_FORMS[args.name]
+    else:
+        reads = tuple(dict.fromkeys(v for c in series.coeffs for v in c.vars))
+        if points:  # first, so that a variable left without a value is named
+            values = series.evaluate_coeffs(points)
+            series = TruncSeries([LaurentPoly.const(v) for v in values])
+    for key in points:
+        if key not in reads:
+            raise InvalidPoint(
+                f"point {key!r}: series {args.name} reads {', '.join(reads)}, not {key!r}"
+                if reads
+                else f"point {key!r}: series {args.name} reads no point"
+            )
     if args.format == "json":
         print(json.dumps(series.to_json()))
     elif args.format == "csv":
@@ -264,11 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="run identity checks")
     chk.add_argument("name", help="identity name or 'all'")
-    chk.add_argument("--max-n", type=_nonnegative_int, default=DEFAULT_MAX_N)
+    # None: the defaults of gramcalc.identities, which cmd_check imports
+    chk.add_argument("--max-n", type=_nonnegative_int)
     chk.add_argument(
         "--oracle-max-n",
         type=_nonnegative_int,
-        default=DEFAULT_ORACLE_MAX_N,
         help="cap for enumeration-backed checks",
     )
     chk.add_argument(

@@ -25,6 +25,10 @@ class DivisionByZero(GramcalcError, ZeroDivisionError):
     """Exact evaluation or division hit a zero denominator."""
 
 
+class ExponentOverflow(GramcalcError, OverflowError):
+    """An exponent outside the range a packed monomial key holds."""
+
+
 class ExtensionConflict(GramcalcError):
     """Square-root extension rejected (already extended, or not closable)."""
 

@@ -1,16 +1,24 @@
 """Exact multivariate Laurent polynomials over rational / Gaussian-rational scalars.
 
-A polynomial carries an ordered variable table and a sparse map from exponent
-vectors (tuples of signed ints, aligned with the table) to nonzero scalars.
-Values are immutable; every operation returns a fresh polynomial.  Mixed-table
-arithmetic aligns on the union of the two tables (left operand's order first).
+A polynomial carries an ordered variable table and a sparse map from
+monomials to nonzero scalars.  Values are immutable; every operation returns
+a fresh polynomial.  Mixed-table arithmetic aligns on the union of the two
+tables (left operand's order first).
 
-Storage is integer: a positive int `den` and `nums`, exponent vector -> int
-numerator, or -> (re, im) int pair when some coefficient is Gaussian, with
-gcd(den, every numerator part) == 1 and the pair form used only when some
-im != 0.  Equal polynomials over one table store equal (den, nums).  `.terms`
-is a read-only view of the same map with Fraction/GaussianRational values,
-built on first read.
+Storage is integer: a positive int `den` and a dict from packed monomial key
+to int numerator, or to an (re, im) int pair when some coefficient is
+Gaussian, with gcd(den, every numerator part) == 1 and the pair form used
+only when some im != 0.  A packed key holds a whole exponent vector in one
+int: one 22-bit field per variable of the table, the first variable most
+significant, each field holding e + 2^21.  Exponents lie in
+[-2^20, 2^20); an exponent outside that range raises ExponentOverflow where
+it is made (constructor, product, derivative, division), never wraps.  In
+that range the sum of two keys less one bias per field never carries, so a
+product's key is ka + kb - bias, and keys compare as their exponent vectors
+do lexicographically.  Equal polynomials over one table store equal
+(den, packed map).  `.nums` (exponent vector -> numerator) and `.terms`
+(exponent vector -> Fraction/GaussianRational) are read-only views of the
+same map in the same key order, each built on first read.
 
 Canonical term order — descending total degree, ties broken by descending
 lexicographic exponent vector — fixes rendering and JSON byte-for-byte.
@@ -19,7 +27,7 @@ lexicographic exponent vector — fixes rendering and JSON byte-for-byte.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import comb, gcd, lcm
@@ -29,6 +37,7 @@ from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import (
     DivisionByZero,
+    ExponentOverflow,
     InsufficientClearing,
     NonInvertibleSubstitution,
     ParseError,
@@ -54,8 +63,8 @@ def _term_sort_key(exps: Exponents):
 class LaurentPoly:
     """Immutable sparse Laurent polynomial."""
 
-    # _terms stays unset until .terms is first read
-    __slots__ = ("vars", "den", "nums", "_terms")
+    # _packed: packed key -> numerator; _nums and _terms stay unset until first read
+    __slots__ = ("vars", "den", "_packed", "_nums", "_terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar]):
         variables = _table(variables)
@@ -66,7 +75,7 @@ class LaurentPoly:
                 raise ValueError(
                     f"exponent vector {exps} does not match table {variables}"
                 )
-            parts.append((exps, *_cleared(as_scalar(coeff))))
+            parts.append((_pack(exps), *_cleared(as_scalar(coeff))))
         den = lcm(*[d for _, d, _ in parts])
         if any(type(n) is tuple for _, _, n in parts):
             parts = [(e, d, n if type(n) is tuple else (n, 0)) for e, d, n in parts]
@@ -77,17 +86,33 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     @property
+    def nums(self) -> Mapping[Exponents, object]:
+        """Exponent vector -> int numerator, or (re, im) int pair, in stored order."""
+        try:
+            return self._nums
+        except AttributeError:  # first read
+            pass
+        # built whole, then published: a concurrent reader sees no view or all of it
+        nums = MappingProxyType(dict(self._items()))
+        object.__setattr__(self, "_nums", nums)
+        return nums
+
+    @property
     def terms(self) -> Mapping[Exponents, Scalar]:
-        """Exponent vector -> Fraction/GaussianRational, in `nums` order."""
+        """Exponent vector -> Fraction/GaussianRational, in stored order."""
         try:
             return self._terms
         except AttributeError:  # first read
             pass
         den = self.den
-        # built whole, then published: a concurrent reader sees no view or all of it
-        terms = MappingProxyType({e: _scalar(n, den) for e, n in self.nums.items()})
+        terms = MappingProxyType({e: _scalar(n, den) for e, n in self._items()})
         object.__setattr__(self, "_terms", terms)
         return terms
+
+    def _items(self):
+        """(exponent vector, numerator) pairs, in stored order."""
+        packed = self._packed
+        return zip(_unpacked(packed, len(self.vars)), packed.values())
 
     # -- constructors -------------------------------------------------------
 
@@ -99,7 +124,7 @@ class LaurentPoly:
     def const(value, variables: Iterable[str] = ()) -> "LaurentPoly":
         variables = _table(variables)
         den, n = _cleared(as_scalar(value))
-        return _stored(variables, *_normal_form(den, {(0,) * len(variables): n}))
+        return _stored(variables, *_normal_form(den, {_zero_key(len(variables)): n}))
 
     @staticmethod
     def variable(name: str, variables: Iterable[str] | None = None) -> "LaurentPoly":
@@ -118,38 +143,46 @@ class LaurentPoly:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.nums
+        return not self._packed
 
     def is_constant(self) -> bool:
-        return all(not any(exps) for exps in self.nums)
+        zero = _zero_key(len(self.vars))
+        return all(key == zero for key in self._packed)
 
     def constant_value(self) -> Scalar:
         """The scalar value of a constant polynomial (0 if zero)."""
-        if not self.nums:
+        if not self._packed:
             return Fraction(0)
-        [(exps, n)] = self.nums.items()
-        if any(exps):
+        [(key, n)] = self._packed.items()
+        if key != _zero_key(len(self.vars)):
             raise ValueError(f"{self} is not constant")
         return _scalar(n, self.den)
 
     def is_monomial(self) -> bool:
-        return len(self.nums) == 1
+        return len(self._packed) == 1
+
+    def _field_shift(self, var: str) -> int:
+        return _WIDTH * (len(self.vars) - 1 - self.vars.index(var))
 
     def degree_in(self, var: str) -> int:
-        if var not in self.vars or not self.nums:
+        if var not in self.vars or not self._packed:
             return 0
-        idx = self.vars.index(var)
-        return max(exps[idx] for exps in self.nums)
+        s = self._field_shift(var)
+        return max((key >> s) & _MASK for key in self._packed) - _BIAS
 
     def min_degree_in(self, var: str) -> int:
-        if var not in self.vars or not self.nums:
+        if var not in self.vars or not self._packed:
             return 0
-        idx = self.vars.index(var)
-        return min(exps[idx] for exps in self.nums)
+        s = self._field_shift(var)
+        return min((key >> s) & _MASK for key in self._packed) - _BIAS
 
     def live_vars(self) -> Tuple[str, ...]:
         """The variables with a nonzero exponent in some term, in table order."""
-        return tuple(v for i, v in enumerate(self.vars) if any(exps[i] for exps in self.nums))
+        return tuple(
+            v
+            for v, s in zip(self.vars, _shifts(len(self.vars)))
+            if any((key >> s) & _MASK != _BIAS for key in self._packed)
+        )
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: _term_sort_key(item[0]))
@@ -164,14 +197,18 @@ class LaurentPoly:
     def collect(self, key, variables: Iterable[str]) -> "LaurentPoly":
         """The terms moved to the exponent vectors key(exps) over `variables`,
         terms that meet summed, in first-seen order; key None drops a term."""
-        pair = _is_pair(self.nums)
+        variables = _table(variables)
+        pair = _is_pair(self._packed)
         acc = {}
-        for exps, n in self.nums.items():
+        for exps, n in self._items():
             new = key(exps)
             if new is not None:
+                if len(new) != len(variables):
+                    raise ValueError(f"exponent vector {new} does not match table {variables}")
+                new = _pack(new)
                 old = acc.get(new)
                 acc[new] = n if old is None else tuple(map(add, old, n)) if pair else old + n
-        return _stored(_table(variables), *_normal_form(self.den, acc))
+        return _stored(variables, *_normal_form(self.den, acc))
 
     def coefficient(self, exps_by_var: Mapping[str, int]) -> Scalar:
         """Coefficient of the monomial with the given exponents (others zero)."""
@@ -179,20 +216,23 @@ class LaurentPoly:
         for var, e in exps_by_var.items():
             if var not in self.vars and e != 0:
                 return Fraction(0)
-        n = self.nums.get(exps)
+        try:
+            n = self._packed.get(_pack(exps))
+        except ExponentOverflow:  # no stored term has this monomial
+            n = None
         return Fraction(0) if n is None else _scalar(n, self.den)
 
     def _signature(self):
         # Table-independent canonical form: den, and per term the set of (var, exp≠0).
         return self.den, frozenset(
             (frozenset((v, e) for v, e in zip(self.vars, exps) if e != 0), n)
-            for exps, n in self.nums.items()
+            for exps, n in self._items()
         )
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             if self.vars == other.vars:
-                return self.den == other.den and self.nums == other.nums
+                return self.den == other.den and self._packed == other._packed
             return self._signature() == other._signature()
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.is_constant() and self.constant_value() == other
@@ -204,7 +244,7 @@ class LaurentPoly:
         return hash(self._signature())
 
     def __bool__(self):
-        return bool(self.nums)
+        return bool(self._packed)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -221,15 +261,15 @@ class LaurentPoly:
         variables, a, b = self._aligned(other)
         den = lcm(a.den, b.den)
         sa, sb = den // a.den, den // b.den
-        if _is_pair(a.nums) or _is_pair(b.nums):
-            na, nb = _pairs(a.nums), _pairs(b.nums)
+        if _is_pair(a._packed) or _is_pair(b._packed):
+            na, nb = _pairs(a._packed), _pairs(b._packed)
             out = {e: (re * sa, im * sa) for e, (re, im) in na.items()}
             for e, (re, im) in nb.items():
                 r0, i0 = out.get(e, (0, 0))
                 out[e] = (r0 + re * sb, i0 + im * sb)
         else:
-            out = {e: n * sa for e, n in a.nums.items()}
-            for e, n in b.nums.items():
+            out = {e: n * sa for e, n in a._packed.items()}
+            for e, n in b._packed.items():
                 out[e] = out.get(e, 0) + n * sb
         return _stored(variables, *_normal_form(den, out))
 
@@ -248,7 +288,7 @@ class LaurentPoly:
         return other + (-self)
 
     def __neg__(self):
-        return _stored(self.vars, self.den, {e: _scaled(n, -1) for e, n in self.nums.items()})
+        return _stored(self.vars, self.den, {e: _scaled(n, -1) for e, n in self._packed.items()})
 
     def __mul__(self, other):
         other = _coerce(other, self.vars)
@@ -285,7 +325,7 @@ class LaurentPoly:
 
     def monomial_inverse(self) -> "LaurentPoly":
         """Inverse of a single-term polynomial (negated exponents)."""
-        if len(self.nums) != 1:
+        if len(self._packed) != 1:
             raise NonInvertibleSubstitution(
                 f"{self.render()} is not a monomial, cannot invert"
             )
@@ -303,19 +343,15 @@ class LaurentPoly:
         """Formal partial derivative; the power rule covers negative exponents."""
         if var not in self.vars:
             return LaurentPoly.zero(self.vars)
-        idx = self.vars.index(var)
+        s = self._field_shift(var)
+        unit = 1 << s
         # Lowering one exponent maps distinct terms to distinct terms.
-        return _stored(
-            self.vars,
-            *_normal_form(
-                self.den,
-                {
-                    exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: _scaled(n, exps[idx])
-                    for exps, n in self.nums.items()
-                    if exps[idx]
-                },
-            ),
-        )
+        out = {}
+        for key, n in self._packed.items():
+            e = ((key >> s) & _MASK) - _BIAS
+            if e:
+                out[key - unit] = _scaled(n, e)
+        return _checked(self.vars, *_normal_form(self.den, out))
 
     def substitute(self, mapping: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
         """Ring-homomorphic image under var -> polynomial.
@@ -339,16 +375,17 @@ class LaurentPoly:
                     f"negative exponent on {var!r} but image "
                     f"{images[var].render()} is not a monomial"
                 )
+        items = list(self._items())
         # The result's table: the images' tables in the order the terms reach them.
         reached = dict.fromkeys(
-            var for exps in self.nums for var, e in zip(self.vars, exps) if e
+            var for exps, _ in items for var, e in zip(self.vars, exps) if e
         )
         variables = tuple(dict.fromkeys(v for var in reached for v in images[var].vars))
         powers = {var: Powers(_reindex(images[var], variables)) for var in reached}
         one = LaurentPoly.const(1, variables)
         # Per term: n/den * (all its image powers but the last) * the last one.
         triples = []
-        for exps, n in self.nums.items():
+        for exps, n in items:
             *head, last = [powers[var][e] for var, e in zip(self.vars, exps) if e] or [one]
             triples.append(((self.den, n), reduce(mul, head) if head else one, last))
         return _accumulate(variables, triples)
@@ -357,7 +394,7 @@ class LaurentPoly:
         """Exact value at a scalar point; every effective variable needs a value."""
         values = {v: as_scalar(c) for v, c in point.items()}
         total: Scalar = Fraction(0)
-        for exps, n in self.nums.items():
+        for exps, n in self._items():
             term: Scalar = _scalar(n, 1)
             for var, e in zip(self.vars, exps):
                 if e == 0:
@@ -381,48 +418,63 @@ class LaurentPoly:
     def exact_divide(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor in the Laurent ring.
 
-        Strips the monomial content of both operands and runs leading-term
-        polynomial division in canonical order on the integer numerators,
-        fraction-free: when the divisor's leading coefficient does not divide
-        the remainder's, the remainder and the quotient are scaled by an int
-        first, and the scale goes into the result's denominator.  Reattaches
-        the monomial quotient.  Raises InsufficientClearing when the division
-        is not exact.
+        Runs leading-term polynomial division in canonical order on the
+        packed keys and integer numerators, fraction-free: when the divisor's
+        leading coefficient does not divide the remainder's, the remainder and
+        the quotient are scaled by an int first, and the scale goes into the
+        result's denominator.  Raises InsufficientClearing when the division
+        is not exact, and ExponentOverflow when a quotient term leaves the
+        exponent range.
         """
         if divisor.is_zero():
             raise DivisionByZero("exact division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(self.vars)
         variables, a, b = self._aligned(divisor)
-        pair = _is_pair(a.nums) or _is_pair(b.nums)
+        k = len(variables)
+        zero_key = _zero_key(k)
+        pair = _is_pair(a._packed) or _is_pair(b._packed)
         zero = (0, 0) if pair else 0
-        rem, den = (_pairs(p.nums) if pair else p.nums for p in (a, b))
-        shift_a, shift_b = _content_shift(rem), _content_shift(den)
-        rem = {tuple(map(sub, exps, shift_a)): n for exps, n in rem.items()}
-        den = {tuple(map(sub, exps, shift_b)): n for exps, n in den.items()}
-        lead_den = min(den, key=_term_sort_key)
-        lead_den_coeff = den[lead_den]
-        quotient: Dict[Exponents, object] = {}
-        heap = [(_term_sort_key(exps), exps) for exps in rem]
+        rem = dict(_pairs(a._packed) if pair else a._packed)
+        den = _pairs(b._packed) if pair else b._packed
+        exps_a, exps_b = _unpacked(rem, k), _unpacked(den, k)
+        # Each quotient exponent is at least a's least exponent less b's, or the
+        # division is not exact; low is that bound clamped to [-_LIMIT, _LIMIT],
+        # where q - low_key + zero_key cannot borrow for an in-range q.
+        low = map(sub, map(min, zip(*exps_a)), map(min, zip(*exps_b)))
+        low_key = sum((min(max(e, -_LIMIT), _LIMIT) + _BIAS) << s for e, s in zip(low, _shifts(k)))
+        # Heap entries are -(total degree << span | key): the heap pops terms
+        # in _term_sort_key order, since keys compare as exponent vectors do.
+        span = _WIDTH * k
+        heap = [-(sum(e) << span | key) for e, key in zip(exps_a, rem)]
         heapify(heap)
+        den_terms = [(key, n, sum(e)) for e, (key, n) in zip(exps_b, den.items())]
+        lead_den, lead_den_coeff, lead_den_deg = max(den_terms, key=lambda t: (t[2], t[0]))
+        quotient: Dict[int, object] = {}
         scale = 1  # self / divisor == quotient * b.den / (a.den * scale)
         while rem:
-            lead = heappop(heap)[1]
+            top = -heappop(heap)
+            lead = top & ((1 << span) - 1)
             if lead not in rem:
                 continue  # a stale entry: the term cancelled after it was pushed
-            q_exps = tuple(map(sub, lead, lead_den))
-            if any(e < 0 for e in q_exps):
-                raise InsufficientClearing(
-                    f"{self.render()} is not exactly divisible by {divisor.render()}"
+            q = lead - lead_den + zero_key
+            if (q ^ q << 1) & zero_key != zero_key:
+                raise ExponentOverflow(
+                    f"{self.render()} / {divisor.render()} has an exponent outside "
+                    f"[{-_LIMIT}, {_LIMIT})"
                 )
+            if (q - low_key + zero_key) & zero_key != zero_key:
+                raise self._inexact(divisor)
             q_coeff, s = _lead_quotient(rem[lead], lead_den_coeff)
             if s != 1:
-                rem = {exps: _scaled(n, s) for exps, n in rem.items()}
-                quotient = {exps: _scaled(n, s) for exps, n in quotient.items()}
+                rem = {key: _scaled(n, s) for key, n in rem.items()}
+                quotient = {key: _scaled(n, s) for key, n in quotient.items()}
                 scale *= s
-            quotient[q_exps] = q_coeff
-            for exps, n in den.items():
-                key = tuple(map(add, q_exps, exps))
+            quotient[q] = q_coeff
+            q_deg = (top >> span) - lead_den_deg
+            q -= zero_key
+            for key, n, deg in den_terms:
+                key += q
                 old = rem.get(key)
                 if pair:
                     (qr, qi), (dr, di), (r0, i0) = q_coeff, n, old or zero
@@ -433,22 +485,27 @@ class LaurentPoly:
                     del rem[key]
                     continue
                 if old is None:
-                    heappush(heap, (_term_sort_key(key), key))
+                    # An exact quotient keeps every term within a's exponent
+                    # ranges, so a term leaving the field range proves a remainder.
+                    if (key ^ key << 1) & zero_key != zero_key:
+                        raise self._inexact(divisor)
+                    heappush(heap, -((q_deg + deg) << span | key))
                 rem[key] = value
-        shift = tuple(map(sub, shift_a, shift_b))
         return _stored(
             variables,
-            *_normal_form(
-                a.den * scale,
-                {tuple(map(add, exps, shift)): _scaled(n, b.den) for exps, n in quotient.items()},
-            ),
+            *_normal_form(a.den * scale, {key: _scaled(n, b.den) for key, n in quotient.items()}),
+        )
+
+    def _inexact(self, divisor) -> InsufficientClearing:
+        return InsufficientClearing(
+            f"{self.render()} is not exactly divisible by {divisor.render()}"
         )
 
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
         """Canonical text form, e.g. 'x^2*y + x*y^2' or '3/4*x - 1'."""
-        if not self.nums:
+        if not self._packed:
             return "0"
         pieces = []
         for exps, coeff in self.sorted_terms():
@@ -506,6 +563,59 @@ class LaurentPoly:
         return LaurentPoly(variables, terms)
 
 
+# -- packed keys -------------------------------------------------------------
+#
+# Field i of a key over a k-variable table is bits [W(k-1-i), W(k-i)) and
+# holds e_i + _BIAS.  A stored exponent lies in [-_LIMIT, _LIMIT), so a field
+# lies in [_LIMIT, 3 _LIMIT) and its two top bits differ; the sum of two such
+# fields less _BIAS, or their difference plus _BIAS, stays in [0, 2^W) and so
+# never carries into the next field.  A key made that way is in range exactly
+# when every field's two top bits still differ, which one xor tests at once.
+
+_WIDTH = 22
+_MASK = (1 << _WIDTH) - 1
+_BIAS = 1 << (_WIDTH - 1)
+_LIMIT = 1 << (_WIDTH - 2)
+
+
+@cache
+def _zero_key(k: int) -> int:
+    """The key of the zero exponent vector over k variables: _BIAS in every
+    field, which is also the mask of every field's top bit."""
+    return _BIAS * (((1 << _WIDTH * k) - 1) // _MASK)
+
+
+def _shifts(k: int) -> range:
+    """The bit offset of each field of a k-variable key, in table order."""
+    return range(_WIDTH * (k - 1), -1, -_WIDTH)
+
+
+def _pack(exps: Exponents) -> int:
+    key = 0
+    for e in exps:
+        if not -_LIMIT <= e < _LIMIT:
+            raise ExponentOverflow(f"exponent {e} outside [{-_LIMIT}, {_LIMIT})")
+        key = key << _WIDTH | (e + _BIAS)
+    return key
+
+
+def _unpacked(keys, k: int) -> list:
+    """The exponent vectors of the keys over k variables, in order."""
+    shifts = _shifts(k)
+    return [tuple([((key >> s) & _MASK) - _BIAS for s in shifts]) for key in keys]
+
+
+def _checked(variables, den: int, nums: dict) -> "LaurentPoly":
+    """_stored, after testing that the keys, made by adding or subtracting
+    in-range keys, stayed in range."""
+    zero = _zero_key(len(variables))
+    for key in nums:
+        if (key ^ key << 1) & zero != zero:
+            exps = _unpacked([key], len(variables))[0]
+            raise ExponentOverflow(f"exponent vector {exps} outside [{-_LIMIT}, {_LIMIT})")
+    return _stored(variables, den, nums)
+
+
 # -- the stored form ---------------------------------------------------------
 #
 # A numerator is an int, or an (re, im) int pair in the Gaussian form.
@@ -519,16 +629,18 @@ def _table(variables) -> Tuple[str, ...]:
 
 
 # the slots' own setters: LaurentPoly.__setattr__ refuses every assignment
-_set_vars, _set_den, _set_nums = (getattr(LaurentPoly, s).__set__ for s in ("vars", "den", "nums"))
+_set_vars, _set_den, _set_packed = (
+    getattr(LaurentPoly, s).__set__ for s in ("vars", "den", "_packed")
+)
 
 
 def _stored(variables, den: int, nums: dict, poly: LaurentPoly | None = None) -> LaurentPoly:
-    """A polynomial holding the normalised (den, nums) as given; no checks."""
+    """A polynomial holding the normalised (den, packed nums) as given; no checks."""
     if poly is None:
         poly = object.__new__(LaurentPoly)
     _set_vars(poly, variables)
     _set_den(poly, den)
-    _set_nums(poly, nums)
+    _set_packed(poly, nums)
     return poly
 
 
@@ -598,26 +710,25 @@ def _lead_quotient(r, c):
     return (tr * s // norm, ti * s // norm), s
 
 
-def _content_shift(nums: dict) -> Exponents:
-    # Componentwise min exponent: the monomial content of the polynomial.
-    return tuple(map(min, zip(*nums)))
-
-
 def _reindex(poly: LaurentPoly, variables: Tuple[str, ...]) -> LaurentPoly:
-    """poly over another table; dropping a variable that occurs raises."""
+    """poly over another table, each field moved to its new offset; dropping
+    a variable that occurs raises."""
     if poly.vars == variables:
         return poly
-    index = {v: i for i, v in enumerate(variables)}
+    packed, offsets = poly._packed, _shifts(len(variables))
+    moves = []  # (offset in poly's keys, offset in the new keys)
+    for var, s in zip(poly.vars, _shifts(len(poly.vars))):
+        if var in variables:
+            moves.append((s, offsets[variables.index(var)]))
+        elif any((key >> s) & _MASK != _BIAS for key in packed):
+            raise ValueError(f"cannot drop live variable {var!r}")
+    zero = _zero_key(len(variables))
     out = {}
-    for exps, n in poly.nums.items():
-        new = [0] * len(variables)
-        for var, e in zip(poly.vars, exps):
-            if e == 0:
-                continue
-            if var not in index:
-                raise ValueError(f"cannot drop live variable {var!r}")
-            new[index[var]] = e
-        out[tuple(new)] = n
+    for key, n in packed.items():
+        new = zero
+        for s, t in moves:
+            new += (((key >> s) & _MASK) - _BIAS) << t
+        out[new] = n
     return _stored(variables, poly.den, out)
 
 
@@ -648,42 +759,45 @@ def _accumulate(variables, triples) -> LaurentPoly:
 
     Every term pair is added as an int into one dict over the common
     denominator of all the products, (re, im) ints when any numerator is a
-    pair; the sum is normalised once.
+    pair, under the key ka + kb - bias; the sum is normalised once.
     """
     live = []
     pair = False
     for (wd, wn), a, b in triples:
-        if wn and a.nums and b.nums:
-            live.append((wd * a.den * b.den, wn, a.nums, b.nums))
-            pair = pair or type(wn) is tuple or _is_pair(a.nums) or _is_pair(b.nums)
+        if wn and a._packed and b._packed:
+            live.append((wd * a.den * b.den, wn, a._packed, b._packed))
+            pair = pair or type(wn) is tuple or _is_pair(a._packed) or _is_pair(b._packed)
     den = lcm(*[d for d, _, _, _ in live])
+    bias = _zero_key(len(variables))
     if not pair:
-        acc: Dict[Exponents, int] = {}
+        acc: Dict[int, int] = {}
         for d, wn, nums_a, nums_b in live:
             scale = wn * (den // d)
             nums_b = nums_b.items()
-            for ea, na in nums_a.items():
+            for ka, na in nums_a.items():
+                ka -= bias
                 na *= scale
-                for eb, nb in nums_b:
-                    key = tuple(map(add, ea, eb))
+                for kb, nb in nums_b:
+                    key = ka + kb
                     acc[key] = acc.get(key, 0) + na * nb
-        return _stored(variables, *_normal_form(den, acc))
-    sums: Dict[Exponents, list] = {}
+        return _checked(variables, *_normal_form(den, acc))
+    sums: Dict[int, list] = {}
     for d, wn, nums_a, nums_b in live:
         scale = den // d
         wr, wi = wn if type(wn) is tuple else (wn, 0)
         nums_b = _pairs(nums_b).items()
-        for ea, (ra, ia) in _pairs(nums_a).items():
+        for ka, (ra, ia) in _pairs(nums_a).items():
+            ka -= bias
             ra, ia = (ra * wr - ia * wi) * scale, (ra * wi + ia * wr) * scale
-            for eb, (rb, ib) in nums_b:
-                key = tuple(map(add, ea, eb))
+            for kb, (rb, ib) in nums_b:
+                key = ka + kb
                 pair = sums.get(key)
                 if pair is None:
                     sums[key] = [ra * rb - ia * ib, ra * ib + ia * rb]
                 else:
                     pair[0] += ra * rb - ia * ib
                     pair[1] += ra * ib + ia * rb
-    return _stored(variables, *_normal_form(den, sums))
+    return _checked(variables, *_normal_form(den, sums))
 
 
 class Powers:
@@ -756,13 +870,17 @@ def substitute_rational(
         )
     clear = value.denominator if clear is None else clear
     degree = f.degree_in(var)
-    idx = f.vars.index(var) if var in f.vars else None
     rest_vars = tuple(v for v in f.vars if v != var)
-    # f's numerators grouped by their power of var: f = sum_k a_k var^k.
+    # f's numerators grouped by their power of var: f = sum_k a_k var^k.  A key
+    # over rest_vars is f's key with var's field cut out.
     by_power: Dict[int, dict] = {}
-    for exps, n in f.nums.items():
-        k = exps[idx] if idx is not None else 0
-        by_power.setdefault(k, {})[tuple(e for i, e in enumerate(exps) if i != idx)] = n
+    if var in f.vars:
+        s = f._field_shift(var)
+        for key, n in f._packed.items():
+            rest = (key >> (s + _WIDTH) << s) | (key & ((1 << s) - 1))
+            by_power.setdefault(((key >> s) & _MASK) - _BIAS, {})[rest] = n
+    elif f:
+        by_power[0] = f._packed
     den_powers = Powers(value.denominator)
     # Numerator of f(value) over D^degree, sum_k a_k N^k D^(degree-k), by
     # homogeneous Horner: num = num*N + a_k D^(degree-k), k from degree down.

@@ -323,8 +323,9 @@ CLOSED_FORM_NAMES = (
     "hoffman_Q",
     "eulerian_egf",
 )
-# The closed forms expanded at a RadicalPoint; the others are symbolic.
-RADICAL_CLOSED_FORMS = ("gessel_L", "bivariate_L")
+# The closed forms expanded at a RadicalPoint, with the point variables each
+# reads; the others are symbolic.
+RADICAL_CLOSED_FORMS = {"gessel_L": ("x",), "bivariate_L": ("x", "y")}
 
 
 def closed_form_series(

@@ -99,6 +99,10 @@ def test_check_bad_point_is_input_error(capsys):
         (["check", "gessel", "--points", "x=3/4,x=8/9"], "'x' is assigned more than once"),
         (["check", "all", "--points", "x=3/4", "--points", "x=8/9"], "'x' is assigned more than once"),
         (["series", "gessel_L", "--at", "x=3/4", "--at", "x=8/9"], "'x' is assigned more than once"),
+        (["series", "exp", "--order", "3", "--at", "y=1"], "series exp reads no point"),
+        (["series", "hoffman_P", "--order", "3", "--at", "x=1,y=1"], "hoffman_P reads x, not 'y'"),
+        (["series", "gessel_L", "--order", "2", "--at", "x=3/4,y=1"], "gessel_L reads x, not 'y'"),
+        (["series", "bivariate_L", "--at", "x=3,y=5,z=1"], "bivariate_L reads x, y, not 'z'"),
     ],
 )
 def test_unread_or_repeated_points_exit_2(capsys, argv, message):
@@ -106,6 +110,15 @@ def test_unread_or_repeated_points_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["check", "gessel", "--points", "x=1/0"], ["series", "gessel_L", "--at", "x=1/0"]]
+)
+def test_zero_denominator_point_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: 'x' = '1/0' has a zero denominator\n"
 
 
 def test_scoped_points_for_unselected_identities_are_allowed(capsys):

@@ -50,6 +50,7 @@ def test_cli_import_is_lean_and_errata_read_on_access():
     assert result.returncode == 0, result.stderr
     loaded, read_at_import, read_on_access, unresolved = ast.literal_eval(result.stdout)
     assert "gramcalc.cli" in loaded
+    assert "gramcalc.identities" not in loaded
     assert "dataclasses" not in loaded
     assert "inspect" not in loaded
     assert read_at_import == []

@@ -4,6 +4,7 @@ import pytest
 
 from gramcalc.errors import (
     DivisionByZero,
+    ExponentOverflow,
     InsufficientClearing,
     NonInvertibleSubstitution,
     ParseError,
@@ -170,6 +171,11 @@ def test_restricted_reorders_and_refuses_live_drop():
         poly.restricted(("y",))
 
 
+def test_collect_rejects_vectors_that_do_not_match_the_table():
+    with pytest.raises(ValueError, match="does not match table"):
+        parse_poly("x + 1").collect(lambda e: (e[0], 2), ("x",))
+
+
 def test_parse_rejects_dropped_variable_with_only_negative_exponents():
     # x's largest exponent is 0, but x^-1 still needs x in the table
     with pytest.raises(ParseError, match="unexpected variables \\['x'\\]"):
@@ -200,3 +206,111 @@ def test_constant_hashes_as_its_scalar(scalar, variables):
     poly = LaurentPoly.const(scalar, variables)
     assert poly == scalar and hash(poly) == hash(scalar)
     assert len({poly, scalar}) == 1
+
+
+# -- the packed store: tuple-key views and the exponent range ---------------------
+
+_F = parse_poly("3*x^2*y^-1 - y + 1/2*x*z + 7")
+_G = parse_poly("y^2 - x^-1*z + 2")
+_I = make_gaussian(0, 1)
+
+# (vars, den, nums items) as the tuple-key store held them, insertion order included
+_STORED_ORDER = [
+    (
+        _F * _G,
+        ("x", "y", "z"),
+        2,
+        [((2, 1, 0), 6), ((1, -1, 1), -6), ((2, -1, 0), 12), ((0, 3, 0), -2), ((-1, 1, 1), 2),
+         ((0, 1, 0), -4), ((1, 2, 1), 1), ((0, 0, 2), -1), ((1, 0, 1), 2), ((0, 2, 0), 14),
+         ((-1, 0, 1), -14), ((0, 0, 0), 28)],
+    ),
+    (
+        _F + _G,
+        ("x", "y", "z"),
+        2,
+        [((2, -1, 0), 6), ((0, 1, 0), -2), ((1, 0, 1), 1), ((0, 0, 0), 18), ((0, 2, 0), 2),
+         ((-1, 0, 1), -2)],
+    ),
+    (-_G, ("y", "x", "z"), 1, [((2, 0, 0), -1), ((0, -1, 1), 1), ((0, 0, 0), -2)]),
+    (
+        (_F * _G).partial_derivative("x"),
+        ("x", "y", "z"),
+        2,
+        [((1, 1, 0), 12), ((0, -1, 1), -6), ((1, -1, 0), 24), ((-2, 1, 1), -2), ((0, 2, 1), 1),
+         ((0, 0, 1), 2), ((-2, 0, 1), 14)],
+    ),
+    (
+        _F.substitute({"x": parse_poly("x + y")}),
+        ("x", "y", "z"),
+        2,
+        [((2, -1, 0), 6), ((1, 0, 0), 12), ((0, 1, 0), 4), ((1, 0, 1), 1), ((0, 1, 1), 1),
+         ((0, 0, 0), 14)],
+    ),
+    (
+        (_F * _G).exact_divide(_G),
+        ("x", "y", "z"),
+        2,
+        [((1, 0, 1), 1), ((2, -1, 0), 6), ((0, 1, 0), -2), ((0, 0, 0), 14)],
+    ),
+    (
+        (_F * _G).restricted(("z", "y", "x")),
+        ("z", "y", "x"),
+        2,
+        [((0, 1, 2), 6), ((1, -1, 1), -6), ((0, -1, 2), 12), ((0, 3, 0), -2), ((1, 1, -1), 2),
+         ((0, 1, 0), -4), ((1, 2, 1), 1), ((2, 0, 0), -1), ((1, 0, 1), 2), ((0, 2, 0), 14),
+         ((1, 0, -1), -14), ((0, 0, 0), 28)],
+    ),
+    (
+        (X + _I) * (X * Y - 2 * _I),
+        ("x", "y"),
+        1,
+        [((2, 1), (1, 0)), ((1, 0), (0, -2)), ((1, 1), (0, 1)), ((0, 0), (2, 0))],
+    ),
+    (
+        (_F * _G).collect(lambda e: (e[0] + e[1],), ("t",)),
+        ("t",),
+        2,
+        [((3,), 5), ((0,), 23), ((1,), 10), ((2,), 14), ((-1,), -14)],
+    ),
+]
+
+
+@pytest.mark.parametrize("poly, variables, den, items", _STORED_ORDER)
+def test_views_keep_the_stored_key_order(poly, variables, den, items):
+    assert (poly.vars, poly.den, list(poly.nums.items())) == (variables, den, items)
+    assert list(poly.terms) == [exps for exps, _ in items]
+    with pytest.raises(TypeError):
+        poly.nums[items[0][0]] = 1
+
+
+_LIMIT = 2**20
+
+
+def test_exponents_at_the_range_ends_are_stored_exactly():
+    edge = LaurentPoly(("x", "y"), {(_LIMIT - 1, -_LIMIT): 1, (-_LIMIT, _LIMIT - 1): 2})
+    assert dict(edge.nums) == {(_LIMIT - 1, -_LIMIT): 1, (-_LIMIT, _LIMIT - 1): 2}
+    half = parse_poly(f"x^{_LIMIT // 2}*y^-{_LIMIT // 2}")
+    product = half * parse_poly(f"x^{_LIMIT // 2 - 1}*y^-{_LIMIT // 2}")
+    assert dict(product.nums) == {(_LIMIT - 1, -_LIMIT): 1}
+    assert edge.degree_in("x") == _LIMIT - 1 and edge.min_degree_in("y") == -_LIMIT
+    assert edge.coefficient({"x": _LIMIT}) == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LaurentPoly(("x",), {(_LIMIT,): 1}),
+        lambda: LaurentPoly(("x", "y"), {(0, -_LIMIT - 1): 1}),
+        lambda: parse_poly("x^2000000"),
+        lambda: parse_poly("x^1000000") ** 2,
+        lambda: parse_poly(f"x^{_LIMIT - 1}*y") * parse_poly("x + 1"),
+        lambda: parse_poly(f"y^-{_LIMIT}") * parse_poly("x*y^-1"),
+        lambda: parse_poly(f"x^-{_LIMIT}").partial_derivative("x"),
+        lambda: parse_poly(f"x^-{_LIMIT}").monomial_inverse(),
+        lambda: parse_poly(f"x^-{_LIMIT}").exact_divide(X),
+        lambda: X.collect(lambda e: (e[0] + _LIMIT,), ("x",)),
+    ],
+)
+def test_exponent_outside_the_field_range_raises(make):
+    with pytest.raises(ExponentOverflow, match="outside"):
+        make()

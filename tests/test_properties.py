@@ -4,7 +4,9 @@ Runnable standalone: pytest tests/test_properties.py
 """
 
 from fractions import Fraction
-from math import comb, factorial, gcd
+from itertools import chain
+from math import comb, factorial, gcd, lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +23,16 @@ from gramcalc.errors import InsufficientClearing, NonInvertibleSubstitution
 from gramcalc.identities import _CAYLEY, _ONE_PLUS_X, _PETERSEN
 from gramcalc.laurent import (
     LaurentPoly,
+    _cleared,
+    _is_pair,
+    _normal_form,
+    _pairs,
     binomial_convolution,
     parse_poly,
     substitute_rational,
     sum_of_products,
 )
-from gramcalc.scalar import GaussianRational, make_gaussian
+from gramcalc.scalar import GaussianRational, as_scalar, make_gaussian
 from gramcalc.series import TruncSeries, compare_series, elementary_series
 
 from conftest import laurent_polys, plain_polys, poly_strategy, rationals, scalars
@@ -245,6 +251,95 @@ def test_binomial_convolution_matches_explicit_sum(case):
         assert result.vars == expected.vars
         assert result.terms == expected.terms
         _assert_canonical(result)
+
+
+# -- the packed kernel against the tuple-key kernel it replaced ---------------------
+
+
+def _tuple_key_nums(poly, variables):
+    """poly's numerators keyed by exponent vectors over `variables`."""
+    index = {v: i for i, v in enumerate(variables)}
+    out = {}
+    for exps, n in poly.nums.items():
+        new = [0] * len(variables)
+        for v, e in zip(poly.vars, exps):
+            new[index[v]] = e
+        out[tuple(new)] = n
+    return out
+
+
+def _tuple_key_sum_of_products(triples, variables):
+    """sum_of_products on exponent-tuple keys: (table, den, nums), the product
+    loop as it was before keys were packed."""
+    table = tuple(dict.fromkeys(chain(variables, *(p.vars for _, a, b in triples for p in (a, b)))))
+    live = []
+    pair = False
+    for w, a, b in triples:
+        (wd, wn), nums_a, nums_b = _cleared(as_scalar(w)), _tuple_key_nums(a, table), _tuple_key_nums(b, table)
+        if wn and nums_a and nums_b:
+            live.append((wd * a.den * b.den, wn, nums_a, nums_b))
+            pair = pair or type(wn) is tuple or _is_pair(nums_a) or _is_pair(nums_b)
+    den = lcm(*[d for d, _, _, _ in live])
+    if not pair:
+        acc = {}
+        for d, wn, nums_a, nums_b in live:
+            scale = wn * (den // d)
+            for ea, na in nums_a.items():
+                na *= scale
+                for eb, nb in nums_b.items():
+                    key = tuple(map(add, ea, eb))
+                    acc[key] = acc.get(key, 0) + na * nb
+        return (table, *_normal_form(den, acc))
+    sums = {}
+    for d, wn, nums_a, nums_b in live:
+        scale = den // d
+        wr, wi = wn if type(wn) is tuple else (wn, 0)
+        for ea, (ra, ia) in _pairs(nums_a).items():
+            ra, ia = (ra * wr - ia * wi) * scale, (ra * wi + ia * wr) * scale
+            for eb, (rb, ib) in _pairs(nums_b).items():
+                key = tuple(map(add, ea, eb))
+                old = sums.get(key)
+                if old is None:
+                    sums[key] = [ra * rb - ia * ib, ra * ib + ia * rb]
+                else:
+                    old[0] += ra * rb - ia * ib
+                    old[1] += ra * ib + ia * rb
+    return (table, *_normal_form(den, sums))
+
+
+_PACKED_TABLES = st.permutations(("x", "y", "z", "w")).flatmap(
+    lambda order: st.integers(min_value=0, max_value=4).map(lambda k: order[:k])
+)
+# small exponents, and exponents whose sums reach the ends of the packed range
+_EXPONENT_RANGES = st.sampled_from([(-3, 4), (-(2**19), 2**19 - 1)])
+
+
+@st.composite
+def _packed_operand(draw):
+    low, high = draw(_EXPONENT_RANGES)
+    coeffs = _COEFFS[draw(_KINDS)]
+    return draw(poly_strategy(draw(_PACKED_TABLES), low, high, max_terms=4, coeffs=coeffs))
+
+
+@st.composite
+def _packed_cases(draw):
+    triples = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        a = draw(_packed_operand())
+        b = a if draw(st.booleans()) else draw(_packed_operand())
+        triples.append((draw(_WEIGHTS), a, b))
+    return draw(_PACKED_TABLES), triples
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_cases())
+def test_packed_kernel_matches_tuple_key_kernel(case):
+    variables, triples = case
+    table, den, nums = _tuple_key_sum_of_products(triples, variables)
+    result = sum_of_products(triples, variables)
+    assert result.vars == table
+    assert (result.den, list(result.nums.items())) == (den, list(nums.items()))
+    assert list(result.terms) == list(nums)
 
 
 # -- substitute against the per-term reference -------------------------------------------
