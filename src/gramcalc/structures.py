@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter, namedtuple
 from fractions import Fraction
-from operator import gt
+from itertools import chain, product, starmap
+from operator import add, gt
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import BoundExceeded, NotAPermutation, UnknownFamily
@@ -254,7 +255,7 @@ def enumerate_structures(kind: str, n: int, bound: int | None = None):
 def count_structures(kind: str, n: int, bound: int | None = None) -> int:
     """Number of structures of the kind on [n]: each is visited once, none is built."""
     _check_bound(n, bound)
-    return _kind(kind).count(tuple(range(1, n + 1)))
+    return _kind(kind).count(n)
 
 
 # -- statistics on trees ----------------------------------------------------------
@@ -300,97 +301,122 @@ def jv_empty_leaves(tree) -> int:
     return sum(jv_empty_leaves(c) for c in children)
 
 
-# -- stat-only enumeration ---------------------------------------------------------
+# -- size-keyed statistics ----------------------------------------------------------
 #
-# Each generator walks its tree enumerator's recursion in the same order and
-# yields only the statistic: every structure is visited once, none is built.
+# A tree's statistic depends only on how many labels it has, and a _subsets
+# split of its non-root labels only through the split's sizes and whether it
+# takes the first label (_splits).  So pairs(m, stats) gives the statistics of
+# the trees on m labels, in their enumerator's order, as one (left, right)
+# pair per root split, the root's own weight folded into left: the split's
+# trees are starmap(add, product(left, right)).  stats(k) is the list for
+# k < m labels, built once per top-level call in a memo local to that call.
+# The top size is never listed: each pair goes straight into Counter.update.
+# Every structure is visited exactly once, with one C-level add; none is built.
 
 
-def _jv_stats(labels: Tuple[int, ...]) -> Iterator[int]:
-    """Empty-leaf count of each jv tree on labels, in jv_trees order."""
-    if not labels:
-        yield 1
-        return
-    rest = labels[1:]
-    if not rest:
-        yield 0
-        yield 2
-        return
-    for left_set, right_set in _subsets(rest):
-        rights = list(_jv_stats(right_set))
-        for a in _jv_stats(left_set):
-            for b in rights:
-                yield a + b
+def _splits(m: int) -> List[Tuple[int, int, bool]]:
+    """(len(chosen), len(rest), items[0] in chosen) of each _subsets split of m items."""
+    masks = range(1 << m)
+    return [(k, m - k, mask & 1 == 1) for mask, k in zip(masks, map(int.bit_count, masks))]
 
 
-def _binary_stats(labels: Tuple[int, ...], base: int) -> Iterator[int]:
-    """f0 * base + f1 for the (leaves, one-child) counts (f0, f1) of each
-    inc_binary tree, in inc_binary_trees order; base > len(labels) keeps the
-    packing one-to-one.  Packed counts add like the pairs they pack."""
-    if not labels:
-        yield 0
-        return
-    rest = labels[1:]
-    for left_set, right_set in _subsets(rest):
-        children = bool(left_set) + bool(right_set)
-        own = base if children == 0 else 1 if children == 1 else 0
-        rights = list(_binary_stats(right_set, base))
-        for a in _binary_stats(left_set, base):
-            a += own
-            for b in rights:
-                yield a + b
+def _size_keyed(pairs) -> Callable[[int], List[int]]:
+    """stats(m): the statistic of every tree on m labels, each size listed once."""
+    memo: Dict[int, List[int]] = {}
+
+    def stats(m: int) -> List[int]:
+        if m not in memo:
+            memo[m] = list(chain.from_iterable(starmap(add, product(*pair)) for pair in pairs(m, stats)))
+        return memo[m]
+
+    return stats
 
 
-def _stats_012(labels: Tuple[int, ...], ordered: bool) -> Iterator[Tuple[int, int]]:
-    """(f0, f1) of each 0-1-2 tree on labels, in _trees_012 order."""
-    if not labels:
-        return
-    rest = labels[1:]
-    if not rest:
-        yield (1, 0)
-        return
-    for f0, f1 in _stats_012(rest, ordered):
-        yield (f0, f1 + 1)
-    for first, second in _subsets(rest):
-        if first and second and (ordered or rest[0] in first):
-            seconds = list(_stats_012(second, ordered))
-            for a0, a1 in _stats_012(first, ordered):
-                for b0, b1 in seconds:
-                    yield (a0 + b0, a1 + b1)
-
-
-def _forest_tally(
-    labels: Tuple[int, ...], block_stats: Callable[[Tuple[int, ...]], List[int]]
-) -> Counter:
-    """Tally of each forest's summed block statistics, over every set partition.
-
-    block_stats maps a block's non-root labels to one int per tree on them.
-    Those statistics depend only on the block's size, so each size's list is
-    enumerated once per call; every forest is still visited once.
-    """
-    by_size: Dict[int, List[int]] = {}
-    tally: Counter = Counter()
-    for partition in set_partitions(labels):
-        lists = []
-        for block in partition:
-            stats = by_size.get(len(block))
-            if stats is None:
-                stats = by_size[len(block)] = block_stats(block[1:])
-            lists.append(stats)
-        tally.update(map(sum, itertools.product(*lists)))
+def _tally(pairs, m: int, stats=None, tally: Counter | None = None) -> Counter:
+    """Tally (into tally, a new Counter by default) of the statistic of each tree on m labels."""
+    stats = stats or _size_keyed(pairs)
+    tally = Counter() if tally is None else tally
+    for left, right in pairs(m, stats):
+        tally.update(starmap(add, product(left, right)))
     return tally
 
 
-def _count(stats: Iterator) -> int:
-    return sum(1 for _ in stats)
+def _jv_pairs(m: int, stats) -> list:
+    """Empty-leaf counts of the jv trees on m labels, in jv_trees order."""
+    if m < 2:
+        return [((1,) if m == 0 else (0, 2), (0,))]  # an empty leaf; a root bare or over two
+    return [(stats(a), stats(b)) for a, b, _ in _splits(m - 1)]
 
 
-def _forest_count(labels: Tuple[int, ...], tree_stats: Callable[[Tuple[int, ...]], Iterator]) -> int:
-    """Number of forests whose blocks carry the trees that tree_stats walks.
+def _binary_pairs(base: int):
+    """f0 * base + f1 for the (leaves, one-child) counts (f0, f1) of each
+    inc_binary tree on m labels, in inc_binary_trees order; base > m keeps the
+    packing one-to-one.  Packed counts add like the pairs they pack."""
 
-    Every tree's statistic is read as 0, so the tally holds each forest at 0.
+    def pairs(m: int, stats) -> list:
+        if m == 0:
+            return [((0,), (0,))]
+        out = []
+        for a, b, _ in _splits(m - 1):
+            own = (base, 1, 0)[(a > 0) + (b > 0)]
+            out.append(([s + own for s in stats(a)] if own else stats(a), stats(b)))
+        return out
+
+    return pairs
+
+
+def _pairs_012(base: int, ordered: bool):
+    """f0 * base + f1 for the (leaves, one-child) counts of each 0-1-2 tree on
+    m labels, in _trees_012 order; base > m keeps the packing one-to-one."""
+
+    def pairs(m: int, stats) -> list:
+        if m < 2:
+            return [((base,), (0,))] if m else []
+        two = [(stats(a), stats(b)) for a, b, low in _splits(m - 1) if a and b and (ordered or low)]
+        return [(stats(m - 1), (1,))] + two
+
+    return pairs
+
+
+# Whole-size lists, as the tests read them; the oracles tally through _tally.
+def _jv_stats(labels: Tuple[int, ...]) -> List[int]:
+    """Empty-leaf count of each jv tree on labels, in jv_trees order."""
+    return _size_keyed(_jv_pairs)(len(labels))
+
+
+def _binary_stats(labels: Tuple[int, ...], base: int) -> List[int]:
+    """Packed (f0, f1) of each inc_binary tree on labels (see _binary_pairs)."""
+    return _size_keyed(_binary_pairs(base))(len(labels))
+
+
+def _stats_012(labels: Tuple[int, ...], ordered: bool) -> List[Tuple[int, int]]:
+    """(f0, f1) of each 0-1-2 tree on labels, in _trees_012 order."""
+    base = len(labels) + 1
+    return [divmod(s, base) for s in _size_keyed(_pairs_012(base, ordered))(len(labels))]
+
+
+def _forest_tally(n: int, pairs) -> Counter:
+    """Tally of each forest's summed block statistics, over every set partition of [n].
+
+    A block carries the trees that pairs walks on its non-root labels; a lone
+    root weighs 1 (one empty leaf for jv trees, a v label, packed, for binary
+    ones).  The block of all n labels is never listed.
     """
-    return _forest_tally(labels, lambda rest: [0 for _ in tree_stats(rest)])[0]
+    stats = _size_keyed(pairs)
+    tally: Counter = Counter()
+    for partition in set_partitions(tuple(range(1, n + 1))):
+        if len(partition) == 1 and n > 1:
+            _tally(pairs, n - 1, stats, tally)
+        else:
+            lists = [stats(len(block) - 1) if len(block) > 1 else (1,) for block in partition]
+            tally.update(map(sum, product(*lists)))
+    return tally
+
+
+def _pair_tally(n: int, pairs_of_base, *args) -> Dict[Tuple[int, int], int]:
+    """Tally of (f0, f1) over the trees on n labels, walked packed with base n + 1."""
+    base = n + 1
+    return {divmod(key, base): c for key, c in _tally(pairs_of_base(base, *args), n).items()}
 
 
 # -- the oracle: families by weighted counting -------------------------------------
@@ -466,8 +492,6 @@ def family_poly_oracle(name: str, n: int, bound: int | None = None) -> LaurentPo
     conventions, not weighted counts).
     """
     _check_bound(n, bound)
-    labels = tuple(range(1, n + 1))
-
     if name in _PERM_WEIGHTS:
         variables, exponents, least_n = _PERM_WEIGHTS[name]
         if n < least_n:
@@ -483,11 +507,9 @@ def family_poly_oracle(name: str, n: int, bound: int | None = None) -> LaurentPo
     elif name == "dumont":
         if n < 1:
             raise ValueError("dumont oracle needs n >= 1")
-        base = n + 1
-        counter = Counter(_binary_stats(labels, base))
-        return _poly_from_counter(UV, {divmod(key, base): c for key, c in counter.items()})
+        return _poly_from_counter(UV, _pair_tally(n, _binary_pairs))
     elif name in ("andre_biv", "andre_uni"):
-        counter = Counter(_stats_012(labels, False))
+        counter = _pair_tally(n, _pairs_012, False)
         if n == 0:
             counter[(0, 0)] = 1
         poly = _poly_from_counter(UV, counter)
@@ -495,21 +517,15 @@ def family_poly_oracle(name: str, n: int, bound: int | None = None) -> LaurentPo
             return poly.substitute({"v": LaurentPoly.const(1)})
         return poly
     elif name == "deriv_P":
-        counter = Counter(_jv_stats(labels))
+        counter = _tally(_jv_pairs, n)
         return _poly_from_counter(("x",), {(k,): c for k, c in counter.items()})
     elif name == "deriv_Q":
-        counter = _forest_tally(labels, lambda rest: list(_jv_stats(rest)))
+        counter = _forest_tally(n, _jv_pairs)
         return _poly_from_counter(("x",), {(k,): c for k, c in counter.items()})
     elif name == "planted_forest":
         base = n + 1  # (f0, f1) packed as f0 * base + f1; neither sum exceeds n
-
-        def packed(rest):
-            if not rest:
-                return [1]  # a lone root is labeled v
-            return list(_binary_stats(rest, base))
-
         counter = {}
-        for key, count in _forest_tally(labels, packed).items():
+        for key, count in _forest_tally(n, _binary_pairs(base)).items():
             f0, f1 = divmod(key, base)
             counter[(f1, f0)] = count
         return _poly_from_counter(("v", "u"), counter)
@@ -525,11 +541,10 @@ def dumont_plane_oracle(n: int, bound: int | None = None) -> LaurentPoly:
     _check_bound(n, bound)
     if n < 1:
         raise ValueError("plane-tree oracle needs n >= 1")
-    counter = Counter(_stats_012(tuple(range(1, n + 1)), True))
     # weight u^f0 (2v)^f1: fold the 2^f1 into the coefficient
     terms = {
         (f0, f1): Fraction(count) * Fraction(2) ** f1
-        for (f0, f1), count in counter.items()
+        for (f0, f1), count in _pair_tally(n, _pairs_012, True).items()
     }
     return LaurentPoly(UV, terms)
 
@@ -537,7 +552,10 @@ def dumont_plane_oracle(n: int, bound: int | None = None) -> LaurentPoly:
 def plane_leaf_counts(n: int, bound: int | None = None) -> Dict[int, int]:
     """Number of plane 0-1-2 increasing trees on [n] with k leaves."""
     _check_bound(n, bound)
-    return dict(Counter(f0 for f0, _ in _stats_012(tuple(range(1, n + 1)), True)))
+    leaves: Counter = Counter()
+    for (f0, _), count in _pair_tally(n, _pairs_012, True).items():
+        leaves[f0] += count
+    return dict(leaves)
 
 
 def alternating_count(n: int, bound: int | None = None) -> int:
@@ -576,30 +594,30 @@ def _jv_json(tree):
 
 
 _Kind = namedtuple("_Kind", "enumerate count json")
-# kind -> enumerator over the labels 1..n, its count by the stat-only walker,
-# JSON codec of one structure
+# kind -> enumerator over the labels 1..n, its count over n by the size-keyed
+# walker, JSON codec of one structure
 _KINDS = {
     "permutations": _Kind(
         lambda labels: permutations(len(labels)),
-        lambda labels: _count(permutations(len(labels))),
+        lambda n: sum(1 for _ in permutations(n)),
         list,
     ),
     "inc_binary": _Kind(
         lambda labels: inc_binary_trees(labels) if labels else (),
-        lambda labels: _count(_binary_stats(labels, 1)) if labels else 0,
+        lambda n: sum(_tally(_binary_pairs(1), n).values()) if n else 0,
         _binary_json,
     ),
-    "plane_012": _Kind(plane_012_trees, lambda labels: _count(_stats_012(labels, True)), _tree_json),
-    "tree_012": _Kind(tree_012_trees, lambda labels: _count(_stats_012(labels, False)), _tree_json),
-    "jv_tree": _Kind(jv_trees, lambda labels: _count(_jv_stats(labels)), _jv_json),
+    "plane_012": _Kind(plane_012_trees, lambda n: sum(_tally(_pairs_012(1, True), n).values()), _tree_json),
+    "tree_012": _Kind(tree_012_trees, lambda n: sum(_tally(_pairs_012(1, False), n).values()), _tree_json),
+    "jv_tree": _Kind(jv_trees, lambda n: sum(_tally(_jv_pairs, n).values()), _jv_json),
     "jv_forest": _Kind(
         jv_forests,
-        lambda labels: _forest_count(labels, _jv_stats),
+        lambda n: sum(_forest_tally(n, _jv_pairs).values()),
         lambda forest: [[root, [_jv_json(sub)]] for root, sub in forest],
     ),
     "planted_forest": _Kind(
         planted_forests,
-        lambda labels: _forest_count(labels, lambda rest: _binary_stats(rest, 1)),
+        lambda n: sum(_forest_tally(n, _binary_pairs(1)).values()),
         lambda forest: [
             [root, [] if sub is None else [_binary_json(sub)]] for root, sub in forest
         ],

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -14,6 +15,7 @@ from gramcalc.structures import (
     _binary_stats,
     _jv_stats,
     _perm_histogram,
+    _splits,
     _stats_012,
     alternating_count,
     binary_degree_counts,
@@ -323,14 +325,19 @@ def test_enumeration_matches_reference(kind):
         assert list(enumerate_structures(kind, n)) == list(_reference(kind, n)), (kind, n)
 
 
-def _forest_poly(variables, forests, block_exponents):
+def _forest_counter(width, forests, block_exponents):
     """Tree-built tally: a forest weighs the product of its blocks' weights."""
     tally = Counter()
     for forest in forests:
-        exps = [0] * len(variables)
+        exps = [0] * width
         for _, sub in forest:
             exps = [a + b for a, b in zip(exps, block_exponents(sub))]
         tally[tuple(exps)] += 1
+    return tally
+
+
+def _forest_poly(variables, forests, block_exponents):
+    tally = _forest_counter(len(variables), forests, block_exponents)
     return LaurentPoly(variables, {e: Fraction(c) for e, c in tally.items()})
 
 
@@ -431,3 +438,61 @@ def test_oracle_coefficient_sum_counts_structures(name, kind, lo, copies):
     for n in range(lo, 9):
         total = sum(family_poly_oracle(name, n).terms.values())
         assert total == copies * sum(1 for _ in enumerate_structures(kind, n)), (name, n)
+
+
+def test_split_sizes_match_subsets():
+    for m in range(10):
+        items = tuple(range(1, m + 1))
+        assert _splits(m) == [
+            (len(c), len(r), m > 0 and items[0] in c) for c, r in _ref_subsets(items)
+        ], m
+
+
+def test_count_structures_never_lists_the_top_size():
+    expected = family_number("p_at_one", 8)
+    tracemalloc.start()
+    try:
+        count = count_structures("jv_tree", 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == expected
+    # the list of all 354,560 statistics on 8 labels alone takes about 2.8 MB
+    assert peak < 1 << 20, peak
+
+
+def _tree_walked(name, labels):
+    """Exponent tally of a family, walking the tree enumerators in order."""
+    if name == "dumont":
+        return Counter(binary_degree_counts(t)[:2] for t in inc_binary_trees(labels))
+    if name == "andre_biv":
+        return Counter(tree_degree_counts(t)[:2] for t in tree_012_trees(labels)) or {(0, 0): 1}
+    if name == "andre_uni":
+        # at n = 0 the constant 1 keeps no variable
+        return Counter(tree_degree_counts(t)[:1] for t in tree_012_trees(labels)) or {(): 1}
+    if name == "deriv_P":
+        return Counter((jv_empty_leaves(t),) for t in jv_trees(labels))
+    if name == "deriv_Q":
+        return _forest_counter(1, jv_forests(labels), lambda sub: (jv_empty_leaves(sub),))
+    return _forest_counter(2, planted_forests(labels), _planted_block_exponents)
+
+
+@pytest.mark.parametrize(
+    "name,lo", [("dumont", 1), ("andre_biv", 0), ("andre_uni", 0), ("deriv_P", 0),
+                ("deriv_Q", 0), ("planted_forest", 0)]
+)
+def test_oracle_stored_order_matches_tree_walk(name, lo):
+    for n in range(lo, 9):
+        walked = _tree_walked(name, tuple(range(1, n + 1)))
+        assert list(family_poly_oracle(name, n).nums.items()) == list(walked.items()), n
+
+
+def test_plane_stored_order_matches_tree_walk():
+    for n in range(1, 9):
+        trees = list(plane_012_trees(tuple(range(1, n + 1))))
+        walked = Counter(tree_degree_counts(t)[:2] for t in trees)
+        assert list(dumont_plane_oracle(n).nums.items()) == [
+            (key, count * 2 ** key[1]) for key, count in walked.items()
+        ], n
+        leaves = Counter(map(tree_leaf_count, trees))
+        assert list(plane_leaf_counts(n).items()) == list(leaves.items()), n
