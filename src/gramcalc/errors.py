@@ -10,6 +10,7 @@ class ParseError(GramcalcError):
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .errors import CrossCheckFailed, ExtensionConflict, InsufficientClearing, ParseError
+from .errors import CrossCheckFailed, ExtensionConflict, GramcalcError, InsufficientClearing, ParseError
 from .laurent import LaurentPoly, Powers, parse_poly, sum_of_products
 
 _ONE = LaurentPoly.const(1)
@@ -192,52 +192,57 @@ class Grammar:
 
 
 def parse_grammar(text: str) -> Grammar:
-    """Parse the line format 'var -> polynomial' plus optional 'sqrt z^2 = poly'."""
+    """Parse the line format 'var -> polynomial' plus optional 'sqrt z^2 = poly'.
+
+    A line holding '->' is a rule; any other line must be the sqrt line.  An
+    error names its line; a position is one within the stripped line.
+    """
     rules: Dict[str, LaurentPoly] = {}
-    order = []
-    sqrt_var = None
-    sqrt_radicand = None
+    sqrt_line = sqrt_var = sqrt_radicand = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("sqrt"):
-            rest = line[4:].strip()
-            if "=" not in rest:
-                raise ParseError(f"line {lineno}: malformed sqrt line", 0)
-            lhs, rhs = rest.split("=", 1)
-            lhs = lhs.strip()
-            if not lhs.endswith("^2"):
-                raise ParseError(f"line {lineno}: sqrt line must declare z^2", 0)
-            if sqrt_var is not None:
-                raise ParseError(f"line {lineno}: second sqrt extension", 0)
-            sqrt_var = lhs[:-2].strip()
-            sqrt_radicand = parse_poly(rhs)
+        if "->" in line:
+            var = line[: line.index("->")].strip()
+            if not var.isidentifier():
+                raise ParseError(f"line {lineno}: bad variable name {var!r}", 0)
+            if var in rules:
+                raise ParseError(f"line {lineno}: duplicate rule for {var!r}", 0)
+            rules[var] = _parse_rhs(lineno, line, line.index("->") + 2)
             continue
-        if "->" not in line:
+        if not line.startswith("sqrt"):
             raise ParseError(f"line {lineno}: expected 'var -> polynomial'", 0)
-        var, rhs = line.split("->", 1)
-        var = var.strip()
-        if not var.isidentifier():
-            raise ParseError(f"line {lineno}: bad variable name {var!r}", 0)
-        if var in rules:
-            raise ParseError(f"line {lineno}: duplicate rule for {var!r}", 0)
-        rules[var] = parse_poly(rhs)
-        order.append(var)
-    variables = list(order)
-    for rhs in rules.values():
-        for v in rhs.vars:
-            if v not in variables:
-                variables.append(v)
-    if sqrt_var is not None:
-        for v in sqrt_radicand.vars:
-            if v not in variables:
-                variables.append(v)
-        # Re-derive the z rule so text round-trips stay consistent.
-        rules.pop(sqrt_var, None)
-        base = Grammar(tuple(v for v in variables if v != sqrt_var), rules)
+        if "=" not in line:
+            raise ParseError(f"line {lineno}: malformed sqrt line", 0)
+        lhs = line[4 : line.index("=")].strip()
+        if not lhs.endswith("^2"):
+            raise ParseError(f"line {lineno}: sqrt line must declare z^2", 0)
+        if sqrt_var is not None:
+            raise ParseError(f"line {lineno}: second sqrt extension", 0)
+        sqrt_line, sqrt_var = lineno, lhs[:-2].strip()
+        if not sqrt_var.isidentifier():
+            raise ParseError(f"line {lineno}: bad variable name {sqrt_var!r}", 0)
+        sqrt_radicand = _parse_rhs(lineno, line, line.index("=") + 1)
+    table = dict.fromkeys([*rules, *(v for rhs in rules.values() for v in rhs.vars)])
+    if sqrt_var is None:
+        return Grammar(tuple(table), rules)
+    table.update(dict.fromkeys(sqrt_radicand.vars))
+    # Re-derive the z rule so text round-trips stay consistent.
+    rules.pop(sqrt_var, None)
+    try:
+        base = Grammar(tuple(v for v in table if v != sqrt_var), rules)
         return base.extend_sqrt(sqrt_var, sqrt_radicand)
-    return Grammar(tuple(variables), rules)
+    except (ValueError, GramcalcError) as exc:  # an extension the grammar cannot take
+        raise ParseError(f"line {sqrt_line}: {exc}", 0) from None
+
+
+def _parse_rhs(lineno: int, line: str, start: int) -> LaurentPoly:
+    """parse_poly(line[start:]), an error prefixed with the line number."""
+    try:
+        return parse_poly(line[start:])
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc.message}", start + exc.position) from None
 
 
 def verify_transformation(

@@ -26,6 +26,7 @@ lexicographic exponent vector — fixes rendering and JSON byte-for-byte.
 
 from __future__ import annotations
 
+import re as _re
 from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
@@ -43,10 +44,11 @@ from .errors import (
     ParseError,
 )
 from .scalar import (
+    GAUSSIAN,
     GaussianRational,
     Scalar,
     as_scalar,
-    parse_scalar,
+    gaussian_value,
     render_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -304,8 +306,7 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction, GaussianRational)):
             if other == 0:
                 raise DivisionByZero("division by zero scalar")
-            inv = Fraction(1) / other if not isinstance(other, GaussianRational) else other.inverse()
-            return self * inv
+            return self * (Fraction(1) / other)
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -330,12 +331,7 @@ class LaurentPoly:
                 f"{self.render()} is not a monomial, cannot invert"
             )
         [(exps, coeff)] = self.terms.items()
-        inv = (
-            coeff.inverse()
-            if isinstance(coeff, GaussianRational)
-            else Fraction(1) / coeff
-        )
-        return LaurentPoly(self.vars, {tuple(-e for e in exps): inv})
+        return LaurentPoly(self.vars, {tuple(-e for e in exps): Fraction(1) / coeff})
 
     # -- calculus and substitution ------------------------------------------
 
@@ -897,12 +893,70 @@ def substitute_rational(
 
 
 # -- text parsing ------------------------------------------------------------
+#
+# A polynomial is [+-] term ([+-] term)*, a term is factor (* factor)*, and a
+# factor is a Gaussian literal (re±im*i), a rational p or p/q, or a name (a
+# letter or _, then letters, digits and _) with an optional ^[-]digits power.
+# Whitespace may stand between any two tokens.  _FACTOR reads one factor and
+# the separator after it.
+
+_FACTOR = (
+    rf"(?:{GAUSSIAN}|(?P<p>\d+)(?:/(?P<q>\d+))?|(?P<name>\w+)(?:\^(?P<e>-?\d*))?)"
+    r"\s*(?P<sep>[*+-]?)\s*"
+)
 
 
 def parse_poly(text: str, variables: Iterable[str] | None = None) -> LaurentPoly:
-    """Parse the canonical text format (inverse of LaurentPoly.render)."""
-    parser = _PolyParser(text)
-    poly = parser.parse()
+    """Parse the canonical text format (inverse of LaurentPoly.render).
+
+    The table lists the names in order of first appearance, x^0 and the names
+    of cancelled terms included.  The terms are stored in the order that
+    adding them one by one leaves: a monomial that cancels and returns goes last.
+    """
+    body = text.lstrip()
+    if not body:
+        raise ParseError("empty polynomial", len(text))
+    sign = body[0] if body[0] in "+-" else ""
+    pos = len(text) - len(body[len(sign) :].lstrip())
+    names: Dict[str, None] = {}  # the table, as an ordered set
+    acc: Dict[frozenset, Scalar] = {}  # {(name, nonzero exponent)} -> coefficient
+    coeff, powers = Fraction(1), {}
+    factor = _re.compile(_FACTOR)  # compiled on first use, not at import
+    while True:
+        m = factor.match(text, pos)
+        if m is None or m["name"] and not (text[pos].isalpha() or text[pos] == "_"):
+            what = "a Gaussian literal (re+im*i)" if text.startswith("(", pos) else "a factor"
+            raise ParseError(f"expected {what}, found {text[pos:pos + 1]!r}", pos)
+        try:
+            if m["gauss"]:
+                coeff *= gaussian_value(m)
+            elif m["p"]:
+                if m["q"] and not int(m["q"]):
+                    raise ParseError("zero denominator", m.end("q"))
+                coeff *= Fraction(int(m["p"]), int(m["q"] or 1))
+            elif m["e"] is not None and not m["e"].strip("-"):
+                raise ParseError("expected exponent digits", m.end("e"))
+            else:
+                powers[m["name"]] = powers.get(m["name"], 0) + int(m["e"] or 1)
+        except ValueError as exc:  # a digit string longer than int() reads
+            raise ParseError(str(exc), pos) from None
+        pos = m.end()
+        if m["sep"] == "*":
+            continue
+        _pack(powers.values())  # ExponentOverflow for a term out of range, cancelled or not
+        names.update(dict.fromkeys(powers))
+        key = frozenset((name, k) for name, k in powers.items() if k)
+        value = acc.get(key, 0) + (-coeff if sign == "-" else coeff)
+        if value:
+            acc[key] = value
+        else:
+            acc.pop(key, None)
+        if not m["sep"]:
+            break
+        sign, coeff, powers = m["sep"], Fraction(1), {}
+    if pos < len(text):
+        raise ParseError(f"expected '+' or '-', found {text[pos]!r}", pos)
+    poly = LaurentPoly(names, {tuple(dict(key).get(v, 0) for v in names): c for key, c in acc.items()})
     if variables is not None:
         variables = tuple(variables)
         extra = [v for v in poly.live_vars() if v not in variables]
@@ -910,127 +964,3 @@ def parse_poly(text: str, variables: Iterable[str] | None = None) -> LaurentPoly
             raise ParseError(f"unexpected variables {extra}", 0)
         return _reindex(poly, _table(variables))
     return poly
-
-
-class _PolyParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message):
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> LaurentPoly:
-        self.skip_ws()
-        if self.pos == len(self.text):
-            self.error("empty polynomial")
-        result = LaurentPoly.zero()
-        sign = 1
-        if self.peek() in "+-":
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
-        while True:
-            term = self.parse_term()
-            result = result + (term if sign == 1 else -term)
-            self.skip_ws()
-            if self.pos == len(self.text):
-                return result
-            op = self.peek()
-            if op not in "+-":
-                self.error(f"expected '+' or '-', found {op!r}")
-            sign = 1 if op == "+" else -1
-            self.pos += 1
-
-    def parse_term(self) -> LaurentPoly:
-        self.skip_ws()
-        coeff: Scalar = Fraction(1)
-        factors: Dict[str, int] = {}
-        saw_factor = False
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "(":
-                coeff = coeff * self.parse_gaussian()
-            elif ch.isdigit():
-                coeff = coeff * self.parse_rational()
-            elif ch.isalpha() or ch == "_":
-                name, exp = self.parse_var_power()
-                factors[name] = factors.get(name, 0) + exp
-            else:
-                self.error(f"expected a factor, found {ch!r}")
-            saw_factor = True
-            self.skip_ws()
-            if self.peek() == "*":
-                self.pos += 1
-                continue
-            break
-        if not saw_factor:
-            self.error("empty term")
-        variables = tuple(factors)
-        exps = tuple(factors[v] for v in variables)
-        return LaurentPoly(variables, {exps: coeff})
-
-    def parse_rational(self) -> Fraction:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        num = int(self.text[start : self.pos])
-        if self.peek() == "/":
-            save = self.pos
-            self.pos += 1
-            if not self.peek().isdigit():
-                # Not a fraction after all (e.g. stray slash); rewind.
-                self.pos = save
-                return Fraction(num)
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            den = int(self.text[dstart : self.pos])
-            if den == 0:
-                self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_gaussian(self) -> Scalar:
-        start = self.pos
-        depth = 0
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    self.pos += 1
-                    return parse_scalar(self.text[start : self.pos])
-            self.pos += 1
-        self.error("unbalanced parenthesis")
-
-    def parse_var_power(self):
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        name = self.text[start : self.pos]
-        exp = 1
-        if self.peek() == "^":
-            self.pos += 1
-            sign = 1
-            if self.peek() == "-":
-                sign = -1
-                self.pos += 1
-            if not self.peek().isdigit():
-                self.error("expected exponent digits")
-            estart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            exp = sign * int(self.text[estart : self.pos])
-        return name, exp

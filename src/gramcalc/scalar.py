@@ -168,21 +168,26 @@ def render_scalar(value: Scalar) -> str:
     return str(value)
 
 
-_GAUSS_RE = _re.compile(
-    r"\(\s*(-?\d+(?:/\d+)?)\s*([+-])\s*(\d+(?:/\d+)?)\s*\*\s*i\s*\)"
-)
+# The Gaussian literal (re±im*i) as render_scalar writes it; the polynomial
+# reader's factor pattern embeds this one definition.
+GAUSSIAN = r"(?P<gauss>\(\s*(?P<re>-?\d+(?:/\d+)?)\s*(?P<sign>[+-])\s*(?P<im>\d+(?:/\d+)?)\s*\*\s*i\s*\))"
+
+
+def gaussian_value(match) -> Scalar:
+    """The value of a GAUSSIAN match; a zero denominator is a ParseError at its start."""
+    try:
+        re_part, im_part = Fraction(match["re"]), Fraction(match["im"])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad scalar {match['gauss']!r}: {exc}", match.start("gauss")) from None
+    return make_gaussian(re_part, -im_part if match["sign"] == "-" else im_part)
 
 
 def parse_scalar(text: str) -> Scalar:
     """Inverse of render_scalar."""
     text = text.strip()
-    match = _GAUSS_RE.fullmatch(text)
+    match = _re.fullmatch(GAUSSIAN, text)  # compiled on first use, not at import
     if match:
-        re_part = Fraction(match.group(1))
-        im_part = Fraction(match.group(3))
-        if match.group(2) == "-":
-            im_part = -im_part
-        return make_gaussian(re_part, im_part)
+        return gaussian_value(match)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

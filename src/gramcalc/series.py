@@ -19,7 +19,7 @@ from .errors import (
     NonUnitConstantTerm,
 )
 from .laurent import LaurentPoly, Powers, binomial_convolution, sum_of_products
-from .scalar import GaussianRational, Scalar, as_scalar, exact_sqrt
+from .scalar import Scalar, as_scalar, exact_sqrt
 
 
 _ONE = LaurentPoly.const(1)
@@ -171,10 +171,7 @@ def _divide(a: TruncSeries, b: TruncSeries, exact_poly: bool) -> TruncSeries:
         )
     if b0.is_zero():
         raise NonUnitConstantTerm("series division by zero constant term")
-    inv0 = None
-    if unit_scalar:
-        c = b0.constant_value()
-        inv0 = c.inverse() if isinstance(c, GaussianRational) else Fraction(1) / c
+    inv0 = Fraction(1) / b0.constant_value() if unit_scalar else None
     out = []
     for m in range(n + 1):
         acc = sum_of_products(

@@ -378,23 +378,6 @@ def _pairs_012(base: int, ordered: bool):
     return pairs
 
 
-# Whole-size lists, as the tests read them; the oracles tally through _tally.
-def _jv_stats(labels: Tuple[int, ...]) -> List[int]:
-    """Empty-leaf count of each jv tree on labels, in jv_trees order."""
-    return _size_keyed(_jv_pairs)(len(labels))
-
-
-def _binary_stats(labels: Tuple[int, ...], base: int) -> List[int]:
-    """Packed (f0, f1) of each inc_binary tree on labels (see _binary_pairs)."""
-    return _size_keyed(_binary_pairs(base))(len(labels))
-
-
-def _stats_012(labels: Tuple[int, ...], ordered: bool) -> List[Tuple[int, int]]:
-    """(f0, f1) of each 0-1-2 tree on labels, in _trees_012 order."""
-    base = len(labels) + 1
-    return [divmod(s, base) for s in _size_keyed(_pairs_012(base, ordered))(len(labels))]
-
-
 def _forest_tally(n: int, pairs) -> Counter:
     """Tally of each forest's summed block statistics, over every set partition of [n].
 

@@ -1,6 +1,8 @@
 import json
 import operator
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,29 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_readme_cli_block_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    runs = {}
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "gramcalc", line
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (line, err)
+        runs[" ".join(argv)] = (comment.strip(), out)
+    assert len(runs) >= 13
+    assert runs["gramcalc family deriv_P --n 3"] == ("6*x^4 + 8*x^2 + 2", "6*x^4 + 8*x^2 + 2\n")
+    assert runs["gramcalc label L 314562"] == (
+        "0 x 3 x 1 y 4 y 5 x 6 x 2 x 0 | x^5*y^2",
+        "0 x 3 x 1 y 4 y 5 x 6 x 2 x 0 | x^5*y^2\n",
+    )
+    assert runs["gramcalc series hoffman_Q --order 3 --at x=2"] == (
+        "coefficients 1, 2, 9, 58",
+        "0: 1\n1: 2\n2: 9\n3: 58\n",
+    )
 
 
 def test_family_text(capsys):

@@ -173,6 +173,38 @@ def test_parse_grammar_errors():
         parse_grammar("x -> x*y\nx -> y")
 
 
+def test_parse_grammar_reads_a_sqrt_prefixed_variable_as_a_rule():
+    g = parse_grammar("sqrtx -> x*y\ny -> 1")
+    assert g.vars == ("sqrtx", "y", "x") and g.sqrt_var is None
+    assert g.rules["sqrtx"] == parse_poly("x*y")
+    ext = parse_grammar("sqrtz -> 1\nsqrt z^2 = sqrtz")
+    assert ext.sqrt_var == "z" and ext.sqrt_radicand == parse_poly("sqrtz")
+
+
+@pytest.mark.parametrize("line", ["sqrt ^2 = x", "sqrt a b^2 = x", "sqrt 2^2 = x"])
+def test_parse_grammar_rejects_a_sqrt_variable_that_is_not_a_name(line):
+    # such a variable would write a rule line that parse_grammar cannot read back
+    with pytest.raises(ParseError, match="^line 2: bad variable name"):
+        parse_grammar("x -> x\n" + line)
+
+
+def test_parse_grammar_names_the_line_of_a_bad_right_hand_side():
+    with pytest.raises(ParseError, match="^line 2: expected a Gaussian literal") as info:
+        parse_grammar("x -> y\ny -> (3)")
+    assert info.value.position == 5  # the '(' in the stripped line 'y -> (3)'
+    with pytest.raises(ParseError, match="^line 1: expected exponent digits"):
+        parse_grammar("x -> x^²")
+    with pytest.raises(ParseError, match="^line 2: expected a factor"):
+        parse_grammar("x -> y\nsqrt z^2 = x + *")
+
+
+def test_parse_grammar_reports_an_extension_it_cannot_take_as_a_parse_error():
+    with pytest.raises(ParseError, match="^line 2: rule x -> z uses unknown variable 'z'"):
+        parse_grammar("x -> z\nsqrt z^2 = x")
+    with pytest.raises(ParseError, match="^line 1: "):
+        parse_grammar("sqrt z^2 = 0")
+
+
 def test_unruled_variables_are_constants():
     g = Grammar(("x", "c"), {"x": parse_poly("x*c", ("x", "c"))})
     assert g.derive(LaurentPoly.variable("c", ("x", "c"))).is_zero()

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,60 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as info:
         parse_poly("x + + y")
     assert info.value.position == 4
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("x^²", 2),  # a digit that str.isdigit accepts and int() does not
+        ("²*x", 0),
+        ("x + 1²", 5),
+        ("(1/0+1*i)*x", 0),
+        ("x + (1+1/0*i)", 4),
+        ("x + (3)", 4),  # a malformed parenthesised factor, at its own position
+        ("x*((1+1*i))", 2),
+        ("y - (1+2*i", 4),
+    ],
+)
+def test_malformed_text_raises_parse_error(text, position):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text)
+    assert info.value.position == position
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int() digit limit")
+def test_digit_string_longer_than_int_reads_is_a_parse_error():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    for text, position in ((digits, 0), (f"x + 2/{digits}", 4), (f"x^{digits}", 0), (f"({digits}+1*i)", 0)):
+        with pytest.raises(ParseError, match="digits") as info:
+            parse_poly(text)
+        assert info.value.position == position
+
+
+def test_parse_keeps_table_and_stored_order():
+    # names in order of first appearance, x^0 and cancelled terms included
+    p = parse_poly("0*q + x^0*w^-1*w + a - a")
+    assert p.vars == ("q", "x", "w", "a") and p == LaurentPoly.const(1)
+    # a monomial that cancels and returns goes last, as with one + per term
+    p = parse_poly("x - x + 2*y + x - 1/2*y")
+    assert p.vars == ("x", "y") and p.den == 2
+    assert list(p.nums.items()) == [((0, 1), 3), ((1, 0), 2)]
+    assert parse_poly("(1+2*i)*x*(0-1*i)*3/4 + y").terms == {
+        (1, 0): make_gaussian(Fraction(3, 2), Fraction(-3, 4)),
+        (0, 1): Fraction(1),
+    }
+
+
+def test_division_by_a_gaussian_scalar_or_monomial():
+    c = make_gaussian(1, 2)
+    p = parse_poly("(3+4*i)*x^2 + y")
+    assert (p / c).terms == {(2, 0): make_gaussian(Fraction(11, 5), Fraction(-2, 5)),
+                             (0, 1): make_gaussian(Fraction(1, 5), Fraction(-2, 5))}
+    assert p / c * c == p
+    m = parse_poly("(1+2*i)*x^2*y^-1")
+    assert m.monomial_inverse().render() == "(1/5-2/5*i)*x^-2*y"
+    assert m * m.monomial_inverse() == LaurentPoly.const(1)
+    assert (m ** -2) * m * m == LaurentPoly.const(1)
 
 
 def test_parse_signs_and_fractions():

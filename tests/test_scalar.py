@@ -6,6 +6,7 @@ from hypothesis import given
 from gramcalc.errors import DivisionByZero, ParseError
 from gramcalc.scalar import (
     I,
+    as_scalar,
     exact_sqrt,
     make_gaussian,
     parse_scalar,
@@ -57,6 +58,13 @@ def test_render_parse_roundtrip():
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_scalar("not-a-number")
+
+
+@pytest.mark.parametrize("read", [parse_scalar, as_scalar])
+@pytest.mark.parametrize("text", ["(1+1/0*i)", "(1/0+2*i)", " (0/0-1*i) "])
+def test_zero_denominator_in_a_gaussian_literal_is_a_parse_error(read, text):
+    with pytest.raises(ParseError, match="bad scalar"):
+        read(text)
 
 
 def test_json_roundtrip():

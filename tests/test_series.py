@@ -5,6 +5,7 @@ import pytest
 from gramcalc.errors import InvalidRadicalWitness, NonUnitConstantTerm
 from gramcalc.families import family_poly, eulerian_grammar
 from gramcalc.laurent import LaurentPoly, parse_poly
+from gramcalc.scalar import make_gaussian
 from gramcalc.series import (
     RadicalPoint,
     TruncSeries,
@@ -89,6 +90,15 @@ def test_log_requires_unit_constant():
         TruncSeries([parse_poly("x"), parse_poly("x")]).log()
     with pytest.raises(NonUnitConstantTerm):
         TruncSeries([LaurentPoly.zero(), X]) / TruncSeries([LaurentPoly.zero(), X])
+
+
+def test_division_by_a_gaussian_constant_term():
+    c = make_gaussian(1, 2)
+    b = TruncSeries([LaurentPoly.const(c), X, LaurentPoly.const(3)])
+    a = TruncSeries([X, LaurentPoly.const(1), X * X])
+    quotient = a / b
+    assert quotient.coeffs[0] == X / c
+    assert compare_series(quotient * b, a) == (True, None)
 
 
 def test_pq_log_relation():

@@ -12,11 +12,12 @@ from gramcalc.families import family_number, family_poly
 from gramcalc.laurent import LaurentPoly, parse_poly
 from gramcalc.structures import (
     STRUCTURE_KINDS,
-    _binary_stats,
-    _jv_stats,
+    _binary_pairs,
+    _jv_pairs,
+    _pairs_012,
     _perm_histogram,
+    _size_keyed,
     _splits,
-    _stats_012,
     alternating_count,
     binary_degree_counts,
     count_structures,
@@ -351,12 +352,12 @@ def _planted_block_exponents(sub):
 def test_stat_routes_match_tree_routes():
     for n in range(0, 9):
         labels = tuple(range(1, n + 1))
-        assert list(_jv_stats(labels)) == [jv_empty_leaves(t) for t in jv_trees(labels)], n
-        assert list(_binary_stats(labels, n + 1)) == [
+        assert _size_keyed(_jv_pairs)(n) == [jv_empty_leaves(t) for t in jv_trees(labels)], n
+        assert _size_keyed(_binary_pairs(n + 1))(n) == [
             f0 * (n + 1) + f1 for f0, f1, _ in map(binary_degree_counts, inc_binary_trees(labels))
         ], n
         for ordered, trees in ((True, plane_012_trees), (False, tree_012_trees)):
-            assert list(_stats_012(labels, ordered)) == [
+            assert [divmod(s, n + 1) for s in _size_keyed(_pairs_012(n + 1, ordered))(n)] == [
                 tree_degree_counts(t)[:2] for t in trees(labels)
             ], (n, ordered)
         assert plane_leaf_counts(n) == dict(
