@@ -8,6 +8,10 @@ stdout], with `"millis": N` timings blanked before hashing.  The corpus:
 - `oracle <name> --n N --diff --format json`, every family, N = 0..8;
 - `series <name> --order 10 --format json`, every elementary, closed-form
   and family name;
+- in csv: `family <name> --n N` and `oracle <name> --n N`, every family,
+  N = 0..8, and `series <name> --order 10`, every name above;
+- `label <scheme> <permutation>` in text and json, every scheme and every
+  permutation of [n], n = 1..5;
 - `trees <kind> --n N`, listing and `--count`, every kind, N = 0..6, and
   `--count` for N = 7..8;
 - `check all --format json` at the defaults, at `--max-n 20 --oracle-max-n 0`
@@ -19,6 +23,7 @@ an intended output change: `PYTHONPATH=src python tests/test_cli_golden.py`.
 
 import hashlib
 import io
+import itertools
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
@@ -29,7 +34,7 @@ import pytest
 from gramcalc.cli import main
 from gramcalc.families import FAMILY_NAMES
 from gramcalc.series import CLOSED_FORM_NAMES, ELEMENTARY_NAMES
-from gramcalc.structures import STRUCTURE_KINDS
+from gramcalc.structures import LABEL_SCHEMES, STRUCTURE_KINDS
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 _MILLIS = re.compile(r'"millis": \d+')
@@ -37,6 +42,7 @@ _MILLIS = re.compile(r'"millis": \d+')
 
 def corpus() -> dict:
     """Group name -> list of argv."""
+    series_names = ELEMENTARY_NAMES + CLOSED_FORM_NAMES + FAMILY_NAMES
     return {
         "family": [
             ["family", name, "--n", str(n), "--format", fmt]
@@ -55,7 +61,20 @@ def corpus() -> dict:
         ],
         "series": [
             ["series", name, "--order", "10", "--format", "json"]
-            for name in ELEMENTARY_NAMES + CLOSED_FORM_NAMES + FAMILY_NAMES
+            for name in series_names
+        ],
+        "csv": [
+            [command, name, "--n", str(n), "--format", "csv"]
+            for command in ("family", "oracle")
+            for name in FAMILY_NAMES
+            for n in range(9)
+        ] + [["series", name, "--order", "10", "--format", "csv"] for name in series_names],
+        "label": [
+            ["label", scheme, "".join(map(str, perm)), "--format", fmt]
+            for scheme in LABEL_SCHEMES
+            for n in range(1, 6)
+            for perm in itertools.permutations(range(1, n + 1))
+            for fmt in ("text", "json")
         ],
         "trees": [
             ["trees", kind, "--n", str(n)] + count
