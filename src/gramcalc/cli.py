@@ -3,14 +3,16 @@
 Subcommands: family, check, oracle, label, series, trees, errata.
 Exit codes: 0 success / all checks pass, 1 identity or diff failure,
 2 usage or input error (including a point a check cannot use), or a check
-whose range is empty.  All output is deterministic for fixed inputs;
-diagnostics go to stderr.
+whose range is empty, 141 stdout closed early (`gramcalc ... | head`; 128 +
+SIGPIPE, as a shell reports a process that SIGPIPE ended).  All output is
+deterministic for fixed inputs; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -54,7 +56,7 @@ def _parse_assignments(items) -> dict:
 
 
 def _nonnegative_int(text: str) -> int:
-    if not text.isdigit():
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 
@@ -162,13 +164,12 @@ def cmd_oracle(args) -> int:
 
 
 def _parse_permutation(text: str):
+    """Digits (314562), or entries separated by commas or spaces (10,2,1)."""
     text = text.strip()
-    if "," in text or " " in text:
-        parts = [p for p in text.replace(",", " ").split() if p]
-        return tuple(int(p) for p in parts)
-    if not text.isdigit():
+    parts = text.replace(",", " ").split() if "," in text or " " in text else list(text)
+    if not parts or not all(part.isdecimal() for part in parts):
         raise ValueError(f"cannot read permutation from {text!r}")
-    return tuple(int(ch) for ch in text)
+    return tuple(map(int, parts))
 
 
 def cmd_label(args) -> int:
@@ -337,11 +338,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except GramcalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone; point stdout at devnull so that the
+        # interpreter's last flush has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (GramcalcError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,6 +45,7 @@ from .laurent import (
 )
 from .scalar import GaussianRational, Scalar, make_gaussian
 from .series import (
+    RADICAL_CLOSED_FORMS,
     RadicalPoint,
     TruncSeries,
     closed_form_series,
@@ -313,23 +314,19 @@ def _l_squared_egf(ctx: CheckContext, lo: int, hi: int):
         yield n, lhs, sum(comb(n, k) * l_values[k] * l_values[n - k] for k in range(n + 1))
 
 
-def _bivariate_gessel(ctx: CheckContext, lo: int, hi: int):
-    x0 = ctx.point("x", Fraction(3))
-    y0 = ctx.point("y", Fraction(5))
-    with ctx.point_setup("x", "y"):
-        series = closed_form_series("bivariate_L", hi, RadicalPoint(values={"x": x0, "y": y0}))
-    for n in range(lo, hi + 1):
-        lhs = series.coeffs[n].constant_value()
-        yield n, lhs, ctx.provider.poly("left_peak_biv", n).evaluate({"x": x0, "y": y0})
+def _closed_form_at(series: str, family: str):
+    """The closed form `series` expanded at its point (the given values over
+    its defaults) equals the family there, member by member."""
+    defaults = RADICAL_CLOSED_FORMS[series]
 
+    def pairs(ctx: CheckContext, lo: int, hi: int):
+        at = {var: ctx.point(var, default) for var, default in defaults.items()}
+        with ctx.point_setup(*at):
+            expanded = closed_form_series(series, hi, RadicalPoint(values=at))
+        for n in range(lo, hi + 1):
+            yield n, expanded.coeffs[n].constant_value(), ctx.provider.poly(family, n).evaluate(at)
 
-def _gessel(ctx: CheckContext, lo: int, hi: int):
-    x0 = ctx.point("x", Fraction(3, 4))
-    with ctx.point_setup("x"):
-        series = closed_form_series("gessel_L", hi, RadicalPoint(values={"x": x0}))
-    for n in range(lo, hi + 1):
-        lhs = series.coeffs[n].constant_value()
-        yield n, lhs, ctx.provider.poly("left_peak_uni", n).evaluate({"x": x0})
+    return pairs
 
 
 def _david_barton_pde(ctx: CheckContext, lo: int, hi: int):
@@ -592,7 +589,7 @@ _ENTRIES = [
     IdentityEntry("andre_oracle", "0-1-2-tree family equals its exhaustive tree count and the alternating count", 0, _ORACLE, _vs_oracle("andre_biv", extra=lambda ctx, n, _: (Fraction(ctx.provider.number("euler", n)), Fraction(structures.alternating_count(n, bound=ctx.oracle_max_n))))),
     IdentityEntry("beta_exp", "derivative polynomials expand over x^j (1+x^2)^k with peak coefficients and plane-tree leaf counts", 0, _MAX, _beta_exp),
     IdentityEntry("beta_grammar", "the z = x^2 lift of the peak grammar reproduces the left-peak expansion", 0, _MAX, _beta_grammar),
-    IdentityEntry("bivariate_gessel", "bivariate left-peak closed form (corrected prefactor) at a radical-rational point", 0, _capped(12), _bivariate_gessel, ("x", "y")),
+    IdentityEntry("bivariate_gessel", "bivariate left-peak closed form (corrected prefactor) at a radical-rational point", 0, _capped(12), _closed_form_at("bivariate_L", "left_peak_biv"), tuple(RADICAL_CLOSED_FORMS["bivariate_L"])),
     IdentityEntry("carlitz_scoville", "cross-multiplied exponential form of the descent generating function", 1, _MAX, _carlitz_scoville),
     IdentityEntry("david_barton_closed", "cosh(z) closed forms match the peak families at a Pythagorean point (corrected normalization)", 0, _capped(10), _david_barton_closed, ("x",)),
     IdentityEntry("david_barton_pde", "coefficient recurrences expanded from the peak partial differential equations", 0, _MAX, _david_barton_pde),
@@ -607,7 +604,7 @@ _ENTRIES = [
     IdentityEntry("gamma_eulerian", "binary-tree polynomials substitute to the descent polynomials (u=xy, 2v=x+y)", 1, _MAX, _per_n(lambda p, n: (p.poly("dumont", n).substitute(_GAMMA_SUB), p.poly("eulerian_biv", n)))),
     IdentityEntry("gamma_expansion", "descent polynomials have nonnegative expansions over (xy)^k (x+y)^{n+1-2k}", 1, _MAX, _gamma_expansion),
     IdentityEntry("gen_multiplicative", "generating functions multiply: Gen(fg) = Gen(f) Gen(g)", 0, _capped(8), _gen_multiplicative),
-    IdentityEntry("gessel", "left-peak closed form matches the family at a radical-rational point", 0, _MAX, _gessel, ("x",)),
+    IdentityEntry("gessel", "left-peak closed form matches the family at a radical-rational point", 0, _MAX, _closed_form_at("gessel_L", "left_peak_uni"), tuple(RADICAL_CLOSED_FORMS["gessel_L"])),
     IdentityEntry("hoffman_conv", "binomial convolutions stepping both derivative families", 0, _upto(-1), _hoffman_conv),
     IdentityEntry("hoffman_egf", "four cross-multiplied trig generating functions for the derivative families", 0, _MAX, _hoffman_egf),
     IdentityEntry("hoffman_PQQ", "the (1+x^2)-weighted square of the secant family steps the tangent family", 0, _upto(-1), _steps(("deriv_P", "deriv_Q", "deriv_Q", _ONE_PLUS_X2), lead=lambda: (0, tangent_secant_grammar().derive(_PQQ_SEED), LaurentPoly.zero()))),

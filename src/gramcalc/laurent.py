@@ -550,12 +550,19 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(payload: Mapping) -> "LaurentPoly":
-        variables = tuple(payload["vars"])
-        terms: Dict[Exponents, Scalar] = {}
-        for item in payload["terms"]:
-            exps = tuple(int(e) for e in item["exps"])
-            coeff = scalar_from_json(item["coeff"])
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+        """Inverse of to_json.  A missing key, or an exponent that is not a
+        JSON integer, is a ParseError."""
+        try:
+            variables = tuple(payload["vars"])
+            terms: Dict[Exponents, Scalar] = {}
+            for item in payload["terms"]:
+                exps = tuple(item["exps"])
+                if not all(type(e) is int for e in exps):
+                    raise ParseError(f"exponents {item['exps']!r} are not all JSON integers", 0)
+                coeff = scalar_from_json(item["coeff"])
+                terms[exps] = terms.get(exps, Fraction(0)) + coeff
+        except KeyError as exc:
+            raise ParseError(f"polynomial JSON has no {exc.args[0]!r} key", 0) from None
         return LaurentPoly(variables, terms)
 
 

@@ -34,13 +34,15 @@ def make_gaussian(re, im) -> Scalar:
 class GaussianRational:
     """A Gaussian rational with a guaranteed nonzero imaginary part.
 
-    Do not construct directly with im == 0; use make_gaussian, which returns a
+    Constructing one with im == 0 is a ValueError; make_gaussian returns a
     plain Fraction in that case.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: Fraction, im: Fraction):
+        if im == 0:
+            raise ValueError("a GaussianRational needs a nonzero imaginary part; use make_gaussian")
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
@@ -60,15 +62,13 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GaussianRational):
-            return make_gaussian(self.re - other.re, self.im - other.im)
-        if isinstance(other, (int, Fraction)):
-            return make_gaussian(self.re - other, self.im)
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return make_gaussian(other - self.re, -self.im)
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other):
@@ -85,11 +85,7 @@ class GaussianRational:
 
     def __truediv__(self, other):
         if isinstance(other, GaussianRational):
-            norm = other.re * other.re + other.im * other.im
-            return make_gaussian(
-                (self.re * other.re + self.im * other.im) / norm,
-                (self.im * other.re - self.re * other.im) / norm,
-            )
+            return self * other.inverse()
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise DivisionByZero("division by zero scalar")
@@ -202,11 +198,20 @@ def scalar_to_json(value: Scalar):
 
 
 def scalar_from_json(payload) -> Scalar:
-    if isinstance(payload, dict):
-        return make_gaussian(Fraction(payload["re"]), Fraction(payload["im"]))
+    """Inverse of scalar_to_json; a JSON integer reads as itself.  Anything
+    else, true and false among it, is a ParseError."""
+    if isinstance(payload, dict) and {"re", "im"} <= payload.keys():
+        return make_gaussian(_rational_from_json(payload["re"]), _rational_from_json(payload["im"]))
+    return _rational_from_json(payload)
+
+
+def _rational_from_json(payload) -> Fraction:
     if isinstance(payload, str):
-        return Fraction(payload)
-    if isinstance(payload, int):
+        try:
+            return Fraction(payload)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad scalar {payload!r}: {exc}", 0) from None
+    if isinstance(payload, int) and not isinstance(payload, bool):
         return Fraction(payload)
     raise ParseError(f"bad scalar payload {payload!r}", 0)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import (
     InsufficientClearing,
@@ -144,9 +144,6 @@ class TruncSeries:
         for n in range(self.order):
             out.append(binomial_convolution(out, shifted, n))
         return TruncSeries(out)
-
-    def map(self, fn: Callable[[LaurentPoly], LaurentPoly]) -> "TruncSeries":
-        return TruncSeries([fn(c) for c in self.coeffs])
 
     def evaluate_coeffs(self, point: Mapping[str, Scalar]):
         """Evaluate every coefficient at a scalar point."""
@@ -320,9 +317,12 @@ CLOSED_FORM_NAMES = (
     "hoffman_Q",
     "eulerian_egf",
 )
-# The closed forms expanded at a RadicalPoint, with the point variables each
-# reads; the others are symbolic.
-RADICAL_CLOSED_FORMS = {"gessel_L": ("x",), "bivariate_L": ("x", "y")}
+# The closed forms expanded at a RadicalPoint, each with its default point,
+# whose keys are the variables it reads; the others are symbolic.
+RADICAL_CLOSED_FORMS = {
+    "gessel_L": MappingProxyType({"x": Fraction(3, 4)}),
+    "bivariate_L": MappingProxyType({"x": Fraction(3), "y": Fraction(5)}),
+}
 
 
 def closed_form_series(
@@ -334,8 +334,9 @@ def closed_form_series(
     rational square; rational x,y with y^2-x^2 a rational square).  hoffman_P,
     hoffman_Q and eulerian_egf are fully symbolic.
     """
+    if name in RADICAL_CLOSED_FORMS:
+        point = point or RadicalPoint(values=RADICAL_CLOSED_FORMS[name])
     if name == "gessel_L":
-        point = point or RadicalPoint(values={"x": Fraction(3, 4)})
         x0 = point.value("x")
         r = point.root("1-x", 1 - x0)
         den = r * elementary_series("cosh", order, r) - elementary_series(
@@ -343,7 +344,6 @@ def closed_form_series(
         )
         return TruncSeries.constant(r, order) / den
     if name == "bivariate_L":
-        point = point or RadicalPoint(values={"x": Fraction(3), "y": Fraction(5)})
         x0 = point.value("x")
         y0 = point.value("y")
         s = point.root("y^2-x^2", y0 * y0 - x0 * x0)

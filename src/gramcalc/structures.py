@@ -67,80 +67,54 @@ def _validate_perm(sigma: Sequence[int]) -> Tuple[int, ...]:
     return perm
 
 
+def _peaks(perm: Tuple[int, ...]) -> List[int]:
+    """Peak positions i of perm, padded with sigma_0 = sigma_{n+1} = 0."""
+    padded = (0,) + perm + (0,)
+    return [i for i in range(1, len(perm) + 1) if padded[i - 1] < padded[i] > padded[i + 1]]
+
+
 def perm_stats(sigma: Sequence[int]) -> PermRecord:
     """All statistics of one permutation (1-based one-line notation)."""
     perm = _validate_perm(sigma)
     n = len(perm)
-    padded = (0,) + perm + (0,)
-    des = sum(1 for i in range(1, n) if padded[i] > padded[i + 1])
-    lpk = ipk = lrpk = 0
-    for i in range(1, n + 1):
-        if padded[i - 1] < padded[i] > padded[i + 1]:
-            lrpk += 1
-            if i < n:
-                lpk += 1
-                if i > 1:
-                    ipk += 1
-    alternating = all(
-        (perm[i - 1] < perm[i]) == (i % 2 == 1) for i in range(1, n)
-    )
-    return PermRecord(perm, des, n - 1 - des, lpk, ipk, lrpk, alternating)
+    des = sum(map(gt, perm, perm[1:]))
+    peaks = _peaks(perm)
+    lpk, ipk = sum(i < n for i in peaks), sum(1 < i < n for i in peaks)
+    alternating = all((perm[i - 1] < perm[i]) == (i % 2 == 1) for i in range(1, n))
+    return PermRecord(perm, des, n - 1 - des, lpk, ipk, len(peaks), alternating)
 
 
-LABEL_SCHEMES = ("L", "M", "W")
+# scheme -> (does the peak at position i of n get x on both flanks, the
+# positions 0..n that always get x); every other position gets y.  L flanks
+# the left peaks and marks the last position, M flanks the interior peaks and
+# marks both ends, W flanks every (left-right) peak.
+_SCHEMES = {
+    "L": (lambda i, n: i < n, lambda n: (n,)),
+    "M": (lambda i, n: 1 < i < n, lambda n: (0, n)),
+    "W": (lambda i, n: True, lambda n: ()),
+}
+LABEL_SCHEMES = tuple(_SCHEMES)
 
 
 def label_permutation(sigma: Sequence[int], scheme: str):
-    """Position labels (n+1 of them) and the product weight monomial.
-
-    L: the last position and the two positions flanking each left peak get x.
-    M: the two end positions and the flanks of each interior peak get x.
-    W: the flanks of each left-right peak get x.  Everything else gets y.
-    """
-    if scheme not in LABEL_SCHEMES:
+    """Position labels (n+1 of them, by _SCHEMES) and the product weight monomial."""
+    if scheme not in _SCHEMES:
         raise ValueError(f"scheme must be one of {LABEL_SCHEMES}")
+    flanked, always = _SCHEMES[scheme]
     perm = _validate_perm(sigma)
     n = len(perm)
-    padded = (0,) + perm + (0,)
-    labels = ["y"] * (n + 1)
-
-    def flank(i):
-        labels[i - 1] = "x"
-        labels[i] = "x"
-
-    for i in range(1, n + 1):
-        is_peak = padded[i - 1] < padded[i] > padded[i + 1]
-        if not is_peak:
-            continue
-        if scheme == "L" and i < n:
-            flank(i)
-        elif scheme == "M" and 1 < i < n:
-            flank(i)
-        elif scheme == "W":
-            flank(i)
-    if scheme == "L":
-        labels[n] = "x"
-    if scheme == "M":
-        labels[0] = "x"
-        labels[n] = "x"
-    x_count = labels.count("x")
-    weight = LaurentPoly.monomial(("x", "y"), (x_count, n + 1 - x_count))
+    x_at = set(always(n))
+    for i in _peaks(perm):
+        if flanked(i, n):
+            x_at.update((i - 1, i))
+    labels = ["x" if i in x_at else "y" for i in range(n + 1)]
+    weight = LaurentPoly.monomial(("x", "y"), (len(x_at), n + 1 - len(x_at)))
     return labels, weight
 
 
 def format_labeling(sigma: Sequence[int], labels: Sequence[str]) -> str:
-    """Interleave the zero-padded permutation with its position labels."""
-    padded = (0,) + tuple(sigma) + (0,)
-    parts = []
-    for i, value in enumerate(padded):
-        parts.append(str(value))
-        if i < len(labels):
-            parts.append(labels[i])
-    return " ".join(parts)
-
-
-def permutations(n: int) -> Iterator[Tuple[int, ...]]:
-    return itertools.permutations(range(1, n + 1))
+    """Interleave the zero-padded permutation with its n + 1 position labels."""
+    return " ".join(chain.from_iterable(zip(map(str, (0, *sigma)), labels))) + " 0"
 
 
 # -- increasing trees ------------------------------------------------------------
@@ -452,67 +426,69 @@ def _perm_histogram(n: int) -> Tuple[Tuple[_PermStats, int], ...]:
     return histogram
 
 
-# name -> (variables, exponents of one permutation's weight given n and its
-# stats, least n that is a weighted count)
-_PERM_WEIGHTS = {
-    "eulerian_biv": (XY, lambda n, r: (r.des + 1, r.asc + 1), 1),
-    "eulerian_uni": (("x",), lambda n, r: (r.des + 1,), 1),
-    "left_peak_biv": (XY, lambda n, r: (2 * r.lpk + 1, n - 2 * r.lpk), 0),
-    "left_peak_uni": (("x",), lambda n, r: (r.lpk,), 0),
-    "interior_peak_biv": (XY, lambda n, r: (2 * r.ipk + 2, n - 2 * r.ipk - 1), 1),
-    "interior_peak_uni": (("x",), lambda n, r: (r.ipk,), 1),
-    "lr_peak_biv": (XY, lambda n, r: (2 * r.lrpk, n - 2 * r.lrpk + 1), 0),
-    "lr_peak_uni": (("x",), lambda n, r: (r.lrpk,), 0),
+def _perm_tally(exponents) -> Callable[[int], Counter]:
+    """tally(n): the permutations of [n] counted by exponents(n, stats) of their weight."""
+
+    def tally(n: int) -> Counter:
+        counter: Counter = Counter()
+        for stats, count in _perm_histogram(n):
+            counter[exponents(n, stats)] += count
+        return counter
+
+    return tally
+
+
+def _andre_tally(n: int) -> Dict[Tuple[int, int], int]:
+    """(leaves, one-child) tally of the unordered 0-1-2 trees; the empty tree at n = 0."""
+    return _pair_tally(n, _pairs_012, False) or {(0, 0): 1}
+
+
+def _planted_tally(n: int) -> Dict[Tuple[int, int], int]:
+    """(one-child, leaves) tally of the planted forests, packed with base n + 1."""
+    base = n + 1
+    return {divmod(key, base)[::-1]: c for key, c in _forest_tally(n, _binary_pairs(base)).items()}
+
+
+def _univariate(counter: Dict[int, int]) -> Dict[Tuple[int], int]:
+    return {(k,): c for k, c in counter.items()}
+
+
+_Oracle = namedtuple("_Oracle", "variables least_n tally at", defaults=(None,))
+# name -> the variables, the least n that is a weighted count (the smaller n
+# of the descent and binary-tree families and of the interior-peak family are
+# seed conventions), the tally of the weight exponents of the structures on
+# [n], and the point, if any, at which the tallied polynomial is read
+_ORACLES = {
+    "eulerian_biv": _Oracle(XY, 1, _perm_tally(lambda n, r: (r.des + 1, r.asc + 1))),
+    "eulerian_uni": _Oracle(("x",), 1, _perm_tally(lambda n, r: (r.des + 1,))),
+    "left_peak_biv": _Oracle(XY, 0, _perm_tally(lambda n, r: (2 * r.lpk + 1, n - 2 * r.lpk))),
+    "left_peak_uni": _Oracle(("x",), 0, _perm_tally(lambda n, r: (r.lpk,))),
+    "interior_peak_biv": _Oracle(XY, 1, _perm_tally(lambda n, r: (2 * r.ipk + 2, n - 2 * r.ipk - 1))),
+    "interior_peak_uni": _Oracle(("x",), 1, _perm_tally(lambda n, r: (r.ipk,))),
+    "lr_peak_biv": _Oracle(XY, 0, _perm_tally(lambda n, r: (2 * r.lrpk, n - 2 * r.lrpk + 1))),
+    "lr_peak_uni": _Oracle(("x",), 0, _perm_tally(lambda n, r: (r.lrpk,))),
+    "R_family": _Oracle(
+        XY, 0, lambda n: _ORACLES["left_peak_biv"].tally(n) + _ORACLES["lr_peak_biv"].tally(n)
+    ),
+    "dumont": _Oracle(UV, 1, lambda n: _pair_tally(n, _binary_pairs)),
+    "andre_biv": _Oracle(UV, 0, _andre_tally),
+    "andre_uni": _Oracle(UV, 0, _andre_tally, {"v": LaurentPoly.const(1)}),
+    "deriv_P": _Oracle(("x",), 0, lambda n: _univariate(_tally(_jv_pairs, n))),
+    "deriv_Q": _Oracle(("x",), 0, lambda n: _univariate(_forest_tally(n, _jv_pairs))),
+    "planted_forest": _Oracle(("v", "u"), 0, _planted_tally),
 }
 
 
 def family_poly_oracle(name: str, n: int, bound: int | None = None) -> LaurentPoly:
-    """A family polynomial by exhaustive weighted counting.
-
-    The supported names mirror the grammar families.  Ranges follow the
-    combinatorial readings: the descent and binary-tree families and the
-    interior-peak family need n >= 1 (their n = 0 values are seed
-    conventions, not weighted counts).
-    """
+    """A family polynomial by exhaustive weighted counting (_ORACLES)."""
     _check_bound(n, bound)
-    if name in _PERM_WEIGHTS:
-        variables, exponents, least_n = _PERM_WEIGHTS[name]
-        if n < least_n:
-            raise ValueError(f"{name} oracle needs n >= {least_n}")
-        counter = Counter()
-        for stats, count in _perm_histogram(n):
-            counter[exponents(n, stats)] += count
-        return _poly_from_counter(variables, counter)
-    elif name == "R_family":
-        left = family_poly_oracle("left_peak_biv", n, bound)
-        right = family_poly_oracle("lr_peak_biv", n, bound)
-        return left + right
-    elif name == "dumont":
-        if n < 1:
-            raise ValueError("dumont oracle needs n >= 1")
-        return _poly_from_counter(UV, _pair_tally(n, _binary_pairs))
-    elif name in ("andre_biv", "andre_uni"):
-        counter = _pair_tally(n, _pairs_012, False)
-        if n == 0:
-            counter[(0, 0)] = 1
-        poly = _poly_from_counter(UV, counter)
-        if name == "andre_uni":
-            return poly.substitute({"v": LaurentPoly.const(1)})
-        return poly
-    elif name == "deriv_P":
-        counter = _tally(_jv_pairs, n)
-        return _poly_from_counter(("x",), {(k,): c for k, c in counter.items()})
-    elif name == "deriv_Q":
-        counter = _forest_tally(n, _jv_pairs)
-        return _poly_from_counter(("x",), {(k,): c for k, c in counter.items()})
-    elif name == "planted_forest":
-        base = n + 1  # (f0, f1) packed as f0 * base + f1; neither sum exceeds n
-        counter = {}
-        for key, count in _forest_tally(n, _binary_pairs(base)).items():
-            f0, f1 = divmod(key, base)
-            counter[(f1, f0)] = count
-        return _poly_from_counter(("v", "u"), counter)
-    raise UnknownFamily(f"no oracle for family {name!r}")
+    if name not in _ORACLES:
+        raise UnknownFamily(f"no oracle for family {name!r}")
+    variables, least_n, tally, at = _ORACLES[name]
+    if n < least_n:
+        raise ValueError(f"{name} oracle needs n >= {least_n}")
+    poly = _poly_from_counter(variables, tally(n))
+    return poly.substitute(at) if at else poly
 
 
 def dumont_plane_oracle(n: int, bound: int | None = None) -> LaurentPoly:
@@ -581,8 +557,8 @@ _Kind = namedtuple("_Kind", "enumerate count json")
 # walker, JSON codec of one structure
 _KINDS = {
     "permutations": _Kind(
-        lambda labels: permutations(len(labels)),
-        lambda n: sum(1 for _ in permutations(n)),
+        itertools.permutations,
+        lambda n: sum(1 for _ in itertools.permutations(range(n))),
         list,
     ),
     "inc_binary": _Kind(

@@ -1,7 +1,10 @@
 import json
 import operator
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -260,6 +263,38 @@ def test_label_commands(capsys):
 def test_label_invalid_permutation(capsys):
     code, _, err = run_cli(capsys, "label", "L", "122")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["\u00b21", "2,\u00b2,1", "1,x", ""])
+def test_label_unreadable_permutation_names_its_input(capsys, text):
+    # "\u00b2" is a digit to str.isdigit and not to int()
+    code, out, err = run_cli(capsys, "label", "L", text)
+    assert (code, out) == (2, "")
+    assert f"error: cannot read permutation from {text!r}" in err
+
+
+def test_check_superscript_bound_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "gessel", "--max-n", "\u00b2"])
+    assert exit_info.value.code == 2
+    assert "argument --max-n: expected a nonnegative integer, got '\u00b2'" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_141_quietly():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gramcalc.cli", "trees", "permutations", "--n", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # as `| head -n 1` does
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert first == b"[1, 2, 3, 4, 5, 6, 7, 8]\n"
+    assert err == b""
 
 
 def test_series_elementary(capsys):

@@ -132,6 +132,24 @@ def test_json_gaussian_coefficient():
     assert LaurentPoly.from_json(payload) == poly
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"vars": ["x"], "terms": [{"coeff": "1", "exps": [1.5]}]},
+        {"vars": ["x"], "terms": [{"coeff": "1", "exps": [True]}]},
+        {"vars": ["x"], "terms": [{"coeff": "1", "exps": ["1"]}]},
+        {"terms": [{"coeff": "1", "exps": [1]}]},
+        {"vars": ["x"]},
+        {"vars": ["x"], "terms": [{"coeff": "1"}]},
+        {"vars": ["x"], "terms": [{"exps": [1]}]},
+        {"vars": ["x"], "terms": [{"coeff": "1/0", "exps": [1]}]},
+    ],
+)
+def test_from_json_refuses_malformed_payloads(payload):
+    with pytest.raises(ParseError):
+        LaurentPoly.from_json(payload)
+
+
 def test_parse_error_position():
     with pytest.raises(ParseError) as info:
         parse_poly("x + + y")

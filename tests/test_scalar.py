@@ -5,6 +5,7 @@ from hypothesis import given
 
 from gramcalc.errors import DivisionByZero, ParseError
 from gramcalc.scalar import (
+    GaussianRational,
     I,
     as_scalar,
     exact_sqrt,
@@ -95,3 +96,33 @@ def test_inverses(a):
     assert a + (-a) == 0
     if a != 0:
         assert a * (1 / a if isinstance(a, Fraction) else a.inverse()) == 1
+
+
+def test_gaussian_rational_refuses_zero_imaginary_part():
+    # a real value is a Fraction (make_gaussian); a GaussianRational equal to
+    # 2 would compare unequal to 2
+    with pytest.raises(ValueError):
+        GaussianRational(Fraction(2), Fraction(0))
+    assert make_gaussian(2, 0) == 2
+
+
+def test_gaussian_subtraction_and_division():
+    a, b = make_gaussian(1, 2), make_gaussian(Fraction(-3, 4), 5)
+    assert a - b == make_gaussian(Fraction(7, 4), -3)
+    assert a - a == 0 and isinstance(a - a, Fraction)
+    assert 3 - a == make_gaussian(2, -2)
+    assert a - 1 == make_gaussian(0, 2)
+    assert a / b * b == a
+    assert a / a == 1 and isinstance(a / a, Fraction)
+    assert a / Fraction(1, 2) == make_gaussian(2, 4)
+    with pytest.raises(DivisionByZero):
+        a / 0
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [True, False, 1.5, None, "1/0", "abc", {"re": "1"}, {"im": "1"}, {"re": True, "im": "1"}, {"re": "1", "im": "1/0"}],
+)
+def test_scalar_from_json_refuses_what_to_json_never_writes(payload):
+    with pytest.raises(ParseError):
+        scalar_from_json(payload)
