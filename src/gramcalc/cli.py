@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import errata, structures
 from .errors import GramcalcError, InvalidPoint
@@ -257,7 +258,9 @@ def cmd_errata(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="gramcalc",
         description=(

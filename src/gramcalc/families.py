@@ -137,21 +137,32 @@ FAMILY_NAMES = tuple(name for name in _FAMILIES if not name.startswith("_"))
 # chain row -> (grammar, (D^0 seed, D^1 seed, ...)); only finished tuples are
 # published, so no caller sees a chain another thread is still extending
 _CHAINS: Dict[str, Tuple[Grammar, Tuple[LaurentPoly, ...]]] = {}
+# (read row, n) -> member n; a read is stored only once it has returned, and
+# setdefault hands every racing caller the first value stored
+_READS: Dict[Tuple[str, int], LaurentPoly] = {}
+
+
+def _extended(chain: tuple, n: int, step: Callable) -> tuple:
+    """chain lengthened to hold index n: step(last) makes each next entry."""
+    built = list(chain)
+    while len(built) <= n:
+        built.append(step(built[-1]))
+    return tuple(built)
 
 
 def _member(name: str, n: int) -> LaurentPoly:
     source, rule = _FAMILIES[name]
     if isinstance(source, str):
-        return rule(_member(source, n), n)
+        member = _READS.get((name, n))
+        if member is None:
+            member = _READS.setdefault((name, n), rule(_member(source, n), n))
+        return member
     if name not in _CHAINS:
         grammar = source()
         _CHAINS[name] = grammar, (parse_poly(rule, grammar.vars),)
     grammar, chain = _CHAINS[name]
     if len(chain) <= n:
-        built = list(chain)
-        while len(built) <= n:
-            built.append(grammar.derive(built[-1]))
-        chain = tuple(built)
+        chain = _extended(chain, n, grammar.derive)
         _CHAINS[name] = grammar, chain
     return chain[n]
 
@@ -292,6 +303,9 @@ def beta_expansion(which: str, n: int) -> CoefficientTable:
 
 # -- the analytic recurrence route ----------------------------------------------
 
+# "P" or "Q" -> (R_0, R_1, ...), published like _CHAINS
+_RECURRENCES: Dict[str, Tuple[LaurentPoly, ...]] = {}
+
 
 def recurrence_poly(which: str, n: int) -> LaurentPoly:
     """P_n / Q_n by the derivative recurrences, independent of any grammar.
@@ -304,13 +318,16 @@ def recurrence_poly(which: str, n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError("index must be nonnegative")
     x = LaurentPoly.variable("x")
-    one_plus_x2 = LaurentPoly.const(1) + x * x
-    current = x if which == "P" else LaurentPoly.const(1, ("x",))
-    for _ in range(n):
-        step = one_plus_x2 * current.partial_derivative("x")
-        if which == "Q":
-            step = step + x * current
-        current = step
+    chain = _RECURRENCES.get(which) or (x if which == "P" else LaurentPoly.const(1, ("x",)),)
+    if len(chain) <= n:
+        one_plus_x2 = LaurentPoly.const(1) + x * x
+
+        def step(current: LaurentPoly) -> LaurentPoly:
+            slope = one_plus_x2 * current.partial_derivative("x")
+            return slope + x * current if which == "Q" else slope
+
+        chain = _RECURRENCES[which] = _extended(chain, n, step)
+    current = chain[n]
     family = "deriv_P" if which == "P" else "deriv_Q"
     if current != family_poly(family, n):
         raise CrossCheckFailed(f"recurrence/grammar mismatch at {which}_{n}")

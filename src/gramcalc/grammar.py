@@ -179,16 +179,21 @@ class Grammar:
 
     @staticmethod
     def from_json(payload: Mapping) -> "Grammar":
-        rules = {var: LaurentPoly.from_json(rhs) for var, rhs in payload["rules"].items()}
-        sqrt = payload.get("sqrt")
-        if sqrt is None:
-            return Grammar(tuple(payload["vars"]), rules)
-        return Grammar(
-            tuple(payload["vars"]),
-            rules,
-            sqrt_var=sqrt["var"],
-            sqrt_radicand=LaurentPoly.from_json(sqrt["radicand"]),
-        )
+        """Inverse of to_json.  A missing key or a value of the wrong JSON
+        type is a ParseError."""
+        try:
+            rules = {var: LaurentPoly.from_json(rhs) for var, rhs in payload["rules"].items()}
+            variables = tuple(payload["vars"])
+            sqrt = payload.get("sqrt")
+            extension = {} if sqrt is None else {
+                "sqrt_var": sqrt["var"],
+                "sqrt_radicand": LaurentPoly.from_json(sqrt["radicand"]),
+            }
+        except KeyError as exc:
+            raise ParseError(f"grammar JSON has no {exc.args[0]!r} key", 0) from None
+        except (AttributeError, TypeError) as exc:
+            raise ParseError(f"malformed grammar JSON: {exc}", 0) from None
+        return Grammar(variables, rules, **extension)
 
 
 def parse_grammar(text: str) -> Grammar:

@@ -550,19 +550,24 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(payload: Mapping) -> "LaurentPoly":
-        """Inverse of to_json.  A missing key, or an exponent that is not a
-        JSON integer, is a ParseError."""
+        """Inverse of to_json.  A missing key, a value of the wrong JSON type,
+        or an exponent list that is not one JSON integer per variable, is a
+        ParseError."""
         try:
             variables = tuple(payload["vars"])
             terms: Dict[Exponents, Scalar] = {}
             for item in payload["terms"]:
                 exps = tuple(item["exps"])
-                if not all(type(e) is int for e in exps):
-                    raise ParseError(f"exponents {item['exps']!r} are not all JSON integers", 0)
+                if len(exps) != len(variables) or not all(type(e) is int for e in exps):
+                    raise ParseError(
+                        f"exponents {item['exps']!r} are not one JSON integer per variable", 0
+                    )
                 coeff = scalar_from_json(item["coeff"])
                 terms[exps] = terms.get(exps, Fraction(0)) + coeff
         except KeyError as exc:
             raise ParseError(f"polynomial JSON has no {exc.args[0]!r} key", 0) from None
+        except TypeError as exc:
+            raise ParseError(f"malformed polynomial JSON: {exc}", 0) from None
         return LaurentPoly(variables, terms)
 
 

@@ -297,6 +297,35 @@ def test_closed_stdout_exits_141_quietly():
     assert err == b""
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # the parser is built once per process; each call must still see only
+    # its own options, as it would in a fresh interpreter
+    calls = [
+        ["check", "gessel", "--points", "gessel.x=3/4"],
+        ["check", "gessel", "--points", "gessel.x=99"],
+        ["check", "gessel"],
+        ["family", "dumont"],  # a usage error: --n is required
+        ["family", "dumont", "--n", "4"],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    timings = re.compile(r"\(\d+ ms\)")
+    seen = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gramcalc.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        out = capsys.readouterr().out
+        assert (code, timings.sub("", out)) == (fresh.returncode, timings.sub("", fresh.stdout)), argv
+        seen.append(code)
+    assert seen == [0, 2, 0, 2, 0]
+
+
 def test_series_elementary(capsys):
     code, out, _ = run_cli(capsys, "series", "tan", "--order", "5")
     assert code == 0

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 
 import pytest
 
@@ -225,32 +226,95 @@ def test_recurrence_route():
         assert recurrence_poly("Q", n) == family_poly("deriv_Q", n)
 
 
+def _in_threads(work, count=8):
+    """work(i) for i < count, each in its own thread, all released at once
+    with a thread switch as often as the interpreter allows; the results, or
+    the exceptions raised, by i."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        barrier = threading.Barrier(count)
+        results = [None] * count
+
+        def run(i):
+            barrier.wait()
+            try:
+                results[i] = work(i)
+            except Exception as exc:
+                results[i] = exc
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        return results
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_chain_cache_under_concurrent_extension():
     # threads extending one derivative chain at once must not interleave
     # their appends: each would then store its own D^{k+1} at a different index
     chain = eulerian_grammar().derivative_chain(parse_poly("y"), 26)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            families._CHAINS.pop("eulerian_biv", None)
-            barrier = threading.Barrier(8)
-            results = [None] * 8
+    for _ in range(5):
+        families._CHAINS.pop("eulerian_biv", None)
+        results = _in_threads(lambda i: family_poly("eulerian_biv", 25))
+        assert results == [chain[25]] * 8
+        assert family_poly("eulerian_biv", 26) == chain[26]
 
-            def work(i):
-                barrier.wait()
-                results[i] = family_poly("eulerian_biv", 25)
 
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-            assert results == [chain[25]] * 8
-            assert family_poly("eulerian_biv", 26) == chain[26]
-    finally:
-        sys.setswitchinterval(interval)
+def _grammar_route(name, n):
+    """Member n of a family row, derived and read again without any cache."""
+    source, rule = families._FAMILIES[name]
+    if isinstance(source, str):
+        return rule(_grammar_route(source, n), n)
+    grammar = source()
+    return grammar.derivative_chain(parse_poly(rule, grammar.vars), n)[n]
+
+
+def test_read_cache_under_concurrent_first_reads():
+    names = ("deriv_Q", "eulerian_uni", "left_peak_uni")
+    expected = [_grammar_route(name, 25) for name in names]
+    for _ in range(3):
+        for name in names:
+            families._CHAINS.pop(families._FAMILIES[name][0], None)
+            families._READS.pop((name, 25), None)
+        # each thread starts at a different row
+        results = _in_threads(
+            lambda i: {name: family_poly(name, 25) for name in names[i % 3:] + names[:i % 3]}
+        )
+        for name, value in zip(names, expected):
+            assert all(result[name] == value for result in results)
+            # every caller gets the one value stored
+            assert all(result[name] is results[0][name] for result in results)
+
+
+def test_recurrence_chain_under_concurrent_extension(monkeypatch):
+    families._RECURRENCES.pop("Q", None)
+    ascending = [recurrence_poly("Q", n) for n in range(26)]
+    # a step yields to the other threads halfway, as a long one would
+    derivative = LaurentPoly.partial_derivative
+
+    def yielding(poly, var):
+        time.sleep(1e-4)
+        return derivative(poly, var)
+
+    monkeypatch.setattr(LaurentPoly, "partial_derivative", yielding)
+    for _ in range(3):
+        families._RECURRENCES.pop("Q", None)
+        results = _in_threads(lambda i: [recurrence_poly("Q", n) for n in range(25, -1, -1)])
+        assert results == [ascending[::-1]] * 8
+
+
+def test_failing_read_stores_nothing(monkeypatch):
+    # R_family mixes both parities of the x-exponent, so a left-peak read of
+    # it raises at every n
+    monkeypatch.setitem(families._FAMILIES, "_off_pattern", ("R_family", families._peaks("a left-peak", 1)))
+    results = _in_threads(lambda i: families._member("_off_pattern", 25))
+    assert all(isinstance(result, ValueError) for result in results)
+    assert not [key for key in families._READS if key[0] == "_off_pattern"]
 
 
 def test_cross_checks_raise_under_optimize():

@@ -166,6 +166,21 @@ def test_grammar_json_roundtrip():
         assert Grammar.from_json(g.to_json()) == g
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        {"vars": ["x"]},
+        {"vars": ["x"], "rules": {"x": 5}},
+        {"vars": ["x"], "rules": []},
+        {"vars": ["x", "z"], "rules": {}, "sqrt": {"var": "z"}},
+    ],
+)
+def test_grammar_from_json_refuses_malformed_payloads(payload):
+    with pytest.raises(ParseError):
+        Grammar.from_json(payload)
+
+
 def test_parse_grammar_errors():
     with pytest.raises(ParseError):
         parse_grammar("x => x*y")

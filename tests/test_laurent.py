@@ -143,6 +143,9 @@ def test_json_gaussian_coefficient():
         {"vars": ["x"], "terms": [{"coeff": "1"}]},
         {"vars": ["x"], "terms": [{"exps": [1]}]},
         {"vars": ["x"], "terms": [{"coeff": "1/0", "exps": [1]}]},
+        {"vars": ["x"], "terms": [{"coeff": "1", "exps": [1, 2]}]},
+        {"vars": ["x"], "terms": [{"coeff": "1", "exps": []}]},
+        5,
     ],
 )
 def test_from_json_refuses_malformed_payloads(payload):
