@@ -2,10 +2,11 @@
 
 `tests/data/identity_witnesses.json` holds the reports of
 `run_all(max_n=6, oracle_max_n=4)` on the grammar families, then the failing
-reports of the same run with one family member corrupted: each family at
-n=3, plus `deriv_P` at n=0.  A corrupted member gains the monomial with every
-exponent 1.  Timings are dropped; everything else must match exactly,
-including which disagreement a check reports first.
+reports of the same run with one family member corrupted.  Two fault kinds:
+the member gains the monomial with every exponent 1 (key `family@n`, each
+family at n = 0..3), or the member is doubled, a zero member becoming 1 (key
+`family@n*2`, each family at n = 3).  Timings are dropped; everything else
+must match exactly, including which disagreement a check reports first.
 """
 
 import json
@@ -16,18 +17,32 @@ from gramcalc.identities import GrammarFamilies, run_all
 from gramcalc.laurent import LaurentPoly
 
 GOLDEN = Path(__file__).parent / "data" / "identity_witnesses.json"
-FAULTS = [(family, 3) for family in FAMILY_NAMES] + [("deriv_P", 0)]
+
+
+def _plus_monomial(poly):
+    return poly + LaurentPoly.monomial(poly.vars, (1,) * len(poly.vars))
+
+
+def _doubled(poly):
+    if poly.is_zero():
+        return LaurentPoly.const(1, poly.vars)
+    return 2 * poly
+
+
+FAULTS = [(f"{family}@{n}", family, n, _plus_monomial) for family in FAMILY_NAMES for n in range(4)]
+FAULTS += [(f"{family}@3*2", family, 3, _doubled) for family in FAMILY_NAMES]
 
 
 class _Corrupted(GrammarFamilies):
-    def __init__(self, family, n):
+    def __init__(self, family, n, fault):
         self.family = family
         self.n = n
+        self.fault = fault
 
     def poly(self, name, n):
         poly = super().poly(name, n)
         if name == self.family and n == self.n:
-            poly = poly + LaurentPoly.monomial(poly.vars, (1,) * len(poly.vars))
+            poly = self.fault(poly)
         return poly
 
 
@@ -46,8 +61,8 @@ def witness_table() -> dict:
     return {
         "clean": _reports(),
         "faults": {
-            f"{family}@{n}": _reports(_Corrupted(family, n), failing_only=True)
-            for family, n in FAULTS
+            key: _reports(_Corrupted(family, n, fault), failing_only=True)
+            for key, family, n, fault in FAULTS
         },
     }
 
