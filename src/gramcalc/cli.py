@@ -138,6 +138,8 @@ def _warn_bound(bound):
 
 
 def cmd_oracle(args) -> int:
+    if args.diff and args.format == "csv":
+        raise ValueError("oracle --diff prints text or json, not csv")
     _warn_bound(args.bound)
     oracle = structures.family_poly_oracle(args.name, args.n, bound=args.bound)
     if not args.diff:

@@ -17,8 +17,9 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from math import comb
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import GramcalcError, InvalidPoint, UnknownIdentity
@@ -38,12 +39,11 @@ from .laurent import (
     LaurentPoly,
     Powers,
     RationalFunction,
-    binomial_convolution,
     parse_poly,
     substitute_rational,
     sum_of_products,
 )
-from .scalar import GaussianRational, Scalar, make_gaussian
+from .scalar import Scalar, make_gaussian
 from .series import (
     RADICAL_CLOSED_FORMS,
     RadicalPoint,
@@ -152,8 +152,8 @@ def _expand(table: Mapping[int, Scalar], basis, variables) -> LaurentPoly:
     return sum_of_products(((coeff, *basis(k)) for k, coeff in table.items()), variables)
 
 
-def _coeff_pairs(lhs: TruncSeries, rhs: TruncSeries, order: int) -> Pairs:
-    return ((n, lhs.coeffs[n], rhs.coeffs[n]) for n in range(order + 1))
+def _coeff_pairs(lhs: TruncSeries, rhs: TruncSeries, lo: int, hi: int) -> Pairs:
+    return ((n, lhs.coeffs[n], rhs.coeffs[n]) for n in range(lo, hi + 1))
 
 
 X = LaurentPoly.variable("x")
@@ -186,15 +186,31 @@ def _capped(cap: int) -> Callable[[CheckContext], int]:
 # -- shared check shapes ------------------------------------------------------
 
 
-def _per_n(*sides):
-    """For each n, every side(provider, n) gives one (lhs, rhs) pair, in order."""
+def _per_n(*sides, start=None):
+    """For each n from `start` (default: the entry's lo) to hi, every
+    side(provider, n) gives one (lhs, rhs) pair, in order.  The sides' provider
+    reads each member once."""
 
     def pairs(ctx: CheckContext, lo: int, hi: int):
-        for n in range(lo, hi + 1):
+        provider = SimpleNamespace(poly=cache(ctx.provider.poly), number=ctx.provider.number)
+        for n in range(lo if start is None else start, hi + 1):
             for side in sides:
-                yield (n, *side(ctx.provider, n))
+                yield (n, *side(provider, n))
 
     return pairs
+
+
+def _then(*parts):
+    """Parts one after another, each a pairs(ctx, lo, hi): `_per_n` blocks or a
+    single lead pair."""
+    return lambda ctx, lo, hi: (pair for part in parts for pair in part(ctx, lo, hi))
+
+
+def _conv(p, a: str, b: str, n: int, shift: int = 0) -> LaurentPoly:
+    """sum_k C(n,k) a_k b_{n-k+shift}, k = 0..n, the members read from provider p."""
+    return sum_of_products(
+        (comb(n, k), p.poly(a, k), p.poly(b, n - k + shift)) for k in range(n + 1)
+    )
 
 
 def _vs_oracle(*names, extra=None):
@@ -210,31 +226,6 @@ def _vs_oracle(*names, extra=None):
                 )
                 if extra is not None:
                     yield (n, *extra(ctx, n, member))
-
-    return pairs
-
-
-def _steps(*steps, lead=None):
-    """Binomial-convolution steps: target_{n+1} = factor * sum_k C(n,k) a_k b_{n-k}.
-
-    Each step is (target, a, b, factor), with factor None for 1.  The a/b
-    chains are built to max_n in order of first use, then `lead()` gives an
-    optional leading pair.
-    """
-
-    def pairs(ctx: CheckContext, lo: int, hi: int):
-        chains = {}
-        for _, a, b, _ in steps:
-            for name in (a, b):
-                if name not in chains:
-                    chains[name] = ctx.chain(name, ctx.max_n)
-        if lead is not None:
-            yield lead()
-        for n in range(lo, hi + 1):
-            for target, a, b, factor in steps:
-                lhs = ctx.provider.poly(target, n + 1)
-                conv = binomial_convolution(chains[a], chains[b], n)
-                yield n, lhs, conv if factor is None else factor * conv
 
     return pairs
 
@@ -257,7 +248,7 @@ def _carlitz_scoville(ctx: CheckContext, lo: int, hi: int):
     exp_x = elementary_series("exp", hi, X_OF_XY)
     exp_y = elementary_series("exp", hi, Y_OF_XY)
     lhs = gen * (exp_y * X_OF_XY - exp_x * Y_OF_XY)
-    yield from _coeff_pairs(lhs, (exp_x - exp_y) * (X_OF_XY * Y_OF_XY), hi)
+    yield from _coeff_pairs(lhs, (exp_x - exp_y) * (X_OF_XY * Y_OF_XY), lo, hi)
 
 
 def _gamma_expansion(ctx: CheckContext, lo: int, hi: int):
@@ -272,17 +263,6 @@ def _gamma_expansion(ctx: CheckContext, lo: int, hi: int):
         yield n, rebuilt, poly
 
 
-def _euler_complex(ctx: CheckContext, lo: int, hi: int):
-    one_plus_i = make_gaussian(1, 1)
-    for n in range(lo, hi + 1):
-        value = ctx.provider.poly("eulerian_uni", n).evaluate({"x": _I})
-        # descent-indexed convention: divide the y=1 specialization by x=i
-        quotient = (value / _I) / one_plus_i ** (n - 1)
-        yield n, quotient, Fraction(ctx.provider.number("euler", n))
-        if isinstance(quotient, GaussianRational):
-            yield n, f"imaginary residue {quotient.im}", "0"
-
-
 def _mw_shift(ctx: CheckContext, lo: int, hi: int):
     poly = ctx.provider.poly
     for n in range(lo, hi + 1):
@@ -292,13 +272,6 @@ def _mw_shift(ctx: CheckContext, lo: int, hi: int):
         yield n, str(dict(sorted(shifted.items()))), str(dict(sorted(w_table.items())))
         yield n, poly("lr_peak_uni", n), X * poly("interior_peak_uni", n)
         yield n, poly("lr_peak_biv", n), poly("interior_peak_biv", n)
-
-
-def _left_peak_convolution(ctx: CheckContext, lo: int, hi: int):
-    chain = ctx.chain("left_peak_biv", ctx.max_n)
-    for n in range(lo, hi + 1):
-        lhs = ctx.provider.poly("dumont", n + 1).substitute(_PEAK_SUB)
-        yield n, lhs, binomial_convolution(chain, chain, n)
 
 
 def _l_squared_egf(ctx: CheckContext, lo: int, hi: int):
@@ -406,16 +379,6 @@ def _petersen(ctx: CheckContext, lo: int, hi: int):
         yield n, lhs, rhs
 
 
-def _ll_mm(ctx: CheckContext, lo: int, hi: int):
-    l_biv = ctx.chain("left_peak_biv", ctx.max_n)
-    m_biv = ctx.chain("interior_peak_biv", ctx.max_n)
-    l_uni = ctx.chain("left_peak_uni", ctx.max_n)
-    m_uni = ctx.chain("interior_peak_uni", ctx.max_n)
-    for n in range(lo, hi + 1):
-        yield n, binomial_convolution(l_biv, l_biv, n), binomial_convolution(m_biv, m_biv, n)
-        yield n, binomial_convolution(l_uni, l_uni, n), X * binomial_convolution(m_uni, m_uni, n)
-
-
 def _hoffman_egf(ctx: CheckContext, lo: int, hi: int):
     gen_p = TruncSeries(ctx.chain("deriv_P", hi))
     q_chain = ctx.chain("deriv_Q", hi)
@@ -427,10 +390,10 @@ def _hoffman_egf(ctx: CheckContext, lo: int, hi: int):
     tan = elementary_series("tan", hi)
     cos_minus_xsin = cos - sin * X
     one = TruncSeries.constant(1, hi)
-    yield from _coeff_pairs(gen_p * (one - tan * X), TruncSeries.constant(X, hi) + tan, hi)
-    yield from _coeff_pairs(gen_q * cos_minus_xsin, one, hi)
-    yield from _coeff_pairs(gen_a * cos_minus_xsin, TruncSeries.constant(a, hi), hi)
-    yield from _coeff_pairs(gen_p * cos_minus_xsin, cos * X + sin, hi)
+    yield from _coeff_pairs(gen_p * (one - tan * X), TruncSeries.constant(X, hi) + tan, lo, hi)
+    yield from _coeff_pairs(gen_q * cos_minus_xsin, one, lo, hi)
+    yield from _coeff_pairs(gen_a * cos_minus_xsin, TruncSeries.constant(a, hi), lo, hi)
+    yield from _coeff_pairs(gen_p * cos_minus_xsin, cos * X + sin, lo, hi)
 
 
 def _inverse_pattern(ctx: CheckContext, lo: int, hi: int):
@@ -441,24 +404,6 @@ def _inverse_pattern(ctx: CheckContext, lo: int, hi: int):
         half, odd = divmod(m, 2)
         sign = Fraction(-1) ** (half + odd)
         yield m, chain[m], sign * (a_inv_x if odd else a_inv)
-
-
-def _hoffman_conv(ctx: CheckContext, lo: int, hi: int):
-    p_chain = ctx.chain("deriv_P", ctx.max_n)
-    q_chain = ctx.chain("deriv_Q", ctx.max_n)
-    for n in range(1, hi + 1):
-        lhs = ctx.provider.poly("deriv_P", n + 1)
-        yield n, lhs, binomial_convolution(p_chain, p_chain, n)
-    for n in range(lo, hi + 1):
-        lhs = ctx.provider.poly("deriv_Q", n + 1)
-        yield n, lhs, binomial_convolution(p_chain, q_chain, n)
-
-
-def _mfmy_conv(ctx: CheckContext, lo: int, hi: int):
-    p_chain = ctx.chain("deriv_P", ctx.max_n)
-    for n in range(lo, hi + 1):
-        lhs = ctx.provider.poly("deriv_P", n + 2)
-        yield n, lhs, 2 * binomial_convolution(p_chain, p_chain[1:], n)
 
 
 def _pq_log(ctx: CheckContext, lo: int, hi: int):
@@ -508,17 +453,6 @@ def _beta_grammar(ctx: CheckContext, lo: int, hi: int):
         yield n, lifted_chain[n], expected
 
 
-def _p_andre(ctx: CheckContext, lo: int, hi: int):
-    half_u = (LaurentPoly.const(1) + _X_SQUARED) / 2
-    inv_form = (LaurentPoly.monomial(("x",), (-2,)) + 1) / 2
-    for n in range(lo, hi + 1):
-        p_n = ctx.provider.poly("deriv_P", n)
-        e_biv = ctx.provider.poly("andre_biv", n)
-        yield n, 2 ** n * e_biv.substitute({"u": half_u, "v": X}), p_n
-        e_uni = ctx.provider.poly("andre_uni", n)
-        yield n, 2 ** n * (X ** (n + 1)) * e_uni.substitute({"u": inv_form}), p_n
-
-
 def _ma_composition(ctx: CheckContext, lo: int, hi: int):
     order = 10
     full = elementary_series("tan", order + hi) + elementary_series("sec", order + hi)
@@ -562,7 +496,7 @@ def _gen_multiplicative(ctx: CheckContext, lo: int, hi: int):
         (tangent_secant_grammar(), a_ax, x_ax),
     ):
         lhs = grammar.gen_coeffs(f * g, hi)
-        yield from _coeff_pairs(lhs, grammar.gen_coeffs(f, hi) * grammar.gen_coeffs(g, hi), hi)
+        yield from _coeff_pairs(lhs, grammar.gen_coeffs(f, hi) * grammar.gen_coeffs(g, hi), lo, hi)
 
 
 class IdentityEntry(NamedTuple):
@@ -583,6 +517,10 @@ _GAMMA_SUB = {"u": X_OF_XY * Y_OF_XY, "v": _HALF_SUM}
 _ANDRE_SUB = {"u": X_OF_XY * Y_OF_XY / 2, "v": _HALF_SUM}
 _TWO_U = {"u": 2 * LaurentPoly.variable("u")}
 _PQQ_SEED = _ONE_PLUS_X2 * LaurentPoly.monomial(("a", "x"), (-2, 0))
+_P_ANDRE_BIV = {"u": _ONE_PLUS_X2 / 2, "v": X}
+_P_ANDRE_UNI = {"u": (LaurentPoly.monomial(("x",), (-2,)) + 1) / 2}
+# euler_complex, descent-indexed: divide the y=1 specialization at x=i by i
+_ONE_PLUS_I = make_gaussian(1, 1)
 
 _ENTRIES = [
     IdentityEntry("andre_eulerian", "scaled 0-1-2-tree polynomials are the descent polynomials under xy=2u, x+y=2v", 1, _MAX, _per_n(lambda p, n: ((2 ** n * p.poly("andre_biv", n)).substitute(_ANDRE_SUB), p.poly("eulerian_biv", n)))),
@@ -597,7 +535,7 @@ _ENTRIES = [
     IdentityEntry("dumont_andre", "doubling the leaf weight turns binary-tree polynomials into scaled 0-1-2-tree polynomials", 1, _MAX, _per_n(lambda p, n: (p.poly("dumont", n).substitute(_TWO_U), 2 ** n * p.poly("andre_biv", n)))),
     IdentityEntry("dumont_oracle", "binary-tree family equals both exhaustive tree counts (binary and plane)", 1, _ORACLE, _vs_oracle("dumont", extra=lambda ctx, n, member: (member, structures.dumont_plane_oracle(n, bound=ctx.oracle_max_n)))),
     IdentityEntry("dumont_peak", "binary-tree polynomials at u=x^2, v=y are the interior-peak polynomials", 0, _MAX, _per_n(lambda p, n: (p.poly("dumont", n).substitute(_PEAK_SUB), p.poly("interior_peak_biv", n)))),
-    IdentityEntry("euler_complex", "Euler numbers by Gaussian evaluation of the descent polynomials (descent-indexed convention)", 1, _MAX, _euler_complex),
+    IdentityEntry("euler_complex", "Euler numbers by Gaussian evaluation of the descent polynomials (descent-indexed convention)", 1, _MAX, _per_n(lambda p, n: ((p.poly("eulerian_uni", n).evaluate({"x": _I}) / _I) / _ONE_PLUS_I ** (n - 1), Fraction(p.number("euler", n))))),
     IdentityEntry("eulerian_egf", "closed-form generating function reproduces the bivariate descent polynomials", 0, _MAX, _eulerian_egf),
     IdentityEntry("eulerian_oracle", "descent/ascent statistic reproduces the bivariate descent polynomials", 1, _ORACLE, _vs_oracle("eulerian_biv")),
     IdentityEntry("forest_oracle", "planted-forest family equals the exhaustive forest count", 0, _ORACLE, _vs_oracle("planted_forest")),
@@ -605,28 +543,28 @@ _ENTRIES = [
     IdentityEntry("gamma_expansion", "descent polynomials have nonnegative expansions over (xy)^k (x+y)^{n+1-2k}", 1, _MAX, _gamma_expansion),
     IdentityEntry("gen_multiplicative", "generating functions multiply: Gen(fg) = Gen(f) Gen(g)", 0, _capped(8), _gen_multiplicative),
     IdentityEntry("gessel", "left-peak closed form matches the family at a radical-rational point", 0, _MAX, _closed_form_at("gessel_L", "left_peak_uni"), tuple(RADICAL_CLOSED_FORMS["gessel_L"])),
-    IdentityEntry("hoffman_conv", "binomial convolutions stepping both derivative families", 0, _upto(-1), _hoffman_conv),
+    IdentityEntry("hoffman_conv", "binomial convolutions stepping both derivative families", 0, _upto(-1), _then(_per_n(lambda p, n: (p.poly("deriv_P", n + 1), _conv(p, "deriv_P", "deriv_P", n)), start=1), _per_n(lambda p, n: (p.poly("deriv_Q", n + 1), _conv(p, "deriv_P", "deriv_Q", n))))),
     IdentityEntry("hoffman_egf", "four cross-multiplied trig generating functions for the derivative families", 0, _MAX, _hoffman_egf),
-    IdentityEntry("hoffman_PQQ", "the (1+x^2)-weighted square of the secant family steps the tangent family", 0, _upto(-1), _steps(("deriv_P", "deriv_Q", "deriv_Q", _ONE_PLUS_X2), lead=lambda: (0, tangent_secant_grammar().derive(_PQQ_SEED), LaurentPoly.zero()))),
+    IdentityEntry("hoffman_PQQ", "the (1+x^2)-weighted square of the secant family steps the tangent family", 0, _upto(-1), _then(lambda ctx, lo, hi: [(0, tangent_secant_grammar().derive(_PQQ_SEED), LaurentPoly.zero())], _per_n(lambda p, n: (p.poly("deriv_P", n + 1), _ONE_PLUS_X2 * _conv(p, "deriv_Q", "deriv_Q", n))))),
     IdentityEntry("inverse_pattern", "period-four sign pattern of the derivative chain on the reciprocal seed", 0, _MAX, _inverse_pattern),
     IdentityEntry("jv_oracles", "derivative families equal their empty-leaf tree and forest counts", 0, _ORACLE, _vs_oracle("deriv_P", "deriv_Q")),
     IdentityEntry("knuth_buckholtz", "tangent family at 1 equals 2^n times the Euler numbers", 0, _MAX, _per_n(lambda p, n: (p.number("p_at_one", n), 2 ** n * p.number("euler", n)))),
     IdentityEntry("L_squared_egf", "shifted descent series equals the squared left-peak series at a radical point", 0, _capped(10), _l_squared_egf, ("x", "y")),
-    IdentityEntry("left_peak_convolution", "binary-tree polynomials at u=x^2 convolve the left-peak family (corrected prefactor)", 0, _upto(-1), _left_peak_convolution),
-    IdentityEntry("LL_MM", "left-peak and interior-peak self-convolutions agree (univariate form corrected by x)", 1, _MAX, _ll_mm),
-    IdentityEntry("LM_convolution", "left-peak family steps by convolving with the interior-peak family", 0, _upto(-1), _steps(("left_peak_biv", "left_peak_biv", "interior_peak_biv", None), ("left_peak_uni", "left_peak_uni", "interior_peak_uni", X))),
-    IdentityEntry("M_convolution", "interior-peak family steps by its own self-convolution", 1, _upto(-1), _steps(("interior_peak_biv", "interior_peak_biv", "interior_peak_biv", None), ("interior_peak_uni", "interior_peak_uni", "interior_peak_uni", X))),
+    IdentityEntry("left_peak_convolution", "binary-tree polynomials at u=x^2 convolve the left-peak family (corrected prefactor)", 0, _upto(-1), _per_n(lambda p, n: (p.poly("dumont", n + 1).substitute(_PEAK_SUB), _conv(p, "left_peak_biv", "left_peak_biv", n)))),
+    IdentityEntry("LL_MM", "left-peak and interior-peak self-convolutions agree (univariate form corrected by x)", 1, _MAX, _per_n(lambda p, n: (_conv(p, "left_peak_biv", "left_peak_biv", n), _conv(p, "interior_peak_biv", "interior_peak_biv", n)), lambda p, n: (_conv(p, "left_peak_uni", "left_peak_uni", n), X * _conv(p, "interior_peak_uni", "interior_peak_uni", n)))),
+    IdentityEntry("LM_convolution", "left-peak family steps by convolving with the interior-peak family", 0, _upto(-1), _per_n(lambda p, n: (p.poly("left_peak_biv", n + 1), _conv(p, "left_peak_biv", "interior_peak_biv", n)), lambda p, n: (p.poly("left_peak_uni", n + 1), X * _conv(p, "left_peak_uni", "interior_peak_uni", n)))),
+    IdentityEntry("M_convolution", "interior-peak family steps by its own self-convolution", 1, _upto(-1), _per_n(lambda p, n: (p.poly("interior_peak_biv", n + 1), _conv(p, "interior_peak_biv", "interior_peak_biv", n)), lambda p, n: (p.poly("interior_peak_uni", n + 1), X * _conv(p, "interior_peak_uni", "interior_peak_uni", n)))),
     IdentityEntry("ma_composition", "scaled derivatives of tan+sec equal tangent-family composition with it", 0, _capped(6), _ma_composition),
-    IdentityEntry("mfmy_conv", "shifted self-convolution steps the tangent family by two", 0, _upto(-2), _mfmy_conv),
+    IdentityEntry("mfmy_conv", "shifted self-convolution steps the tangent family by two", 0, _upto(-2), _per_n(lambda p, n: (p.poly("deriv_P", n + 2), 2 * _conv(p, "deriv_P", "deriv_P", n, shift=1)))),
     IdentityEntry("MW_shift", "left-right-peak counts shift to interior-peak counts; W = x M", 1, _MAX, _mw_shift),
-    IdentityEntry("p_andre", "tangent family from the 0-1-2-tree family by substitution and homogenization", 1, _MAX, _p_andre),
+    IdentityEntry("p_andre", "tangent family from the 0-1-2-tree family by substitution and homogenization", 1, _MAX, _per_n(lambda p, n: (2 ** n * p.poly("andre_biv", n).substitute(_P_ANDRE_BIV), p.poly("deriv_P", n)), lambda p, n: (2 ** n * (X ** (n + 1)) * p.poly("andre_uni", n).substitute(_P_ANDRE_UNI), p.poly("deriv_P", n)))),
     IdentityEntry("p_eulerian_complex", "tangent family by Gaussian clearing of the descent polynomials", 1, _MAX, _per_n(lambda p, n: (substitute_rational(p.poly("eulerian_uni", n), "x", _CAYLEY, n + 1), p.poly("deriv_P", n)))),
     IdentityEntry("peak_L", "left-peak family equals its permutation-statistic count", 0, _ORACLE, _vs_oracle("left_peak_biv")),
     IdentityEntry("peak_M", "interior-peak family equals its permutation-statistic count", 1, _ORACLE, _vs_oracle("interior_peak_biv")),
     IdentityEntry("peak_W", "left-right-peak family equals its permutation-statistic count", 0, _ORACLE, _vs_oracle("lr_peak_biv")),
     IdentityEntry("petersen", "cleared rational substitution ties the left-peak family to the descent polynomials", 0, _MAX, _petersen),
     IdentityEntry("pq_log", "log of the secant-family series is the shifted tangent-family series", 0, _MAX, _pq_log),
-    IdentityEntry("R_convolution", "seed x+y family steps by convolving with the left-peak family", 0, _upto(-1), _steps(("R_family", "left_peak_biv", "R_family", None))),
+    IdentityEntry("R_convolution", "seed x+y family steps by convolving with the left-peak family", 0, _upto(-1), _per_n(lambda p, n: (p.poly("R_family", n + 1), _conv(p, "left_peak_biv", "R_family", n)))),
     IdentityEntry("springer", "Springer numbers via left-peak evaluation at 2; tangent family at 1 via 2 M_n(2) (corrected)", 0, _MAX, _springer),
     IdentityEntry("springer_logconvex_sanity", "finite log-convexity check of the Springer numbers", 1, _MAX, _springer_logconvex),
     IdentityEntry("stembridge", "cleared rational substitution ties the interior-peak family to the descent polynomials", 1, _MAX, _per_n(lambda p, n: (X * substitute_rational(p.poly("interior_peak_uni", n), "x", _PETERSEN, n - 1, clear=_ONE_PLUS_X), 2 ** (n - 1) * p.poly("eulerian_uni", n)))),

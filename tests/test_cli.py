@@ -218,6 +218,13 @@ def test_oracle_diff(capsys):
     assert "equal" in out
 
 
+def test_oracle_diff_refuses_csv(capsys):
+    argv = ("oracle", "deriv_Q", "--n", "2", "--diff", "--format", "csv")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: oracle --diff prints text or json, not csv\n"
+
+
 def test_oracle_plain(capsys):
     code, out, _ = run_cli(capsys, "oracle", "lr_peak_biv", "--n", "2")
     assert code == 0 and out.strip() == "2*x^2*y"

@@ -174,6 +174,20 @@ def test_run_all_empty_ranges_are_not_passes():
     assert sum(r.status == "empty" for r in reports) == 22
 
 
+@pytest.mark.parametrize("max_n, oracle_max_n", [(6, 5), (12, 5)])
+def test_pairs_cover_the_declared_range_exactly(max_n, oracle_max_n):
+    # a pair outside [lo, hi] checks what the report does not claim, and an n
+    # without a pair is claimed without being checked
+    ctx = CheckContext(max_n, oracle_max_n, GrammarFamilies())
+    wrong = {}
+    for name, entry in REGISTRY.items():
+        lo, hi = entry.lo, entry.hi(ctx)
+        seen = {n for n, _, _ in entry.pairs(ctx, lo, hi)}
+        if seen != set(range(lo, hi + 1)):
+            wrong[name] = (lo, hi, sorted(seen))
+    assert wrong == {}
+
+
 def test_report_json_shape():
     report = run_identity("springer", max_n=4)
     payload = report.to_json()
