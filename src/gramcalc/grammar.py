@@ -63,25 +63,18 @@ class Grammar:
         if self.sqrt_var is None or self.sqrt_var not in f.vars:
             return f
         z = self.sqrt_var
-        idx = f.vars.index(z)
         radicand = Powers(self.sqrt_radicand)
-        # f = sum over q of (its terms in z^(2q) and z^(2q+1), read as z^0, z^1) * radicand^q
-        first_e = {}
-        for exps in f.nums:
-            first_e.setdefault(exps[idx] // 2, exps[idx])
+        lift = LaurentPoly.variable(z)
+        # f = sum over e of (its coefficient of z^e) * z^(e mod 2) * radicand^(e // 2)
         triples = []
-        for q, e in first_e.items():
+        for e, coeff in f.by_power(z).items():
+            q, r = divmod(e, 2)
             try:
                 # _ONE, not radicand[0]: a term left alone adds no variable to the table
                 factor = _ONE if q == 0 else radicand[q]
             except Exception as exc:
                 raise ExtensionConflict(f"cannot reduce {z}^{e}: radicand not invertible") from exc
-
-            def lowered(exps):
-                if exps[idx] // 2 == q:
-                    return exps[:idx] + (exps[idx] - 2 * q,) + exps[idx + 1 :]
-
-            triples.append((1, f.collect(lowered, f.vars), factor))
+            triples.append((1, coeff * lift if r else coeff, factor))
         return sum_of_products(triples, f.vars)
 
     def derive(self, f: LaurentPoly) -> LaurentPoly:

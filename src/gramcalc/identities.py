@@ -141,9 +141,8 @@ def _mismatch(pairs: Pairs) -> Optional[dict]:
 
 
 def _uni_table(poly: LaurentPoly) -> Dict[int, Scalar]:
-    """Univariate polynomial as exponent -> coefficient."""
-    uni = poly.collect(lambda exps: (next((e for e in reversed(exps) if e), 0),), ("x",))
-    return {k: uni.coefficient({"x": k}) for (k,) in uni.nums}
+    """Univariate polynomial in x as exponent -> coefficient."""
+    return {k: c.constant_value() for k, c in poly.by_power("x").items()}
 
 
 def _expand(table: Mapping[int, Scalar], basis, variables) -> LaurentPoly:
@@ -274,10 +273,17 @@ def _mw_shift(ctx: CheckContext, lo: int, hi: int):
         yield n, poly("lr_peak_biv", n), poly("interior_peak_biv", n)
 
 
+def _refuse_zero(var: str, value: Fraction):
+    """A check whose sides all carry the factor var compares 0 = 0 at var = 0."""
+    if value == 0:
+        raise InvalidPoint(f"at {var} = 0 every compared pair is 0 = 0")
+
+
 def _l_squared_egf(ctx: CheckContext, lo: int, hi: int):
     x0 = ctx.point("x", Fraction(3))
     y0 = ctx.point("y", Fraction(5))
     with ctx.point_setup("x", "y"):
+        _refuse_zero("x", x0)  # xbar * ybar = x^2, and every left-peak polynomial has the factor x
         point = RadicalPoint(values={"x": x0, "y": y0})
         s = point.root("y^2-x^2", y0 * y0 - x0 * x0)
     xbar, ybar = y0 + s, y0 - s
@@ -287,14 +293,17 @@ def _l_squared_egf(ctx: CheckContext, lo: int, hi: int):
         yield n, lhs, sum(comb(n, k) * l_values[k] * l_values[n - k] for k in range(n + 1))
 
 
-def _closed_form_at(series: str, family: str):
+def _closed_form_at(series: str, family: str, factor: Optional[str] = None):
     """The closed form `series` expanded at its point (the given values over
-    its defaults) equals the family there, member by member."""
+    its defaults) equals the family there, member by member.  `factor` names a
+    variable that divides every member, so a point where it is 0 is refused."""
     defaults = RADICAL_CLOSED_FORMS[series]
 
     def pairs(ctx: CheckContext, lo: int, hi: int):
         at = {var: ctx.point(var, default) for var, default in defaults.items()}
         with ctx.point_setup(*at):
+            if factor:
+                _refuse_zero(factor, at[factor])
             expanded = closed_form_series(series, hi, RadicalPoint(values=at))
         for n in range(lo, hi + 1):
             yield n, expanded.coeffs[n].constant_value(), ctx.provider.poly(family, n).evaluate(at)
@@ -527,7 +536,7 @@ _ENTRIES = [
     IdentityEntry("andre_oracle", "0-1-2-tree family equals its exhaustive tree count and the alternating count", 0, _ORACLE, _vs_oracle("andre_biv", extra=lambda ctx, n, _: (Fraction(ctx.provider.number("euler", n)), Fraction(structures.alternating_count(n, bound=ctx.oracle_max_n))))),
     IdentityEntry("beta_exp", "derivative polynomials expand over x^j (1+x^2)^k with peak coefficients and plane-tree leaf counts", 0, _MAX, _beta_exp),
     IdentityEntry("beta_grammar", "the z = x^2 lift of the peak grammar reproduces the left-peak expansion", 0, _MAX, _beta_grammar),
-    IdentityEntry("bivariate_gessel", "bivariate left-peak closed form (corrected prefactor) at a radical-rational point", 0, _capped(12), _closed_form_at("bivariate_L", "left_peak_biv"), tuple(RADICAL_CLOSED_FORMS["bivariate_L"])),
+    IdentityEntry("bivariate_gessel", "bivariate left-peak closed form (corrected prefactor) at a radical-rational point", 0, _capped(12), _closed_form_at("bivariate_L", "left_peak_biv", "x"), tuple(RADICAL_CLOSED_FORMS["bivariate_L"])),
     IdentityEntry("carlitz_scoville", "cross-multiplied exponential form of the descent generating function", 1, _MAX, _carlitz_scoville),
     IdentityEntry("david_barton_closed", "cosh(z) closed forms match the peak families at a Pythagorean point (corrected normalization)", 0, _capped(10), _david_barton_closed, ("x",)),
     IdentityEntry("david_barton_pde", "coefficient recurrences expanded from the peak partial differential equations", 0, _MAX, _david_barton_pde),

@@ -212,6 +212,19 @@ class LaurentPoly:
                 acc[new] = n if old is None else tuple(map(add, old, n)) if pair else old + n
         return _stored(variables, *_normal_form(self.den, acc))
 
+    def by_power(self, var: str) -> Dict[int, "LaurentPoly"]:
+        """The polynomial read by powers of var: e -> the coefficient of var^e,
+        a polynomial over the other variables, in first-seen order of e."""
+        if var not in self.vars:
+            return {0: self} if self._packed else {}
+        s = self._field_shift(var)
+        low = (1 << s) - 1
+        groups: Dict[int, dict] = {}
+        for key, n in self._packed.items():  # var's field cut out of each key
+            groups.setdefault(((key >> s) & _MASK) - _BIAS, {})[key >> (s + _WIDTH) << s | key & low] = n
+        rest = tuple(v for v in self.vars if v != var)
+        return {e: _stored(rest, *_normal_form(self.den, nums)) for e, nums in groups.items()}
+
     def coefficient(self, exps_by_var: Mapping[str, int]) -> Scalar:
         """Coefficient of the monomial with the given exponents (others zero)."""
         exps = tuple(exps_by_var.get(v, 0) for v in self.vars)
@@ -879,16 +892,7 @@ def substitute_rational(
     clear = value.denominator if clear is None else clear
     degree = f.degree_in(var)
     rest_vars = tuple(v for v in f.vars if v != var)
-    # f's numerators grouped by their power of var: f = sum_k a_k var^k.  A key
-    # over rest_vars is f's key with var's field cut out.
-    by_power: Dict[int, dict] = {}
-    if var in f.vars:
-        s = f._field_shift(var)
-        for key, n in f._packed.items():
-            rest = (key >> (s + _WIDTH) << s) | (key & ((1 << s) - 1))
-            by_power.setdefault(((key >> s) & _MASK) - _BIAS, {})[rest] = n
-    elif f:
-        by_power[0] = f._packed
+    by_power = f.by_power(var)  # f = sum_k a_k var^k
     den_powers = Powers(value.denominator)
     # Numerator of f(value) over D^degree, sum_k a_k N^k D^(degree-k), by
     # homogeneous Horner: num = num*N + a_k D^(degree-k), k from degree down.
@@ -897,8 +901,7 @@ def substitute_rational(
     for k in range(degree, -1, -1):
         triples = [(1, num, value.numerator)] if k < degree else []
         if k in by_power:
-            a_k = _stored(rest_vars, *_normal_form(f.den, by_power[k]))
-            triples.append((1, a_k, den_powers[degree - k]))
+            triples.append((1, by_power[k], den_powers[degree - k]))
         num = sum_of_products(triples, num.vars)
     cleared = clear ** clear_power * num
     return cleared.exact_divide(den_powers[degree])

@@ -246,10 +246,8 @@ def compose_poly_series(poly: LaurentPoly, inner: TruncSeries) -> TruncSeries:
     order = inner.order
     if not effective:
         return TruncSeries.constant(poly.constant_value(), order)
-    var = effective[0]
-    idx = poly.vars.index(var)
-    # every other exponent is 0, so each term has its own power of var
-    by_power = {exps[idx]: poly.coefficient({var: exps[idx]}) for exps in poly.nums}
+    # every other exponent is 0, so each coefficient is a constant
+    by_power = {e: c.constant_value() for e, c in poly.by_power(effective[0]).items()}
     powers = [TruncSeries.constant(1, order)]
     for _ in range(max(by_power)):
         powers.append(powers[-1] * inner)

@@ -277,15 +277,19 @@ def jv_empty_leaves(tree) -> int:
 
 # -- size-keyed statistics ----------------------------------------------------------
 #
-# A tree's statistic depends only on how many labels it has, and a _subsets
-# split of its non-root labels only through the split's sizes and whether it
-# takes the first label (_splits).  So pairs(m, stats) gives the statistics of
-# the trees on m labels, in their enumerator's order, as one (left, right)
-# pair per root split, the root's own weight folded into left: the split's
+# Trees and forests are tallied by their leaves alone (empty leaves for jv
+# trees): with one edge per label less the roots, the leaves fix the one-child
+# count, n + 1 - 2 * leaves for a tree on n >= 1 labels and n - 2 * leaves for
+# a planted forest on n labels.  A tree's leaf count depends only on how many
+# labels it has, and a _subsets split of its non-root labels only through the
+# split's sizes and whether it takes the first label (_splits).  So
+# pairs(m, stats) gives the leaf counts of the trees on m labels, in their
+# enumerator's order, as one (left, right) pair per root split: the split's
 # trees are starmap(add, product(left, right)).  stats(k) is the list for
-# k < m labels, built once per top-level call in a memo local to that call.
-# The top size is never listed: each pair goes straight into Counter.update.
-# Every structure is visited exactly once, with one C-level add; none is built.
+# k < m labels, memoized per top-level call.  A forest splits alike into the
+# block of its first label and a forest on the rest (_forest_pairs), in
+# another order than _forests lists them.  The top size is never listed, and
+# every structure is visited once, by one C-level add; none is built.
 
 
 def _splits(m: int) -> List[Tuple[int, int, bool]]:
@@ -295,7 +299,7 @@ def _splits(m: int) -> List[Tuple[int, int, bool]]:
 
 
 def _size_keyed(pairs) -> Callable[[int], List[int]]:
-    """stats(m): the statistic of every tree on m labels, each size listed once."""
+    """stats(m): the leaf count of every structure on m labels, each size listed once."""
     memo: Dict[int, List[int]] = {}
 
     def stats(m: int) -> List[int]:
@@ -306,74 +310,61 @@ def _size_keyed(pairs) -> Callable[[int], List[int]]:
     return stats
 
 
-def _tally(pairs, m: int, stats=None, tally: Counter | None = None) -> Counter:
-    """Tally (into tally, a new Counter by default) of the statistic of each tree on m labels."""
-    stats = stats or _size_keyed(pairs)
-    tally = Counter() if tally is None else tally
+def _tally(pairs, m: int) -> Counter:
+    """Tally of the leaf count of each structure on m labels."""
+    stats = _size_keyed(pairs)
+    tally: Counter = Counter()
     for left, right in pairs(m, stats):
         tally.update(starmap(add, product(left, right)))
     return tally
 
 
-def _jv_pairs(m: int, stats) -> list:
-    """Empty-leaf counts of the jv trees on m labels, in jv_trees order."""
-    if m < 2:
-        return [((1,) if m == 0 else (0, 2), (0,))]  # an empty leaf; a root bare or over two
-    return [(stats(a), stats(b)) for a, b, _ in _splits(m - 1)]
-
-
-def _binary_pairs(base: int):
-    """f0 * base + f1 for the (leaves, one-child) counts (f0, f1) of each
-    inc_binary tree on m labels, in inc_binary_trees order; base > m keeps the
-    packing one-to-one.  Packed counts add like the pairs they pack."""
-
-    def pairs(m: int, stats) -> list:
-        if m == 0:
-            return [((0,), (0,))]
-        out = []
-        for a, b, _ in _splits(m - 1):
-            own = (base, 1, 0)[(a > 0) + (b > 0)]
-            out.append(([s + own for s in stats(a)] if own else stats(a), stats(b)))
-        return out
-
-    return pairs
-
-
-def _pairs_012(base: int, ordered: bool):
-    """f0 * base + f1 for the (leaves, one-child) counts of each 0-1-2 tree on
-    m labels, in _trees_012 order; base > m keeps the packing one-to-one."""
+def _root_split_pairs(small):
+    """Walker of the trees whose root has an ordered (left, right) pair of
+    subtrees, one per _subsets split; small[m] lists the leaf counts for m < 2."""
 
     def pairs(m: int, stats) -> list:
         if m < 2:
-            return [((base,), (0,))] if m else []
-        two = [(stats(a), stats(b)) for a, b, low in _splits(m - 1) if a and b and (ordered or low)]
-        return [(stats(m - 1), (1,))] + two
+            return [(small[m], (0,))]
+        return [(stats(a), stats(b)) for a, b, _ in _splits(m - 1)]
 
     return pairs
 
 
-def _forest_tally(n: int, pairs) -> Counter:
-    """Tally of each forest's summed block statistics, over every set partition of [n].
-
-    A block carries the trees that pairs walks on its non-root labels; a lone
-    root weighs 1 (one empty leaf for jv trees, a v label, packed, for binary
-    ones).  The block of all n labels is never listed.
-    """
-    stats = _size_keyed(pairs)
-    tally: Counter = Counter()
-    for partition in set_partitions(tuple(range(1, n + 1))):
-        if len(partition) == 1 and n > 1:
-            _tally(pairs, n - 1, stats, tally)
-        else:
-            lists = [stats(len(block) - 1) if len(block) > 1 else (1,) for block in partition]
-            tally.update(map(sum, product(*lists)))
-    return tally
+_jv_pairs = _root_split_pairs(((1,), (0, 2)))  # an empty leaf; a root bare or over two
+_binary_pairs = _root_split_pairs(((0,), (1,)))  # the empty tree; a bare root
 
 
-def _pair_tally(n: int, pairs_of_base, *args) -> Dict[Tuple[int, int], int]:
-    """Tally of (f0, f1) over the trees on n labels, walked packed with base n + 1."""
-    base = n + 1
-    return {divmod(key, base): c for key, c in _tally(pairs_of_base(base, *args), n).items()}
+def _pairs_012(ordered: bool):
+    """Walker of the 0-1-2 trees, in _trees_012 order."""
+
+    def pairs(m: int, stats) -> list:
+        if m < 2:
+            return [((1,), (0,))] if m else []
+        two = [(stats(a), stats(b)) for a, b, low in _splits(m - 1) if a and b and (ordered or low)]
+        return [(stats(m - 1), (0,))] + two
+
+    return pairs
+
+
+def _forest_pairs(tree_pairs):
+    """Walker of the forests of planted trees that tree_pairs walks: one (trees
+    on the first label's block less its root, forests on the other labels)
+    pair per split of the m - 1 other labels.  A lone root is the tree
+    walker's size-0 value.  The tree memo lives as long as the walker."""
+    trees = _size_keyed(tree_pairs)
+
+    def pairs(m: int, stats) -> list:
+        if m == 0:
+            return [((0,), (0,))]  # the empty forest
+        return [(trees(a), stats(b)) for a, b, _ in _splits(m - 1)]
+
+    return pairs
+
+
+def _one_child(pairs, n: int) -> Dict[Tuple[int, int], int]:
+    """(leaves, one-child) tally of the trees on n >= 1 labels that pairs walks."""
+    return {(f0, n + 1 - 2 * f0): count for f0, count in _tally(pairs, n).items()}
 
 
 # -- the oracle: families by weighted counting -------------------------------------
@@ -440,13 +431,12 @@ def _perm_tally(exponents) -> Callable[[int], Counter]:
 
 def _andre_tally(n: int) -> Dict[Tuple[int, int], int]:
     """(leaves, one-child) tally of the unordered 0-1-2 trees; the empty tree at n = 0."""
-    return _pair_tally(n, _pairs_012, False) or {(0, 0): 1}
+    return _one_child(_pairs_012(False), n) or {(0, 0): 1}
 
 
 def _planted_tally(n: int) -> Dict[Tuple[int, int], int]:
-    """(one-child, leaves) tally of the planted forests, packed with base n + 1."""
-    base = n + 1
-    return {divmod(key, base)[::-1]: c for key, c in _forest_tally(n, _binary_pairs(base)).items()}
+    """(one-child, leaves) tally of the planted forests."""
+    return {(n - 2 * f0, f0): c for f0, c in _tally(_forest_pairs(_binary_pairs), n).items()}
 
 
 def _univariate(counter: Dict[int, int]) -> Dict[Tuple[int], int]:
@@ -470,11 +460,11 @@ _ORACLES = {
     "R_family": _Oracle(
         XY, 0, lambda n: _ORACLES["left_peak_biv"].tally(n) + _ORACLES["lr_peak_biv"].tally(n)
     ),
-    "dumont": _Oracle(UV, 1, lambda n: _pair_tally(n, _binary_pairs)),
+    "dumont": _Oracle(UV, 1, lambda n: _one_child(_binary_pairs, n)),
     "andre_biv": _Oracle(UV, 0, _andre_tally),
     "andre_uni": _Oracle(UV, 0, _andre_tally, {"v": LaurentPoly.const(1)}),
     "deriv_P": _Oracle(("x",), 0, lambda n: _univariate(_tally(_jv_pairs, n))),
-    "deriv_Q": _Oracle(("x",), 0, lambda n: _univariate(_forest_tally(n, _jv_pairs))),
+    "deriv_Q": _Oracle(("x",), 0, lambda n: _univariate(_tally(_forest_pairs(_jv_pairs), n))),
     "planted_forest": _Oracle(("v", "u"), 0, _planted_tally),
 }
 
@@ -501,20 +491,14 @@ def dumont_plane_oracle(n: int, bound: int | None = None) -> LaurentPoly:
     if n < 1:
         raise ValueError("plane-tree oracle needs n >= 1")
     # weight u^f0 (2v)^f1: fold the 2^f1 into the coefficient
-    terms = {
-        (f0, f1): Fraction(count) * Fraction(2) ** f1
-        for (f0, f1), count in _pair_tally(n, _pairs_012, True).items()
-    }
+    terms = {key: Fraction(count * 2 ** key[1]) for key, count in _one_child(_pairs_012(True), n).items()}
     return LaurentPoly(UV, terms)
 
 
 def plane_leaf_counts(n: int, bound: int | None = None) -> Dict[int, int]:
     """Number of plane 0-1-2 increasing trees on [n] with k leaves."""
     _check_bound(n, bound)
-    leaves: Counter = Counter()
-    for (f0, _), count in _pair_tally(n, _pairs_012, True).items():
-        leaves[f0] += count
-    return dict(leaves)
+    return dict(_tally(_pairs_012(True), n))
 
 
 def alternating_count(n: int, bound: int | None = None) -> int:
@@ -563,20 +547,20 @@ _KINDS = {
     ),
     "inc_binary": _Kind(
         lambda labels: inc_binary_trees(labels) if labels else (),
-        lambda n: sum(_tally(_binary_pairs(1), n).values()) if n else 0,
+        lambda n: sum(_tally(_binary_pairs, n).values()) if n else 0,
         _binary_json,
     ),
-    "plane_012": _Kind(plane_012_trees, lambda n: sum(_tally(_pairs_012(1, True), n).values()), _tree_json),
-    "tree_012": _Kind(tree_012_trees, lambda n: sum(_tally(_pairs_012(1, False), n).values()), _tree_json),
+    "plane_012": _Kind(plane_012_trees, lambda n: sum(_tally(_pairs_012(True), n).values()), _tree_json),
+    "tree_012": _Kind(tree_012_trees, lambda n: sum(_tally(_pairs_012(False), n).values()), _tree_json),
     "jv_tree": _Kind(jv_trees, lambda n: sum(_tally(_jv_pairs, n).values()), _jv_json),
     "jv_forest": _Kind(
         jv_forests,
-        lambda n: sum(_forest_tally(n, _jv_pairs).values()),
+        lambda n: sum(_tally(_forest_pairs(_jv_pairs), n).values()),
         lambda forest: [[root, [_jv_json(sub)]] for root, sub in forest],
     ),
     "planted_forest": _Kind(
         planted_forests,
-        lambda n: sum(_forest_tally(n, _binary_pairs(1)).values()),
+        lambda n: sum(_tally(_forest_pairs(_binary_pairs), n).values()),
         lambda forest: [
             [root, [] if sub is None else [_binary_json(sub)]] for root, sub in forest
         ],

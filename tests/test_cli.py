@@ -107,15 +107,31 @@ def test_check_bad_point_is_input_error(capsys):
     assert "fail" not in out
     assert out.startswith("invalid gessel [n=0..4]")
     assert err.startswith("error: gessel: invalid point x=1: NonUnitConstantTerm")
-    # a bare point reaches every check that reads x; all four are input errors
+    # a bare point reaches every check that reads x; gessel passes at x = 0 and
+    # the other three report input errors, none a failure
     code, out, err = run_cli(
         capsys, "check", "all", "--points", "x=0", "--max-n", "3", "--oracle-max-n", "2"
     )
     assert code == 2
     assert "fail" not in out
     assert err.splitlines() == [
-        "error: david_barton_closed: invalid point x=0: ZeroDivisionError: Fraction(1, 0)"
+        "error: L_squared_egf: invalid point x=0: InvalidPoint: at x = 0 every compared pair is 0 = 0",
+        "error: bivariate_gessel: invalid point x=0: InvalidPoint: at x = 0 every compared pair is 0 = 0",
+        "error: david_barton_closed: invalid point x=0: ZeroDivisionError: Fraction(1, 0)",
     ]
+
+
+@pytest.mark.parametrize("name", ["L_squared_egf", "bivariate_gessel"])
+def test_check_refuses_a_vacuous_radical_point(capsys, name):
+    # every left-peak polynomial has the factor x, so at x = 0 each pair is 0 = 0
+    code, out, err = run_cli(capsys, "check", name, "--points", "x=0,y=5")
+    assert code == 2
+    assert out.startswith(f"invalid {name} ")
+    assert err == (
+        f"error: {name}: invalid point x=0,y=5: InvalidPoint: at x = 0 every compared pair is 0 = 0\n"
+    )
+    code, out, _ = run_cli(capsys, "check", name, "--points", "x=4,y=5")
+    assert code == 0 and out.startswith(f"pass {name} ")
 
 
 @pytest.mark.parametrize(

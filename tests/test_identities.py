@@ -113,6 +113,19 @@ def test_library_calls_apply_the_point_rules():
         assert not run_identity("david_barton_closed", max_n=3, points=points).passed
 
 
+def test_vacuous_radical_points_are_invalid():
+    vacuous = {"x": Fraction(0), "y": Fraction(5)}
+    for name in ("L_squared_egf", "bivariate_gessel"):
+        report = run_identity(name, max_n=4, points=vacuous)
+        assert report.status == "invalid", name
+        assert report.witness == {
+            "error": "invalid point x=0,y=5: InvalidPoint: at x = 0 every compared pair is 0 = 0"
+        }
+        assert run_identity(name, max_n=4, points={"x": Fraction(4), "y": Fraction(5)}).passed
+    # gessel's pairs at x = 0 are 1 = 1: a real check, left alone
+    assert run_identity("gessel", max_n=4, points={"x": Fraction(0)}).passed
+
+
 class _RecordingPoints(dict):
     """An empty point table that records every variable a check looks up."""
 

@@ -1,9 +1,10 @@
 """Term readers on the stored numerators.
 
-`LaurentPoly.collect` and the readers built on it (`families._peaks`,
-`identities._uni_table`, `Grammar.reduce`, `series.compose_poly_series`) are
-compared with copies of their earlier versions, which summed the `.terms`
-view, and must leave their argument without that view.
+`LaurentPoly.collect`, `LaurentPoly.by_power` and the readers built on them
+(`families._peaks`, `identities._uni_table`, `Grammar.reduce`,
+`series.compose_poly_series`) are compared with term-by-term references,
+copies of their earlier versions which summed the `.terms` view, and must
+leave their argument without that view.
 """
 
 from fractions import Fraction
@@ -111,6 +112,35 @@ def test_collect_matches_summed_terms(f, how):
         if new is not None:
             terms[new] = terms.get(new, Fraction(0)) + coeff
     assert _stored(_fresh(f).collect(key, variables)) == _stored(LaurentPoly(variables, terms))
+
+
+def _reference_by_power(poly, var):
+    if var not in poly.vars:
+        return {0: poly} if poly else {}
+    idx = poly.vars.index(var)
+    rest = poly.vars[:idx] + poly.vars[idx + 1 :]
+    groups = {}
+    for exps, coeff in poly.terms.items():
+        groups.setdefault(exps[idx], {})[exps[:idx] + exps[idx + 1 :]] = coeff
+    return {e: LaurentPoly(rest, terms) for e, terms in groups.items()}
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        poly_strategy(XYZ, min_exp=-3, max_exp=4, coeffs=scalars, max_terms=8),
+        poly_strategy(("x",), min_exp=-3, max_exp=4, coeffs=scalars, max_terms=6),
+    ),
+    st.sampled_from(["x", "y", "z", "w"]),
+)
+def test_by_power_matches_per_term_reference(f, var):
+    fresh = _fresh(f)
+    table = fresh.by_power(var)
+    expected = _reference_by_power(f, var)
+    assert [(e, _stored(c)) for e, c in table.items()] == [
+        (e, _stored(c)) for e, c in expected.items()
+    ]
+    assert not hasattr(fresh, "_terms")
 
 
 @pytest.mark.parametrize(

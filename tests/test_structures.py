@@ -13,6 +13,7 @@ from gramcalc.laurent import LaurentPoly, parse_poly
 from gramcalc.structures import (
     STRUCTURE_KINDS,
     _binary_pairs,
+    _forest_pairs,
     _jv_pairs,
     _pairs_012,
     _perm_histogram,
@@ -349,24 +350,39 @@ def _planted_block_exponents(sub):
     return (f1, f0)
 
 
+def _planted_leaves(forest):
+    return sum(binary_degree_counts(sub)[0] for _, sub in forest)
+
+
 def test_stat_routes_match_tree_routes():
     for n in range(0, 9):
         labels = tuple(range(1, n + 1))
+        # the tree walkers list leaf counts in their enumerator's order
         assert _size_keyed(_jv_pairs)(n) == [jv_empty_leaves(t) for t in jv_trees(labels)], n
-        assert _size_keyed(_binary_pairs(n + 1))(n) == [
-            f0 * (n + 1) + f1 for f0, f1, _ in map(binary_degree_counts, inc_binary_trees(labels))
-        ], n
+        binary = [binary_degree_counts(t) for t in inc_binary_trees(labels)]
+        assert _size_keyed(_binary_pairs)(n) == [f0 for f0, _, _ in binary], n
         for ordered, trees in ((True, plane_012_trees), (False, tree_012_trees)):
-            assert [divmod(s, n + 1) for s in _size_keyed(_pairs_012(n + 1, ordered))(n)] == [
-                tree_degree_counts(t)[:2] for t in trees(labels)
-            ], (n, ordered)
+            counts = [tree_degree_counts(t) for t in trees(labels)]
+            assert _size_keyed(_pairs_012(ordered))(n) == [f0 for f0, _, _ in counts], (n, ordered)
+            # one edge per label but the root: the leaves fix the one-child count
+            assert all(f1 == n + 1 - 2 * f0 for f0, f1, _ in counts), (n, ordered)
+        if n:
+            assert all(f1 == n + 1 - 2 * f0 for f0, f1, _ in binary), n
+        # a planted forest has one edge per label but its roots; a lone root is one-child
+        planted = list(planted_forests(labels))
+        for forest in planted:
+            one_child = sum(1 if sub is None else binary_degree_counts(sub)[1] for _, sub in forest)
+            assert one_child == n - 2 * _planted_leaves(forest), forest
+        # the forest walkers visit the same forests in another order
+        walked = Counter(_size_keyed(_forest_pairs(_binary_pairs))(n))
+        assert walked == Counter(map(_planted_leaves, planted)), n
+        jv = Counter(sum(jv_empty_leaves(sub) for _, sub in f) for f in jv_forests(labels))
+        assert Counter(_size_keyed(_forest_pairs(_jv_pairs))(n)) == jv, n
         assert plane_leaf_counts(n) == dict(
             Counter(tree_leaf_count(t) for t in plane_012_trees(labels))
         ), n
-        jv = _forest_poly(("x",), jv_forests(labels), lambda sub: (jv_empty_leaves(sub),))
-        assert family_poly_oracle("deriv_Q", n) == jv, n
-        planted = _forest_poly(("v", "u"), planted_forests(labels), _planted_block_exponents)
-        assert family_poly_oracle("planted_forest", n) == planted, n
+        planted_poly = _forest_poly(("v", "u"), planted, _planted_block_exponents)
+        assert family_poly_oracle("planted_forest", n) == planted_poly, n
 
 
 def test_perm_histogram_matches_joint_perm_stats_tally():
@@ -460,6 +476,18 @@ def test_count_structures_never_lists_the_top_size():
     assert count == expected
     # the list of all 354,560 statistics on 8 labels alone takes about 2.8 MB
     assert peak < 1 << 20, peak
+
+
+def test_count_structures_lists_forests_below_the_top_size():
+    tracemalloc.start()
+    try:
+        count = count_structures("jv_forest", 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == family_number("springer", 8)
+    # the list of all 250,737 forest statistics on 8 labels alone takes about 2 MiB
+    assert peak < 1.5 * (1 << 20), peak
 
 
 def _tree_walked(name, labels):
