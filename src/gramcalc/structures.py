@@ -351,13 +351,15 @@ def _forest_pairs(tree_pairs):
     """Walker of the forests of planted trees that tree_pairs walks: one (trees
     on the first label's block less its root, forests on the other labels)
     pair per split of the m - 1 other labels.  A lone root is the tree
-    walker's size-0 value.  The tree memo lives as long as the walker."""
+    walker's size-0 value.  The last split, a block of all m labels, is that
+    one tree, walked by tree_pairs rather than listed.  The tree memo lives as
+    long as the walker."""
     trees = _size_keyed(tree_pairs)
 
     def pairs(m: int, stats) -> list:
         if m == 0:
             return [((0,), (0,))]  # the empty forest
-        return [(trees(a), stats(b)) for a, b, _ in _splits(m - 1)]
+        return [(trees(a), stats(b)) for a, b, _ in _splits(m - 1) if b] + tree_pairs(m - 1, trees)
 
     return pairs
 
