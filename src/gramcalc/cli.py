@@ -211,10 +211,11 @@ def _series_by_name(name: str, order: int, points: dict) -> TruncSeries:
 
 def cmd_series(args) -> int:
     points = _parse_assignments(args.at)
-    series = _series_by_name(args.name, args.order, points)
-    if args.name in RADICAL_CLOSED_FORMS:
-        reads = RADICAL_CLOSED_FORMS[args.name]
-    else:
+    # a radical form's keys are checked before it is built at the point
+    reads = RADICAL_CLOSED_FORMS.get(args.name)
+    series = None
+    if reads is None:
+        series = _series_by_name(args.name, args.order, points)
         reads = tuple(dict.fromkeys(v for c in series.coeffs for v in c.vars))
         if points:  # first, so that a variable left without a value is named
             values = series.evaluate_coeffs(points)
@@ -226,6 +227,8 @@ def cmd_series(args) -> int:
                 if reads
                 else f"point {key!r}: series {args.name} reads no point"
             )
+    if series is None:
+        series = _series_by_name(args.name, args.order, points)
     if args.format == "json":
         print(json.dumps(series.to_json()))
     elif args.format == "csv":

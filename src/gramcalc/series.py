@@ -13,11 +13,7 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from .errors import (
-    InsufficientClearing,
-    InvalidRadicalWitness,
-    NonUnitConstantTerm,
-)
+from .errors import InvalidRadicalWitness, NonUnitConstantTerm
 from .laurent import LaurentPoly, Powers, binomial_convolution, sum_of_products
 from .scalar import Scalar, as_scalar, exact_sqrt
 
@@ -97,7 +93,21 @@ class TruncSeries:
     def __truediv__(self, other):
         if not isinstance(other, TruncSeries):
             other = TruncSeries.constant(other, self.order)
-        return _divide(self, other, exact_poly=False)
+        b0 = other.coeffs[0]
+        if not b0.is_constant() or b0.is_zero():
+            raise NonUnitConstantTerm(
+                f"series division needs an invertible scalar constant term, "
+                f"found {b0.render()}"
+            )
+        inv0 = Fraction(1) / b0.constant_value()
+        a, b = self.coeffs, other.coeffs
+        out = []
+        for m in range(min(self.order, other.order) + 1):
+            acc = sum_of_products(
+                [(1, a[m], _ONE)] + [(-comb(m, k), out[k], b[m - k]) for k in range(m)]
+            )
+            out.append(acc * inv0)
+        return TruncSeries(out)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -155,44 +165,6 @@ class TruncSeries:
     @staticmethod
     def from_json(payload: Mapping) -> "TruncSeries":
         return TruncSeries([LaurentPoly.from_json(c) for c in payload["coeffs"]])
-
-
-def _divide(a: TruncSeries, b: TruncSeries, exact_poly: bool) -> TruncSeries:
-    n = min(a.order, b.order)
-    b0 = b.coeffs[0]
-    unit_scalar = b0.is_constant() and not b0.is_zero()
-    if not unit_scalar and not exact_poly:
-        raise NonUnitConstantTerm(
-            f"series division needs an invertible scalar constant term, "
-            f"found {b0.render()}"
-        )
-    if b0.is_zero():
-        raise NonUnitConstantTerm("series division by zero constant term")
-    inv0 = Fraction(1) / b0.constant_value() if unit_scalar else None
-    out = []
-    for m in range(n + 1):
-        acc = sum_of_products(
-            [(1, a.coeffs[m], _ONE)] + [(-comb(m, k), out[k], b.coeffs[m - k]) for k in range(m)]
-        )
-        if inv0 is not None:
-            out.append(acc * inv0)
-        else:
-            try:
-                out.append(acc.exact_divide(b0))
-            except InsufficientClearing as exc:
-                raise NonUnitConstantTerm(
-                    f"coefficient {m} not exactly divisible by {b0.render()}"
-                ) from exc
-    return TruncSeries(out)
-
-
-def divide_exact(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Division with exact polynomial division per coefficient.
-
-    Used where the quotient is known to have polynomial coefficients even
-    though the denominator's constant term is not a scalar.
-    """
-    return _divide(a, b, exact_poly=True)
 
 
 # -- elementary series --------------------------------------------------------
@@ -362,11 +334,12 @@ def closed_form_series(
         ) * x
         return TruncSeries.constant(1, order) / den
     if name == "eulerian_egf":
+        # (y-x)/(1 - (x/y) e^{(y-x)t}) = y/(1 - x E), E = (e^{(y-x)t} - 1)/(y-x)
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         x = LaurentPoly.variable("x", ("x", "y"))
         y = LaurentPoly.variable("y", ("x", "y"))
-        xyinv = x * y.monomial_inverse()
-        expo = elementary_series("exp", order, y - x)
-        den = TruncSeries.constant(1, order) - expo * xyinv
-        num = TruncSeries.constant(y - x, order)
-        return divide_exact(num, den)
+        powers = Powers(y - x)
+        e = TruncSeries([LaurentPoly.zero(x.vars)] + [powers[n] for n in range(order)])
+        return TruncSeries.constant(y, order) / (TruncSeries.constant(1, order) - e * x)
     raise ValueError(f"unknown closed form {name!r}")

@@ -526,12 +526,8 @@ def _binary_json(tree):
     return [label, [_binary_json(left), _binary_json(right)]]
 
 
-def _tree_json(tree):
-    label, children = tree
-    return [label, [_tree_json(c) for c in children]]
-
-
 def _jv_json(tree):
+    """A plane tree as [label, children]; None is a jv tree's empty leaf."""
     if tree is None:
         return [None, []]
     label, children = tree
@@ -552,8 +548,8 @@ _KINDS = {
         lambda n: sum(_tally(_binary_pairs, n).values()) if n else 0,
         _binary_json,
     ),
-    "plane_012": _Kind(plane_012_trees, lambda n: sum(_tally(_pairs_012(True), n).values()), _tree_json),
-    "tree_012": _Kind(tree_012_trees, lambda n: sum(_tally(_pairs_012(False), n).values()), _tree_json),
+    "plane_012": _Kind(plane_012_trees, lambda n: sum(_tally(_pairs_012(True), n).values()), _jv_json),
+    "tree_012": _Kind(tree_012_trees, lambda n: sum(_tally(_pairs_012(False), n).values()), _jv_json),
     "jv_tree": _Kind(jv_trees, lambda n: sum(_tally(_jv_pairs, n).values()), _jv_json),
     "jv_forest": _Kind(
         jv_forests,

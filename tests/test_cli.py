@@ -147,6 +147,9 @@ def test_check_refuses_a_vacuous_radical_point(capsys, name):
         (["series", "hoffman_P", "--order", "3", "--at", "x=1,y=1"], "hoffman_P reads x, not 'y'"),
         (["series", "gessel_L", "--order", "2", "--at", "x=3/4,y=1"], "gessel_L reads x, not 'y'"),
         (["series", "bivariate_L", "--at", "x=3,y=5,z=1"], "bivariate_L reads x, y, not 'z'"),
+        (["series", "gessel_L", "--order", "2", "--at", "y=1"], "gessel_L reads x, not 'y'"),
+        (["series", "bivariate_L", "--order", "2", "--at", "z=1"], "bivariate_L reads x, y, not 'z'"),
+        (["series", "gessel_L", "--at", "x=1/3,y=1"], "gessel_L reads x, not 'y'"),
     ],
 )
 def test_unread_or_repeated_points_exit_2(capsys, argv, message):

@@ -232,6 +232,17 @@ def test_fault_injection_eulerian():
     assert "petersen" in failing
 
 
+def test_gamma_expansion_names_a_negative_entry():
+    x = LaurentPoly.variable("x", ("x", "y"))
+    y = LaurentPoly.variable("y", ("x", "y"))
+    provider = CorruptedFamilies("eulerian_biv", 3, -2 * (x * y) * (x + y) ** 2)
+    report = run_identity("gamma_expansion", 5, provider=provider)
+    assert not report.passed
+    assert report.witness == {
+        "n": 3, "lhs": "negative entry in {1: -1, 2: 2}", "rhs": "nonnegative entries"
+    }
+
+
 class RaisingFamilies(GrammarFamilies):
     """Provider whose one family member raises instead of returning."""
 

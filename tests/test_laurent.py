@@ -231,6 +231,13 @@ def test_exact_divide():
         X.exact_divide(LaurentPoly.zero())
 
 
+def test_exact_divide_term_out_of_range_is_a_remainder():
+    # the quotient x^(2^20-1) passes the low-bound check, but its product
+    # with the divisor's x leaves the field range
+    with pytest.raises(InsufficientClearing):
+        parse_poly(f"x^{2**20 - 1}*y^3 + 1").exact_divide(parse_poly("y^3 + x"))
+
+
 def test_mixed_table_arithmetic():
     a = LaurentPoly.variable("a")
     assert (X + a).vars == ("x", "a")
