@@ -20,11 +20,12 @@ Tree kinds (labels strictly increase away from the root):
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import chain, product, starmap
-from operator import add, gt
+from itertools import chain, repeat, starmap
+from operator import gt, or_
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import BoundExceeded, NotAPermutation, UnknownFamily
@@ -285,11 +286,18 @@ def jv_empty_leaves(tree) -> int:
 # split's sizes and whether it takes the first label (_splits).  So
 # pairs(m, stats) gives the leaf counts of the trees on m labels, in their
 # enumerator's order, as one (left, right) pair per root split: the split's
-# trees are starmap(add, product(left, right)).  stats(k) is the list for
-# k < m labels, memoized per top-level call.  A forest splits alike into the
-# block of its first label and a forest on the rest (_forest_pairs), in
-# another order than _forests lists them.  The top size is never listed, and
-# every structure is visited once, by one C-level add; none is built.
+# trees are l + r for l in left and r in right, in that nesting.  Leaf counts
+# are bytes, one per structure, and _split_bytes adds a left value to every
+# right value with one bytes.translate.  stats(k) is the bytes for k < m
+# labels, memoized per top-level call.  A forest splits alike into the block
+# of its first label and a forest on the rest (_forest_pairs), in another
+# order than _forests lists them.  The top size is never listed: _tally counts
+# one root split at a time.  Every structure is visited once, by one C-level
+# byte write; none is built.  A structure on m labels has at most m + 1 leaves,
+# and byte 255 marks a sum that did not fit, so the tally is exact up to
+# _BYTE_LABELS labels and raises rather than wrap.
+
+_BYTE_LABELS = 253
 
 
 def _splits(m: int) -> List[Tuple[int, int, bool]]:
@@ -298,24 +306,52 @@ def _splits(m: int) -> List[Tuple[int, int, bool]]:
     return [(k, m - k, mask & 1 == 1) for mask, k in zip(masks, map(int.bit_count, masks))]
 
 
-def _size_keyed(pairs) -> Callable[[int], List[int]]:
-    """stats(m): the leaf count of every structure on m labels, each size listed once."""
-    memo: Dict[int, List[int]] = {}
+@functools.cache
+def _shifts() -> Tuple[bytes, ...]:
+    """shift[k] is the bytes.translate table of v -> min(v + k, 255); made on first use."""
+    ramp = bytes(range(256)) + b"\xff" * 255
+    return tuple(ramp[k : k + 256] for k in range(256))
 
-    def stats(m: int) -> List[int]:
+
+def _split_bytes(left: bytes, right: bytes) -> bytes:
+    """The values l + r for l in left and r in right, in that nesting, with
+    one translate per value of the shorter side."""
+    shift = _shifts()
+    if len(left) <= len(right):
+        split = b"".join([right.translate(shift[k]) for k in left])
+    else:  # one strided column per right value
+        columns = bytearray(len(left) * len(right))
+        for j, k in enumerate(right):
+            columns[j :: len(right)] = left.translate(shift[k])
+        split = bytes(columns)
+    if 255 in split:
+        raise OverflowError("a leaf count does not fit in a byte")
+    return split
+
+
+def _size_keyed(pairs) -> Callable[[int], bytes]:
+    """stats(m): the leaf count of every structure on m labels, each size listed once."""
+    memo: Dict[int, bytes] = {}
+
+    def stats(m: int) -> bytes:
         if m not in memo:
-            memo[m] = list(chain.from_iterable(starmap(add, product(*pair)) for pair in pairs(m, stats)))
+            memo[m] = b"".join(starmap(_split_bytes, pairs(m, stats)))
         return memo[m]
 
     return stats
 
 
-def _tally(pairs, m: int) -> Counter:
-    """Tally of the leaf count of each structure on m labels."""
+def _tally(pairs, m: int) -> Dict[int, int]:
+    """Tally of the leaf count of each structure on m labels, in first-seen order."""
+    if m > _BYTE_LABELS:
+        raise BoundExceeded(f"n = {m} exceeds {_BYTE_LABELS}, the most labels a leaf tally counts")
     stats = _size_keyed(pairs)
-    tally: Counter = Counter()
-    for left, right in pairs(m, stats):
-        tally.update(starmap(add, product(left, right)))
+    tally: Dict[int, int] = {}
+    for pair in pairs(m, stats):
+        split = _split_bytes(*pair)
+        while split:  # the first byte is the first value not yet counted
+            tally[split[0]] = tally.get(split[0], 0) + split.count(split[0])
+            split = split.translate(None, split[:1])
     return tally
 
 
@@ -325,14 +361,14 @@ def _root_split_pairs(small):
 
     def pairs(m: int, stats) -> list:
         if m < 2:
-            return [(small[m], (0,))]
+            return [(small[m], b"\x00")]
         return [(stats(a), stats(b)) for a, b, _ in _splits(m - 1)]
 
     return pairs
 
 
-_jv_pairs = _root_split_pairs(((1,), (0, 2)))  # an empty leaf; a root bare or over two
-_binary_pairs = _root_split_pairs(((0,), (1,)))  # the empty tree; a bare root
+_jv_pairs = _root_split_pairs((b"\x01", b"\x00\x02"))  # an empty leaf; a root bare or over two
+_binary_pairs = _root_split_pairs((b"\x00", b"\x01"))  # the empty tree; a bare root
 
 
 def _pairs_012(ordered: bool):
@@ -340,9 +376,9 @@ def _pairs_012(ordered: bool):
 
     def pairs(m: int, stats) -> list:
         if m < 2:
-            return [((1,), (0,))] if m else []
+            return [(b"\x01", b"\x00")] if m else []
         two = [(stats(a), stats(b)) for a, b, low in _splits(m - 1) if a and b and (ordered or low)]
-        return [(stats(m - 1), (0,))] + two
+        return [(stats(m - 1), b"\x00")] + two
 
     return pairs
 
@@ -358,7 +394,7 @@ def _forest_pairs(tree_pairs):
 
     def pairs(m: int, stats) -> list:
         if m == 0:
-            return [((0,), (0,))]  # the empty forest
+            return [(b"\x00", b"\x00")]  # the empty forest
         return [(trees(a), stats(b)) for a, b, _ in _splits(m - 1) if b] + tree_pairs(m - 1, trees)
 
     return pairs
@@ -384,36 +420,67 @@ _PermStats = namedtuple("_PermStats", "des asc lpk ipk lrpk alternating")
 _PERM_HISTOGRAMS: Dict[int, Tuple[Tuple[_PermStats, int], ...]] = {}
 
 
-def _word_stats(n: int, word: Tuple[bool, ...]) -> _PermStats:
+def _word_stats(n: int, word: int) -> _PermStats:
     """Statistics of any permutation of [n] whose up-down word is word.
 
-    word[i] is sigma_{i+1} > sigma_{i+2}; the padding sigma_0 = sigma_{n+1} = 0
-    adds a leading ascent and a trailing descent.
+    Bit n - 2 - i of word is sigma_{i+1} > sigma_{i+2}, so the first
+    comparison is the top bit; the padding sigma_0 = sigma_{n+1} = 0 adds a
+    leading ascent and a trailing descent.
     """
-    steps = (False,) + word + (True,)
+    downs = [word >> i & 1 for i in range(n - 2, -1, -1)]
+    steps = (0, *downs, 1)
     peaks = [i for i in range(1, n + 1) if not steps[i - 1] and steps[i]]
-    des = sum(word)
+    des = sum(downs)
     return _PermStats(
         des,
-        len(word) - des,
+        len(downs) - des,
         sum(i < n for i in peaks),
         sum(1 < i < n for i in peaks),
         len(peaks),
-        all(down == (i % 2 == 1) for i, down in enumerate(word)),
+        all(down == i % 2 for i, down in enumerate(downs)),
     )
+
+
+# the largest size whose up-down words _perm_words lists: its 9! words
+# are below 256, so the lists hold only the interpreter's shared small ints
+_LISTED_WORDS = 9
+
+
+def _first_entry_words(n: int, j: int, listed: List[List[int]]) -> Iterator[int]:
+    """The up-down words of the permutations of [n] that start with j, in
+    lexicographic order; listed[f - 1] lists those of [len(listed)] that start
+    with f, for some len(listed) < n.  Past its first entry j such a
+    permutation is one of [n - 1] renumbered, starting with some f, and it
+    starts with a descent exactly when f < j."""
+    top = 1 << n - 2
+    subs = listed if n - 1 == len(listed) else (_first_entry_words(n - 1, f, listed) for f in range(1, n))
+    return chain.from_iterable(map(or_, w, repeat(top)) if f < j else w for f, w in enumerate(subs, 1))
+
+
+def _perm_words(n: int) -> Counter:
+    """Tally of the up-down words of the permutations of [n], each visited once
+    in itertools.permutations order.  The words are made by first entry from
+    those of the sizes below n, listed up to _LISTED_WORDS; the top size is
+    never listed but fed straight to the tally, so through n = _LISTED_WORDS + 1
+    each permutation costs one C-level or and count."""
+    listed = [[0]]  # the one permutation of [1] (and of [0])
+    for m in range(2, min(n, _LISTED_WORDS + 1)):
+        listed = [list(_first_entry_words(m, j, listed)) for j in range(1, m + 1)]
+    groups = (_first_entry_words(n, j, listed) for j in range(1, n + 1)) if n > 1 else listed
+    return Counter(chain.from_iterable(groups))
 
 
 def _perm_histogram(n: int) -> Tuple[Tuple[_PermStats, int], ...]:
     """Joint statistics of every permutation of [n], cached per n.
 
-    Every permutation is visited once and tallied by its up-down word (at
-    most 2^(n-1) classes); the statistics are derived once per word.
+    Every permutation is visited once and tallied by its up-down word
+    (_perm_words, at most 2^(n-1) classes); the statistics are derived once
+    per word.
     """
     histogram = _PERM_HISTOGRAMS.get(n)
     if histogram is None:
-        words = Counter(tuple(map(gt, p, p[1:])) for p in itertools.permutations(range(1, n + 1)))
         tally: Counter = Counter()
-        for word, count in words.items():
+        for word, count in _perm_words(n).items():
             tally[_word_stats(n, word)] += count
         histogram = _PERM_HISTOGRAMS.setdefault(n, tuple(tally.items()))
     return histogram
@@ -540,7 +607,7 @@ _Kind = namedtuple("_Kind", "enumerate count json")
 _KINDS = {
     "permutations": _Kind(
         itertools.permutations,
-        lambda n: sum(1 for _ in itertools.permutations(range(n))),
+        lambda n: sum(count for _, count in _perm_histogram(n)),
         list,
     ),
     "inc_binary": _Kind(

@@ -4,9 +4,11 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import factorial
+from operator import gt
 
 import pytest
 
+from gramcalc import structures
 from gramcalc.errors import BoundExceeded, NotAPermutation, UnknownFamily
 from gramcalc.families import family_number, family_poly
 from gramcalc.laurent import LaurentPoly, parse_poly
@@ -17,8 +19,10 @@ from gramcalc.structures import (
     _jv_pairs,
     _pairs_012,
     _perm_histogram,
+    _perm_words,
     _size_keyed,
     _splits,
+    _tally,
     alternating_count,
     binary_degree_counts,
     count_structures,
@@ -357,13 +361,14 @@ def _planted_leaves(forest):
 def test_stat_routes_match_tree_routes():
     for n in range(0, 9):
         labels = tuple(range(1, n + 1))
-        # the tree walkers list leaf counts in their enumerator's order
-        assert _size_keyed(_jv_pairs)(n) == [jv_empty_leaves(t) for t in jv_trees(labels)], n
+        # the tree walkers list leaf counts, one byte each, in their enumerator's order
+        assert list(_size_keyed(_jv_pairs)(n)) == [jv_empty_leaves(t) for t in jv_trees(labels)], n
         binary = [binary_degree_counts(t) for t in inc_binary_trees(labels)]
-        assert _size_keyed(_binary_pairs)(n) == [f0 for f0, _, _ in binary], n
+        assert list(_size_keyed(_binary_pairs)(n)) == [f0 for f0, _, _ in binary], n
         for ordered, trees in ((True, plane_012_trees), (False, tree_012_trees)):
             counts = [tree_degree_counts(t) for t in trees(labels)]
-            assert _size_keyed(_pairs_012(ordered))(n) == [f0 for f0, _, _ in counts], (n, ordered)
+            stats = list(_size_keyed(_pairs_012(ordered))(n))
+            assert stats == [f0 for f0, _, _ in counts], (n, ordered)
             # one edge per label but the root: the leaves fix the one-child count
             assert all(f1 == n + 1 - 2 * f0 for f0, f1, _ in counts), (n, ordered)
         if n:
@@ -393,6 +398,52 @@ def test_perm_histogram_matches_joint_perm_stats_tally():
         tally = Counter((r.des, r.asc, r.lpk, r.ipk, r.lrpk, r.alternating) for r in records)
         # same classes, counts and first-seen order
         assert _perm_histogram(n) == tuple(tally.items()), n
+
+
+def _reference_words(n):
+    """The up-down word tally of itertools.permutations, each word read as an
+    int whose top bit is the first comparison."""
+    tuples = Counter(tuple(map(gt, p, p[1:])) for p in itertools.permutations(range(1, n + 1)))
+    return [(sum(down << n - 2 - i for i, down in enumerate(word)), count) for word, count in tuples.items()]
+
+
+def test_perm_words_match_tuple_words_at_the_bound():
+    # n = 9 is the first size whose words take 8 bits
+    assert list(_perm_words(9).items()) == _reference_words(9)
+
+
+def test_perm_words_above_the_listed_sizes(monkeypatch):
+    # sizes above _LISTED_WORDS are walked without lists, in the same order
+    monkeypatch.setattr(structures, "_LISTED_WORDS", 3)
+    for n in range(0, 8):
+        assert list(_perm_words(n).items()) == _reference_words(n), n
+
+
+def test_perm_histogram_never_lists_the_top_size(monkeypatch):
+    monkeypatch.setattr(structures, "_PERM_HISTOGRAMS", {})
+    tracemalloc.start()
+    try:
+        histogram = _perm_histogram(9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(count for _, count in histogram) == factorial(9)
+    # a list of all 362,880 words on 9 entries alone takes about 2.9 MB
+    assert peak < 1 << 20, peak
+
+
+def test_leaf_tally_never_wraps():
+    # leaf counts of 254 and more: counted exactly or refused, never wrapped past 255
+    for pair in ((bytes([200]), bytes([54, 100])), (bytes([54, 100]), bytes([200]))):
+        try:
+            tally = _tally(lambda m, stats: [pair], 1)
+        except OverflowError:
+            continue
+        assert dict(tally) == {254: 1, 300: 1}, pair
+    assert dict(_tally(lambda m, stats: [(bytes([200]), bytes([54, 0]))], 1)) == {254: 1, 200: 1}
+    # 255 labels would be 255! trees: refused before any is visited
+    with pytest.raises(BoundExceeded):
+        count_structures("jv_tree", 255, bound=255)
 
 
 # exponents of one permutation's weight, read straight off its PermRecord
