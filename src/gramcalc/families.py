@@ -23,7 +23,7 @@ from .errors import (
     UnknownSequence,
 )
 from .grammar import Grammar
-from .laurent import LaurentPoly, Powers, parse_poly
+from .laurent import LaurentPoly, Powers, _extended, parse_poly
 from .scalar import Scalar
 
 # -- the grammars -------------------------------------------------------------
@@ -140,14 +140,6 @@ _CHAINS: Dict[str, Tuple[Grammar, Tuple[LaurentPoly, ...]]] = {}
 # (read row, n) -> member n; a read is stored only once it has returned, and
 # setdefault hands every racing caller the first value stored
 _READS: Dict[Tuple[str, int], LaurentPoly] = {}
-
-
-def _extended(chain: tuple, n: int, step: Callable) -> tuple:
-    """chain lengthened to hold index n: step(last) makes each next entry."""
-    built = list(chain)
-    while len(built) <= n:
-        built.append(step(built[-1]))
-    return tuple(built)
 
 
 def _member(name: str, n: int) -> LaurentPoly:

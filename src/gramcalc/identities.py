@@ -48,8 +48,8 @@ from .series import (
     RADICAL_CLOSED_FORMS,
     RadicalPoint,
     TruncSeries,
+    _composed,
     closed_form_series,
-    compose_poly_series,
     elementary_series,
 )
 from . import structures
@@ -206,9 +206,12 @@ def _then(*parts):
 
 
 def _conv(p, a: str, b: str, n: int, shift: int = 0) -> LaurentPoly:
-    """sum_k C(n,k) a_k b_{n-k+shift}, k = 0..n, the members read from provider p."""
+    """sum_k C(n,k) a_k b_{n-k+shift}, k = 0..n, the members read from provider p;
+    a self-convolution reads each product once, k <= n/2, twice below n/2."""
+    half = a == b and not shift
     return sum_of_products(
-        (comb(n, k), p.poly(a, k), p.poly(b, n - k + shift)) for k in range(n + 1)
+        (comb(n, k) * (2 if half and 2 * k < n else 1), p.poly(a, k), p.poly(b, n - k + shift))
+        for k in range(n // 2 + 1 if half else n + 1)
     )
 
 
@@ -465,9 +468,10 @@ def _beta_grammar(ctx: CheckContext, lo: int, hi: int):
 def _ma_composition(ctx: CheckContext, lo: int, hi: int):
     order = 10
     full = elementary_series("tan", order + hi) + elementary_series("sec", order + hi)
+    powers = [TruncSeries.constant(1, order), full.truncate(order)]  # shared by every n
     for n in range(lo, hi + 1):
         lhs = TruncSeries(full.coeffs[n : n + order + 1]) * Fraction(2 ** n)
-        rhs = compose_poly_series(ctx.provider.poly("deriv_P", n), full.truncate(order))
+        rhs = _composed(ctx.provider.poly("deriv_P", n), powers)
         for m in range(order + 1):
             yield n, lhs.coeffs[m], rhs.coeffs[m]
 

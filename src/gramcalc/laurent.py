@@ -27,14 +27,15 @@ lexicographic exponent vector — fixes rendering and JSON byte-for-byte.
 from __future__ import annotations
 
 import re as _re
+from collections import OrderedDict
 from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import comb, gcd, lcm
 from operator import add, mul, sub
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Tuple
 
 from .errors import (
     DivisionByZero,
@@ -371,13 +372,8 @@ class LaurentPoly:
         """
         images: Dict[str, LaurentPoly] = {}
         for var in self.vars:
-            if var in mapping:
-                img = mapping[var]
-                if not isinstance(img, LaurentPoly):
-                    img = LaurentPoly.const(as_scalar(img))
-                images[var] = img
-            else:
-                images[var] = LaurentPoly.variable(var)
+            img = mapping[var] if var in mapping else LaurentPoly.variable(var)
+            images[var] = img if isinstance(img, LaurentPoly) else LaurentPoly.const(as_scalar(img))
         for var in self.vars:
             if self.min_degree_in(var) < 0 and not images[var].is_monomial():
                 raise NonInvertibleSubstitution(
@@ -400,27 +396,44 @@ class LaurentPoly:
         return _accumulate(variables, triples)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
-        """Exact value at a scalar point; every effective variable needs a value."""
+        """Exact value at a scalar point; every effective variable needs a value.
+
+        In ints: a variable of value N/d with exponents in [-lo, hi] reads a
+        term's N^(lo+e) d^(hi-e) from one table, and the sum over the terms is
+        divided once, by den and every N^lo d^hi.  Per term, in table order,
+        a missing value raises ValueError, and a zero one drops the term, or
+        raises DivisionByZero under a negative exponent.
+        """
         values = {v: as_scalar(c) for v, c in point.items()}
-        total: Scalar = Fraction(0)
-        for exps, n in self._items():
-            term: Scalar = _scalar(n, 1)
-            for var, e in zip(self.vars, exps):
-                if e == 0:
-                    continue
-                if var not in values:
-                    raise ValueError(f"no value given for variable {var!r}")
-                base = values[var]
-                if base == 0:
+        pair = _is_pair(self._packed) or any(isinstance(values.get(v), GaussianRational) for v in self.vars)
+        times, one = (_times, (1, 0)) if pair else (mul, 1)
+        holes, tables, scale = [], [], Fraction(self.den)  # tables: (shift, field of -lo, entries)
+        for var, s in zip(self.vars, _shifts(len(self.vars))):
+            fields = [(key >> s) & _MASK for key in self._packed] or [_BIAS]
+            lo, hi = max(_BIAS - min(fields), 0), max(max(fields) - _BIAS, 0)
+            if (lo or hi) and values.get(var, 0) == 0:
+                holes.append((s, var))
+            elif lo or hi:
+                d, n = _cleared(values[var])
+                n = (n, 0) if pair and type(n) is int else n
+                powers = list(accumulate(repeat(n, lo + hi), times, initial=one))
+                tables.append((s, _BIAS - lo, [_scaled(p, d ** (lo + hi - j)) for j, p in enumerate(powers)]))
+                scale *= _scalar(powers[lo], 1) * d ** hi
+        re = im = 0
+        for key, n in (_pairs(self._packed) if pair else self._packed).items():
+            for s, var in holes:
+                e = ((key >> s) & _MASK) - _BIAS
+                if e:
+                    if var not in values:
+                        raise ValueError(f"no value given for variable {var!r}")
                     if e < 0:
-                        raise DivisionByZero(
-                            f"{var} = 0 raised to negative exponent {e}"
-                        )
-                    term = Fraction(0)
+                        raise DivisionByZero(f"{var} = 0 raised to negative exponent {e}")
                     break
-                term = term * base ** e
-            total = total + term
-        return total / self.den
+            else:
+                for s, offset, table in tables:
+                    n = times(n, table[((key >> s) & _MASK) - offset])
+                re, im = (re + n[0], im + n[1]) if pair else (re + n, 0)
+        return _scalar((re, im), 1) / scale
 
     # -- exact division -----------------------------------------------------
 
@@ -701,6 +714,12 @@ def _scaled(n, k: int):
     return (re * k, im * k)
 
 
+def _times(a, b):
+    """The product of two (re, im) int pairs."""
+    (ar, ai), (br, bi) = a, b
+    return (ar * br - ai * bi, ar * bi + ai * br)
+
+
 def _scalar(n, den: int) -> Scalar:
     if type(n) is int:
         return Fraction(n, den)
@@ -821,21 +840,42 @@ def _accumulate(variables, triples) -> LaurentPoly:
     return _checked(variables, *_normal_form(den, sums))
 
 
+def _extended(chain: tuple, n: int, step: Callable) -> tuple:
+    """chain lengthened to hold index n: step(last) makes each next entry."""
+    built = list(chain)
+    while len(built) <= n:
+        built.append(step(built[-1]))
+    return tuple(built)
+
+
+# (base.vars, base.den, base's packed items, table of base^0) -> (base^0, base^1, ...), published
+# whole like families._CHAINS, so a race loses at most cached powers, never a correct one; callers
+# choose the keys, so past _POWERS_HELD bases the oldest goes.
+_POWERS: OrderedDict = OrderedDict()
+_POWERS_HELD = 256
+
+
 class Powers:
-    """base^j on demand: nonnegative powers are kept, each new one is one
-    multiply from the last; a negative j goes to `**`.  base^0 is 1 over
-    `variables` (default: the base's table)."""
+    """base^j on demand, from one process-wide table per base value: each new
+    nonnegative power is one multiply from the last; a negative j goes to
+    `**`.  base^0 is 1 over `variables` (default: the base's table)."""
 
     def __init__(self, base: LaurentPoly, variables: Iterable[str] | None = None):
         self.base = base
-        self.table = [LaurentPoly.const(1, base.vars if variables is None else variables)]
+        variables = base.vars if variables is None else _table(variables)
+        self.key = (base.vars, base.den, tuple(base._packed.items()), variables)
+        self.table = _POWERS.get(self.key) or (LaurentPoly.const(1, variables),)
 
     def __getitem__(self, j: int) -> LaurentPoly:
         if j < 0:
             return self.base ** j
-        while len(self.table) <= j:
-            self.table.append(self.table[-1] * self.base)
-        return self.table[j]
+        table = self.table
+        if len(table) <= j:
+            longest = max(table, _POWERS.get(self.key, ()), key=len)
+            table = self.table = _POWERS[self.key] = _extended(longest, j, lambda last: last * self.base)
+            if len(_POWERS) > _POWERS_HELD:
+                _POWERS.popitem(last=False)
+        return table[j]
 
 
 def _coerce(value, variables):

@@ -210,19 +210,23 @@ def elementary_series(name: str, order: int, scale=1) -> TruncSeries:
 
 def compose_poly_series(poly: LaurentPoly, inner: TruncSeries) -> TruncSeries:
     """poly with its variable replaced by the series (outer polynomial only)."""
+    return _composed(poly, [TruncSeries.constant(1, inner.order), inner])
+
+
+def _composed(poly: LaurentPoly, powers: list) -> TruncSeries:
+    """compose_poly_series over the powers [1, s, ...], extended in place."""
     effective = poly.live_vars()
     if len(effective) > 1:
         raise ValueError(f"composition needs a univariate polynomial, got {poly.vars}")
     if effective and poly.min_degree_in(effective[0]) < 0:
         raise ValueError("composition needs nonnegative exponents")
-    order = inner.order
+    order = powers[0].order
     if not effective:
         return TruncSeries.constant(poly.constant_value(), order)
     # every other exponent is 0, so each coefficient is a constant
     by_power = {e: c.constant_value() for e, c in poly.by_power(effective[0]).items()}
-    powers = [TruncSeries.constant(1, order)]
-    for _ in range(max(by_power)):
-        powers.append(powers[-1] * inner)
+    while len(powers) <= max(by_power):
+        powers.append(powers[-1] * powers[1])
     weights = sorted(by_power.items())
     return TruncSeries(
         [

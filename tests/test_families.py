@@ -4,10 +4,11 @@ import sys
 import textwrap
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
-from gramcalc import families
+from gramcalc import families, laurent
 from gramcalc.errata import ERRATA_BY_ID
 from gramcalc.errors import (
     NotBetaExpressible,
@@ -26,7 +27,8 @@ from gramcalc.families import (
     gamma_from_poly,
     recurrence_poly,
 )
-from gramcalc.laurent import LaurentPoly, parse_poly
+from gramcalc.laurent import LaurentPoly, Powers, parse_poly
+from gramcalc.scalar import make_gaussian
 
 # The classical tables, frozen.  The two starred values are the documented
 # corrections (see gramcalc.errata): the printed sources give 1+x^2 for the
@@ -315,6 +317,57 @@ def test_failing_read_stores_nothing(monkeypatch):
     results = _in_threads(lambda i: families._member("_off_pattern", 25))
     assert all(isinstance(result, ValueError) for result in results)
     assert not [key for key in families._READS if key[0] == "_off_pattern"]
+
+
+def test_power_tables_under_concurrent_extension(monkeypatch):
+    # equal but distinct bases read one table; threads asking at once for
+    # different powers, from an empty table, each get base ** j, and the
+    # published table holds each power once, in order (the last thread to
+    # publish may hold fewer than the longest)
+    table, terms = ("x", "y"), {(1, 0): Fraction(1, 2), (0, 1): 1, (-1, 2): make_gaussian(1, 3)}
+    powers = [LaurentPoly(table, terms) ** k for k in range(24)]
+    # a multiply yields to the other threads halfway, as a long one would
+    product = LaurentPoly.__mul__
+
+    def yielding(a, b):
+        time.sleep(1e-4)
+        return product(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", yielding)
+    for _ in range(3):
+        laurent._POWERS.clear()
+        results = _in_threads(lambda i: Powers(LaurentPoly(table, terms))[3 * i + 2])
+        assert results == [powers[3 * i + 2] for i in range(8)]
+        [published] = laurent._POWERS.values()
+        assert list(published) == powers[: len(published)]
+
+
+def test_power_tables_are_keyed_by_value_and_table():
+    laurent._POWERS.clear()
+    x = LaurentPoly.variable("x")
+    x_over_xy = LaurentPoly.variable("x", ("x", "y"))
+    assert x == x_over_xy
+    # x / 2 stores x's numerators over another denominator
+    tables = [Powers(x), Powers(x_over_xy), Powers(x, ("x", "z")), Powers(x / 2)]
+    assert [powers[2].vars for powers in tables] == [("x",), ("x", "y"), ("x", "z"), ("x",)]
+    assert [powers[2] for powers in tables] == [x * x, x * x, x * x, x * x / 4]
+    assert len(laurent._POWERS) == 4
+
+
+def test_power_tables_drop_the_oldest_base():
+    laurent._POWERS.clear()
+    x = LaurentPoly.variable("x")
+    first = Powers(x + 1)
+    assert first[3] == (x + 1) ** 3
+    for c in range(2, laurent._POWERS_HELD + 2):
+        assert Powers(x + c)[2] == (x + c) ** 2
+    assert len(laurent._POWERS) == laurent._POWERS_HELD
+    assert first.key not in laurent._POWERS
+    # the dropped base's powers are built again, and the next oldest goes
+    assert first[5] == (x + 1) ** 5
+    assert Powers(x + 1)[4] == (x + 1) ** 4
+    assert len(laurent._POWERS) == laurent._POWERS_HELD
+    assert Powers(x + 2).key not in laurent._POWERS
 
 
 def test_cross_checks_raise_under_optimize():

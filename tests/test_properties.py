@@ -19,7 +19,7 @@ from gramcalc.families import (
     gamma_expansion,
     peak_grammar,
 )
-from gramcalc.errors import InsufficientClearing, NonInvertibleSubstitution
+from gramcalc.errors import DivisionByZero, InsufficientClearing, NonInvertibleSubstitution
 from gramcalc.identities import _CAYLEY, _ONE_PLUS_X, _PETERSEN
 from gramcalc.laurent import (
     LaurentPoly,
@@ -476,6 +476,60 @@ def test_substitute_rational_with_remaining_variables(case):
     result = substitute_rational(f, "x", value, power, clear=clear)
     assert result.vars == expected.vars
     assert result.terms == expected.terms
+
+
+# -- evaluate against the per-term scalar loop ----------------------------------------
+
+
+def _reference_evaluate(f, point):
+    """Per term: its scalar coefficient times base ** e per variable, in table
+    order, the first zero base with e > 0 dropping the term."""
+    values = {v: as_scalar(c) for v, c in point.items()}
+    total = Fraction(0)
+    for exps, coeff in f.terms.items():
+        term = coeff
+        for var, e in zip(f.vars, exps):
+            if e == 0:
+                continue
+            if var not in values:
+                raise ValueError(f"no value given for variable {var!r}")
+            base = values[var]
+            if base == 0:
+                if e < 0:
+                    raise DivisionByZero(f"{var} = 0 raised to negative exponent {e}")
+                term = Fraction(0)
+                break
+            term = term * base ** e
+        total = total + term
+    return total
+
+
+def _outcome(evaluate, f, point):
+    """(value, its type) or (exception class, message)."""
+    try:
+        value = evaluate(f, point)
+    except (ValueError, DivisionByZero) as exc:
+        return type(exc), str(exc)
+    return value, type(value)
+
+
+# a missing value, 0, or a nonzero rational or Gaussian one
+_POINT_VALUES = st.one_of(st.none(), st.just(0), scalars.filter(bool))
+
+
+@st.composite
+def _evaluations(draw):
+    table = draw(st.sampled_from([("x",), ("x", "y"), ("y", "x", "z")]))
+    f = draw(poly_strategy(table, min_exp=-3, max_exp=4, max_terms=6, coeffs=_COEFFS[draw(_KINDS)]))
+    values = draw(st.tuples(*[_POINT_VALUES] * 4))
+    return f, {v: c for v, c in zip(("x", "y", "z", "w"), values) if c is not None}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_evaluations())
+def test_evaluate_matches_reference(case):
+    f, point = case
+    assert _outcome(LaurentPoly.evaluate, f, point) == _outcome(_reference_evaluate, f, point)
 
 
 # -- the stored form: integer numerators over one denominator -----------------------
