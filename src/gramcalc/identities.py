@@ -208,10 +208,12 @@ def _then(*parts):
 def _conv(p, a: str, b: str, n: int, shift: int = 0) -> LaurentPoly:
     """sum_k C(n,k) a_k b_{n-k+shift}, k = 0..n, the members read from provider p;
     a self-convolution reads each product once, k <= n/2, twice below n/2."""
-    half = a == b and not shift
+    if a == b and not shift:
+        weights = [comb(n, k) * (1 if 2 * k == n else 2) for k in range(n // 2 + 1)]
+    else:
+        weights = [comb(n, k) for k in range(n + 1)]
     return sum_of_products(
-        (comb(n, k) * (2 if half and 2 * k < n else 1), p.poly(a, k), p.poly(b, n - k + shift))
-        for k in range(n // 2 + 1 if half else n + 1)
+        (w, p.poly(a, k), p.poly(b, n - k + shift)) for k, w in enumerate(weights)
     )
 
 

@@ -31,7 +31,7 @@ from collections import OrderedDict
 from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from math import comb, gcd, lcm
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -50,6 +50,7 @@ from .scalar import (
     Scalar,
     as_scalar,
     gaussian_value,
+    make_gaussian,
     render_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -372,8 +373,13 @@ class LaurentPoly:
         """
         images: Dict[str, LaurentPoly] = {}
         for var in self.vars:
-            img = mapping[var] if var in mapping else LaurentPoly.variable(var)
-            images[var] = img if isinstance(img, LaurentPoly) else LaurentPoly.const(as_scalar(img))
+            if var in mapping:
+                img = mapping[var]
+                if not isinstance(img, LaurentPoly):
+                    img = LaurentPoly.const(as_scalar(img))
+                images[var] = img
+            else:
+                images[var] = LaurentPoly.variable(var)
         for var in self.vars:
             if self.min_degree_in(var) < 0 and not images[var].is_monomial():
                 raise NonInvertibleSubstitution(
@@ -399,26 +405,33 @@ class LaurentPoly:
         """Exact value at a scalar point; every effective variable needs a value.
 
         In ints: a variable of value N/d with exponents in [-lo, hi] reads a
-        term's N^(lo+e) d^(hi-e) from one table, and the sum over the terms is
-        divided once, by den and every N^lo d^hi.  Per term, in table order,
-        a missing value raises ValueError, and a zero one drops the term, or
-        raises DivisionByZero under a negative exponent.
+        term's N^(lo+e) d^(hi-e) from one table, built only for the exponents
+        that occur, and the sum over the terms is divided once, by den and
+        every N^lo d^hi.  Per term, in table order, a missing value raises
+        ValueError, and a zero one drops the term, or raises DivisionByZero
+        under a negative exponent.
         """
         values = {v: as_scalar(c) for v, c in point.items()}
-        pair = _is_pair(self._packed) or any(isinstance(values.get(v), GaussianRational) for v in self.vars)
+        pair = _is_pair(self._packed) or any(
+            isinstance(values.get(v), GaussianRational) for v in self.vars
+        )
         times, one = (_times, (1, 0)) if pair else (mul, 1)
-        holes, tables, scale = [], [], Fraction(self.den)  # tables: (shift, field of -lo, entries)
+        holes, tables, scale = [], [], Fraction(self.den)  # (shift, {field: entry})
         for var, s in zip(self.vars, _shifts(len(self.vars))):
-            fields = [(key >> s) & _MASK for key in self._packed] or [_BIAS]
-            lo, hi = max(_BIAS - min(fields), 0), max(max(fields) - _BIAS, 0)
-            if (lo or hi) and values.get(var, 0) == 0:
+            fields = sorted({(key >> s) & _MASK for key in self._packed} | {_BIAS})
+            if len(fields) == 1:
+                continue
+            if values.get(var, 0) == 0:
                 holes.append((s, var))
-            elif lo or hi:
-                d, n = _cleared(values[var])
-                n = (n, 0) if pair and type(n) is int else n
-                powers = list(accumulate(repeat(n, lo + hi), times, initial=one))
-                tables.append((s, _BIAS - lo, [_scaled(p, d ** (lo + hi - j)) for j, p in enumerate(powers)]))
-                scale *= _scalar(powers[lo], 1) * d ** hi
+                continue
+            d, n = _cleared(values[var])
+            n = (n, 0) if pair and type(n) is int else n
+            gaps = [b - a for a, b in zip(fields, fields[1:])]
+            ups = accumulate((_power(n, g) for g in gaps), times, initial=one)
+            downs = list(accumulate((d ** g for g in reversed(gaps)), mul, initial=1))
+            table = dict(zip(fields, map(_scaled, ups, reversed(downs))))
+            tables.append((s, table))
+            scale *= _scalar(table[_BIAS], 1)  # N^lo d^hi
         re = im = 0
         for key, n in (_pairs(self._packed) if pair else self._packed).items():
             for s, var in holes:
@@ -430,8 +443,8 @@ class LaurentPoly:
                         raise DivisionByZero(f"{var} = 0 raised to negative exponent {e}")
                     break
             else:
-                for s, offset, table in tables:
-                    n = times(n, table[((key >> s) & _MASK) - offset])
+                for s, table in tables:
+                    n = times(n, table[(key >> s) & _MASK])
                 re, im = (re + n[0], im + n[1]) if pair else (re + n, 0)
         return _scalar((re, im), 1) / scale
 
@@ -720,6 +733,16 @@ def _times(a, b):
     return (ar * br - ai * bi, ar * bi + ai * br)
 
 
+def _power(n, k: int):
+    """n^k, k >= 0, for an int or an (re, im) int pair."""
+    if type(n) is int:
+        return n ** k
+    if k == 1:
+        return n
+    p = _cleared(make_gaussian(*n) ** k)[1]
+    return (p, 0) if type(p) is int else p
+
+
 def _scalar(n, den: int) -> Scalar:
     if type(n) is int:
         return Fraction(n, den)
@@ -848,9 +871,9 @@ def _extended(chain: tuple, n: int, step: Callable) -> tuple:
     return tuple(built)
 
 
-# (base.vars, base.den, base's packed items, table of base^0) -> (base^0, base^1, ...), published
-# whole like families._CHAINS, so a race loses at most cached powers, never a correct one; callers
-# choose the keys, so past _POWERS_HELD bases the oldest goes.
+# (base.vars, base.den, base's packed items, table of base^0) -> (base^0, base^1, ...),
+# published whole like families._CHAINS, so a race loses at most cached powers, never a
+# correct one; callers choose the keys, so past _POWERS_HELD bases the oldest goes.
 _POWERS: OrderedDict = OrderedDict()
 _POWERS_HELD = 256
 
@@ -872,7 +895,8 @@ class Powers:
         table = self.table
         if len(table) <= j:
             longest = max(table, _POWERS.get(self.key, ()), key=len)
-            table = self.table = _POWERS[self.key] = _extended(longest, j, lambda last: last * self.base)
+            table = _extended(longest, j, lambda last: last * self.base)
+            self.table = _POWERS[self.key] = table
             if len(_POWERS) > _POWERS_HELD:
                 _POWERS.popitem(last=False)
         return table[j]

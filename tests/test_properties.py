@@ -3,6 +3,7 @@
 Runnable standalone: pytest tests/test_properties.py
 """
 
+import tracemalloc
 from fractions import Fraction
 from itertools import chain
 from math import comb, factorial, gcd, lcm
@@ -23,6 +24,7 @@ from gramcalc.errors import DivisionByZero, InsufficientClearing, NonInvertibleS
 from gramcalc.identities import _CAYLEY, _ONE_PLUS_X, _PETERSEN
 from gramcalc.laurent import (
     LaurentPoly,
+    _LIMIT,
     _cleared,
     _is_pair,
     _normal_form,
@@ -530,6 +532,31 @@ def _evaluations(draw):
 def test_evaluate_matches_reference(case):
     f, point = case
     assert _outcome(LaurentPoly.evaluate, f, point) == _outcome(_reference_evaluate, f, point)
+
+
+def test_evaluate_builds_powers_only_for_the_exponents_that_occur():
+    cases = [
+        # first, as a guard: a table over every exponent up to 20000 takes 80 MB
+        # of powers of 3; over every exponent up to 2^20, the cases below would
+        # need about 60 GB
+        ("x^20000", 3),
+        (f"x^{_LIMIT - 1}", 2),
+        (f"x^{_LIMIT - 1}", make_gaussian(1, -1)),
+        (f"x^-{_LIMIT}", -2),
+        (f"x^-{_LIMIT}", make_gaussian(-1, 1)),
+        (f"3*x^{_LIMIT - 1} - x^-{_LIMIT}", 1),
+    ]
+    for text, value in cases:
+        f, point = parse_poly(text), {"x": value}
+        tracemalloc.start()
+        try:
+            f.evaluate(point)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the value itself takes at most 2^20 bits, 128 KB
+        assert peak < 4 << 20, (text, peak)
+        assert _outcome(LaurentPoly.evaluate, f, point) == _outcome(_reference_evaluate, f, point)
 
 
 # -- the stored form: integer numerators over one denominator -----------------------
