@@ -23,7 +23,7 @@ from .errors import (
     UnknownSequence,
 )
 from .grammar import Grammar
-from .laurent import LaurentPoly, Powers, _extended, parse_poly
+from .laurent import LaurentPoly, Powers, _extended, parse_poly, sum_of_products
 from .scalar import Scalar
 
 # -- the grammars -------------------------------------------------------------
@@ -217,9 +217,13 @@ class CoefficientTable(NamedTuple):
         }
 
 
+_ONE = LaurentPoly.const(1)
+
+
 def _extract(poly, ks, monomial, basis, error, label) -> Dict[int, int]:
-    """Integer coefficients of poly over basis(k), extracted in ks order: the
-    monomial(k) coefficient of the remainder pins the k-th one.  The residual
+    """Integer coefficients of poly over the products p * q, (p, q) = basis(k),
+    extracted in ks order: the monomial(k) coefficient of the remainder pins
+    the k-th one, and remainder * 1 - coeff * p * q is one sum.  The residual
     must vanish exactly; otherwise error(message) is raised."""
     remainder = poly
     entries: Dict[int, int] = {}
@@ -228,7 +232,8 @@ def _extract(poly, ks, monomial, basis, error, label) -> Dict[int, int]:
         if coeff != 0:
             not_int = f"{label} coefficient {coeff} is not an integer"
             entries[k] = _as_int(coeff, lambda: error(not_int))
-            remainder = remainder - basis(k) * coeff
+            p, q = basis(k)
+            remainder = sum_of_products(((1, remainder, _ONE), (-entries[k], p, q)), remainder.vars)
     if not remainder.is_zero():
         raise error(f"residual {remainder.render()} after extracting {entries}")
     return entries
@@ -247,7 +252,7 @@ def gamma_from_poly(poly: LaurentPoly, n: int) -> Dict[int, int]:
         poly,
         range(1, (n + 1) // 2 + 1),
         lambda k: {"x": k, "y": n + 1 - k},
-        lambda k: xy[k] * x_plus_y[n + 1 - 2 * k],
+        lambda k: (xy[k], x_plus_y[n + 1 - 2 * k]),
         NotGammaExpressible,
         "gamma",
     )
@@ -278,7 +283,7 @@ def beta_from_poly(which: str, poly: LaurentPoly, n: int) -> Dict[int, int]:
         poly,
         range((n - shift) // 2, -1, -1),
         lambda k: {"x": n - 2 * k - shift},
-        lambda k: x_powers[n - 2 * k - shift] * one_plus_x2[k + shift],
+        lambda k: (x_powers[n - 2 * k - shift], one_plus_x2[k + shift]),
         NotBetaExpressible,
         "beta",
     )

@@ -308,11 +308,13 @@ class LaurentPoly:
         return _stored(self.vars, self.den, {e: _scaled(n, -1) for e, n in self._packed.items()})
 
     def __mul__(self, other):
-        other = _coerce(other, self.vars)
-        if other is NotImplemented:
-            return NotImplemented
-        variables, a, b = self._aligned(other)
-        return _accumulate(variables, [((1, 1), a, b)])
+        a, b = self, other
+        if type(b) is not LaurentPoly or b.vars != a.vars:  # else straight to the kernel
+            b = _coerce(b, a.vars)
+            if b is NotImplemented:
+                return NotImplemented
+            _, a, b = a._aligned(b)
+        return _accumulate(a.vars, [((1, 1), a, b)])
 
     __rmul__ = __mul__
 
@@ -705,6 +707,8 @@ def _normal_form(den: int, acc: dict):
         acc = {e: re for e, (re, _) in acc.items()}
     else:
         acc = {e: n for e, n in acc.items() if n}
+    if den == 1:
+        return den, acc
     g = gcd(den, *acc.values())
     if g == 1:
         return den, acc
@@ -806,10 +810,11 @@ def sum_of_products(triples, variables: Iterable[str] = ()) -> LaurentPoly:
     table = tuple(
         dict.fromkeys(chain(variables, *(p.vars for _, a, b in triples for p in (a, b))))
     )
-    return _accumulate(
-        table,
-        [(_cleared(w), _reindex(a, table), _reindex(b, table)) for w, a, b in triples],
-    )
+    return _accumulate(table, [
+        ((1, w) if type(w) is int else _cleared(w),
+         a if a.vars == table else _reindex(a, table), b if b.vars == table else _reindex(b, table))
+        for w, a, b in triples
+    ])
 
 
 def binomial_convolution(a, b, n: int) -> LaurentPoly:
@@ -827,10 +832,13 @@ def _accumulate(variables, triples) -> LaurentPoly:
     live = []
     pair = False
     for (wd, wn), a, b in triples:
-        if wn and a._packed and b._packed:
-            live.append((wd * a.den * b.den, wn, a._packed, b._packed))
-            pair = pair or type(wn) is tuple or _is_pair(a._packed) or _is_pair(b._packed)
-    den = lcm(*[d for d, _, _, _ in live])
+        nums_a, nums_b = a._packed, b._packed
+        if wn and nums_a and nums_b:
+            live.append((wd * a.den * b.den, wn, nums_a, nums_b))
+            if not pair:  # the pair form shows in any one numerator
+                first_a, first_b = next(iter(nums_a.values())), next(iter(nums_b.values()))
+                pair = tuple in (type(wn), type(first_a), type(first_b))
+    den = live[0][0] if len(live) == 1 else lcm(*[d for d, _, _, _ in live])
     bias = _zero_key(len(variables))
     if not pair:
         acc: Dict[int, int] = {}
@@ -945,9 +953,12 @@ def substitute_rational(
 ) -> LaurentPoly:
     """clear^clear_power * f with var -> value, expanded to an exact polynomial.
 
-    `clear` defaults to the value's denominator.  f may not carry negative
-    exponents of var.  Raises InsufficientClearing when the chosen clearing
-    power leaves a denominator behind.
+    `clear` defaults to the value's denominator D; f may not carry negative
+    exponents of var.  f(value) is num / D^degree.  When D == clear^m, m =
+    deg_var D // max(deg_var clear, 1) >= 1, and clear_power >= m * degree,
+    the result is clear^(clear_power - m * degree) * num, with no division;
+    otherwise clear^clear_power * num is divided exactly by D^degree, which
+    raises InsufficientClearing when a denominator is left behind.
     """
     if f.min_degree_in(var) < 0:
         raise NonInvertibleSubstitution(
@@ -967,8 +978,11 @@ def substitute_rational(
         if k in by_power:
             triples.append((1, by_power[k], den_powers[degree - k]))
         num = sum_of_products(triples, num.vars)
-    cleared = clear ** clear_power * num
-    return cleared.exact_divide(den_powers[degree])
+    clears = Powers(clear)
+    m = value.denominator.degree_in(var) // max(clear.degree_in(var), 1)
+    if m >= 1 and clear_power >= m * degree and clears[m] == value.denominator:
+        return clears[clear_power - m * degree] * num
+    return (clears[clear_power] * num).exact_divide(den_powers[degree])
 
 
 # -- text parsing ------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import chain
 from math import comb, factorial, gcd, lcm
 from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,11 @@ from gramcalc.families import (
     gamma_expansion,
     peak_grammar,
 )
-from gramcalc.errors import DivisionByZero, InsufficientClearing, NonInvertibleSubstitution
-from gramcalc.identities import _CAYLEY, _ONE_PLUS_X, _PETERSEN
+from gramcalc.errors import DivisionByZero, GramcalcError, InsufficientClearing, NonInvertibleSubstitution
+from gramcalc.identities import _CAYLEY, _ONE_PLUS_X, _PETERSEN, run_identity
 from gramcalc.laurent import (
     LaurentPoly,
+    RationalFunction,
     _LIMIT,
     _cleared,
     _is_pair,
@@ -317,20 +319,23 @@ _EXPONENT_RANGES = st.sampled_from([(-3, 4), (-(2**19), 2**19 - 1)])
 
 
 @st.composite
-def _packed_operand(draw):
+def _packed_operand(draw, tables=_PACKED_TABLES):
     low, high = draw(_EXPONENT_RANGES)
     coeffs = _COEFFS[draw(_KINDS)]
-    return draw(poly_strategy(draw(_PACKED_TABLES), low, high, max_terms=4, coeffs=coeffs))
+    return draw(poly_strategy(draw(tables), low, high, max_terms=4, coeffs=coeffs))
 
 
 @st.composite
 def _packed_cases(draw):
+    variables = draw(_PACKED_TABLES)
+    # operands over the case's own table too, which the kernel takes as they are
+    tables = st.one_of(_PACKED_TABLES, st.just(variables))
     triples = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        a = draw(_packed_operand())
-        b = a if draw(st.booleans()) else draw(_packed_operand())
-        triples.append((draw(_WEIGHTS), a, b))
-    return draw(_PACKED_TABLES), triples
+        a = draw(_packed_operand(tables))
+        b = a if draw(st.booleans()) else draw(_packed_operand(tables))
+        triples.append((draw(_WEIGHTS), a, b))  # int weights among them
+    return variables, triples
 
 
 @settings(max_examples=300, deadline=None)
@@ -342,6 +347,23 @@ def test_packed_kernel_matches_tuple_key_kernel(case):
     assert result.vars == table
     assert (result.den, list(result.nums.items())) == (den, list(nums.items()))
     assert list(result.terms) == list(nums)
+
+
+@st.composite
+def _same_table_operands(draw):
+    table = draw(_PACKED_TABLES)
+    a = draw(poly_strategy(table, max_terms=5, coeffs=_COEFFS[draw(_KINDS)]))
+    b = a if draw(st.booleans()) else draw(poly_strategy(table, max_terms=5, coeffs=_COEFFS[draw(_KINDS)]))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_same_table_operands())
+def test_same_table_product_is_the_one_triple_sum(operands):
+    a, b = operands
+    product, total = a * b, sum_of_products([(1, a, b)], a.vars)
+    assert product.vars == total.vars == a.vars
+    assert (product.den, list(product.nums.items())) == (total.den, list(total.nums.items()))
 
 
 # -- substitute against the per-term reference -------------------------------------------
@@ -453,31 +475,75 @@ def test_substitute_rational_matches_reference(n):
         assert result.terms == expected.terms
 
 
+# values whose denominator D is clear^m for m = 1, 2, 3 with clear 1 + x,
+# x - i or D itself, clears of D's degree in x whose power is not D, and
+# denominators of x-degree 0 and -1, which always divide
+_X_MINUS_I = _CAYLEY.denominator
+_RATIONAL_VALUES = [
+    _PETERSEN,  # 4x / (1 + x)^2
+    _CAYLEY,  # (x + i) / (x - i)
+    RationalFunction(parse_poly("1 - x"), _ONE_PLUS_X),
+    RationalFunction(parse_poly("x"), _ONE_PLUS_X * _ONE_PLUS_X * _ONE_PLUS_X),
+    RationalFunction(parse_poly("x*y - 1"), _X_MINUS_I * _X_MINUS_I),
+    RationalFunction(parse_poly("x + 2"), LaurentPoly.const(1)),
+    RationalFunction(parse_poly("1 + y"), parse_poly("x^-1")),
+]
+_CLEARS = [None, _ONE_PLUS_X, parse_poly("1 + 2*x"), _X_MINUS_I, parse_poly("2 + 2*x")]
+
+
+def _spy(method):
+    """LaurentPoly.method, counting its calls while it runs as before."""
+    return mock.patch.object(LaurentPoly, method, autospec=True, side_effect=getattr(LaurentPoly, method))
+
+
+def _cancels(value, clear, power, degree):
+    """(whether D == clear^m, m >= 1 and power >= m * degree, m), m = D's x-degree over clear's."""
+    clear = value.denominator if clear is None else clear
+    m = value.denominator.degree_in("x") // max(clear.degree_in("x"), 1)
+    return m >= 1 and power >= m * degree and clear ** m == value.denominator, m
+
+
 @st.composite
 def _rational_substitutions(draw):
-    """f over (x, y) with x-exponents 0..3, a catalog value, a clearing choice."""
+    """f over (x, y) with x-exponents 0..3, a value, a clearing choice, and a
+    clearing power drawn on both sides of m * degree."""
     exps = st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=-2, max_value=3))
     coeffs = _COEFFS[draw(st.sampled_from(["rational", "gaussian"]))]
     terms = draw(st.dictionaries(exps, coeffs.filter(bool), max_size=6))
     f = LaurentPoly(("x", "y"), terms)
-    value = draw(st.sampled_from([_PETERSEN, _CAYLEY]))
-    clear = draw(st.sampled_from([None, _ONE_PLUS_X]))
-    return f, value, draw(st.integers(min_value=0, max_value=6)), clear
+    value = draw(st.sampled_from(_RATIONAL_VALUES))
+    clear = draw(st.sampled_from(_CLEARS))
+    _, m = _cancels(value, clear, 0, 0)
+    power = max(0, max(m, 1) * f.degree_in("x") + draw(st.integers(min_value=-3, max_value=3)))
+    return f, value, power, clear
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_rational_substitutions())
 def test_substitute_rational_with_remaining_variables(case):
     f, value, power, clear = case
     try:
         expected = _reference_substitute_rational(f, "x", value, power, clear=clear)
-    except InsufficientClearing:
-        with pytest.raises(InsufficientClearing):
+    except GramcalcError as exc:
+        with pytest.raises(type(exc)):
             substitute_rational(f, "x", value, power, clear=clear)
         return
-    result = substitute_rational(f, "x", value, power, clear=clear)
+    with _spy("exact_divide") as spy:
+        result = substitute_rational(f, "x", value, power, clear=clear)
     assert result.vars == expected.vars
     assert result.terms == expected.terms
+    # the division runs exactly when the clearing does not cancel D^degree
+    assert spy.called != _cancels(value, clear, power, f.degree_in("x"))[0]
+
+
+def test_rational_substitutions_in_the_catalog_do_not_divide():
+    names = ("petersen", "stembridge", "p_eulerian_complex")
+    for name in names:  # the chains and power tables warm
+        assert run_identity(name, 12).passed
+    with _spy("exact_divide") as divide, _spy("__pow__") as power:
+        for name in names:
+            assert run_identity(name, 12).passed
+    assert (divide.call_count, power.call_count) == (0, 0)
 
 
 # -- evaluate against the per-term scalar loop ----------------------------------------
