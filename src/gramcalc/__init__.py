@@ -6,86 +6,44 @@ derivative polynomials), recounts each of them by brute-force enumeration of
 permutations and increasing trees, and mechanically verifies a catalog of
 identities tying the families together - all in exact rational and
 Gaussian-rational arithmetic.
-"""
 
-from . import errata
-from .families import (
-    CoefficientTable,
-    FAMILY_NAMES,
-    beta_expansion,
-    family_number,
-    family_poly,
-    gamma_expansion,
-    recurrence_poly,
-)
-from .grammar import Grammar, parse_grammar, verify_transformation
-from .laurent import LaurentPoly, RationalFunction, parse_poly, substitute_rational
-from .scalar import GaussianRational, exact_sqrt, make_gaussian
-from .series import (
-    RadicalPoint,
-    TruncSeries,
-    closed_form_series,
-    compare_series,
-    compose_poly_series,
-    elementary_series,
-)
-from .structures import (
-    PermRecord,
-    enumerate_structures,
-    family_poly_oracle,
-    label_permutation,
-    perm_stats,
-)
+`import gramcalc` loads no submodule: each public name is imported from the
+submodule that defines it on first access (PEP 562), so a process pays only
+for the parts it uses.
+"""
 
 __version__ = "0.1.0"
 
+# public name -> the submodule that defines it
+_SOURCES = {
+    name: module
+    for module, names in (
+        ("errata", "ERRATA"),  # read on first access too, see gramcalc.errata
+        ("families", "CoefficientTable FAMILY_NAMES beta_expansion family_number family_poly"
+                     " gamma_expansion recurrence_poly"),
+        ("grammar", "Grammar parse_grammar verify_transformation"),
+        ("identities", "IDENTITY_NAMES IdentityReport run_all run_identity"),
+        ("laurent", "LaurentPoly RationalFunction parse_poly substitute_rational"),
+        ("scalar", "GaussianRational exact_sqrt make_gaussian"),
+        ("series", "RadicalPoint TruncSeries closed_form_series compare_series"
+                   " compose_poly_series elementary_series"),
+        ("structures", "PermRecord enumerate_structures family_poly_oracle label_permutation"
+                       " perm_stats"),
+    )
+    for name in names.split()
+}
 
-# imported on first access: the identity catalog is built at import
-_FROM_IDENTITIES = ("IDENTITY_NAMES", "IdentityReport", "run_all", "run_identity")
+__all__ = sorted(_SOURCES)
 
 
 def __getattr__(name: str):
-    if name == "ERRATA":  # read on first access, see gramcalc.errata
-        return errata.ERRATA
-    if name in _FROM_IDENTITIES:
-        from . import identities
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(identities, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_SOURCES[name]}"), name)
+    return value
 
 
-__all__ = [
-    "CoefficientTable",
-    "ERRATA",
-    "FAMILY_NAMES",
-    "GaussianRational",
-    "Grammar",
-    "IDENTITY_NAMES",
-    "IdentityReport",
-    "LaurentPoly",
-    "PermRecord",
-    "RadicalPoint",
-    "RationalFunction",
-    "TruncSeries",
-    "beta_expansion",
-    "closed_form_series",
-    "compare_series",
-    "compose_poly_series",
-    "elementary_series",
-    "enumerate_structures",
-    "exact_sqrt",
-    "family_number",
-    "family_poly",
-    "family_poly_oracle",
-    "gamma_expansion",
-    "label_permutation",
-    "make_gaussian",
-    "parse_grammar",
-    "parse_poly",
-    "perm_stats",
-    "recurrence_poly",
-    "run_all",
-    "run_identity",
-    "substitute_rational",
-    "verify_transformation",
-]
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,7 +11,6 @@ deterministic for fixed inputs; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -62,9 +61,16 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def _json(value, **options) -> str:
+    """json.dumps(value), imported on first use: text output never loads json."""
+    import json
+
+    return json.dumps(value, **options)
+
+
 def _emit_poly(poly: LaurentPoly, fmt: str):
     if fmt == "json":
-        print(json.dumps(poly.to_json()))
+        print(_json(poly.to_json()))
     elif fmt == "csv":
         print("monomial,coefficient")
         for exps, coeff in poly.sorted_terms():
@@ -85,7 +91,7 @@ def cmd_family(args) -> int:
 def _report_line(report) -> str:
     base = f"{report.status:4s} {report.name} [n={report.lo}..{report.hi}] ({report.millis} ms)"
     if report.witness:
-        base += f" witness={json.dumps(report.witness)}"
+        base += f" witness={_json(report.witness)}"
     return base
 
 
@@ -112,7 +118,7 @@ def cmd_check(args) -> int:
             )
         ]
     if args.format == "json":
-        print(json.dumps([r.to_json() for r in reports], indent=2))
+        print(_json([r.to_json() for r in reports], indent=2))
     else:
         for report in reports:
             print(_report_line(report))
@@ -149,7 +155,7 @@ def cmd_oracle(args) -> int:
     equal = oracle == grammar_side
     if args.format == "json":
         print(
-            json.dumps(
+            _json(
                 {
                     "family": args.name,
                     "n": args.n,
@@ -181,7 +187,7 @@ def cmd_label(args) -> int:
     line = structures.format_labeling(perm, labels)
     if args.format == "json":
         print(
-            json.dumps(
+            _json(
                 {
                     "permutation": list(perm),
                     "scheme": args.scheme,
@@ -230,7 +236,7 @@ def cmd_series(args) -> int:
     if series is None:
         series = _series_by_name(args.name, args.order, points)
     if args.format == "json":
-        print(json.dumps(series.to_json()))
+        print(_json(series.to_json()))
     elif args.format == "csv":
         print("n,coefficient")
         for n, coeff in enumerate(series.coeffs):
@@ -247,13 +253,13 @@ def cmd_trees(args) -> int:
         print(structures.count_structures(args.kind, args.n, bound=args.bound))
         return 0
     for structure in structures.enumerate_structures(args.kind, args.n, bound=args.bound):
-        print(json.dumps(structures.structure_to_json(args.kind, structure)))
+        print(_json(structures.structure_to_json(args.kind, structure)))
     return 0
 
 
 def cmd_errata(args) -> int:
     if args.format == "json":
-        print(json.dumps([dict(entry) for entry in errata.ERRATA], indent=2))
+        print(_json([dict(entry) for entry in errata.ERRATA], indent=2))
     else:
         for entry in errata.ERRATA:
             print(f"[{entry['id']}] {entry['location']}")

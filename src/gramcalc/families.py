@@ -73,8 +73,8 @@ def leaf_split_grammar() -> Grammar:
 
 
 def _at_one(var: str):
-    """Read-out: the member with var set to 1."""
-    return lambda poly, n: poly.substitute({var: LaurentPoly.const(1)})
+    """Read-out: the member with var set to 1 (LaurentPoly.at_one)."""
+    return lambda poly, n: poly.at_one(var)
 
 
 def _restricted(*variables: str):
@@ -83,8 +83,17 @@ def _restricted(*variables: str):
 
 
 def _over_a(*variables: str):
-    """Read-out: the member divided exactly by a (reading a*Q_n as Q_n)."""
-    return lambda poly, n: poly.exact_divide(LaurentPoly.variable("a")).restricted(variables)
+    """Read-out: the member over a (reading a*Q_n as Q_n) on the table
+    `variables`.  Every term must have a^1, so cutting a's field out of the
+    keys divides; any other member raises ValueError, as restricted does for
+    a live a."""
+
+    def read(poly: LaurentPoly, n: int) -> LaurentPoly:
+        if poly and not poly.min_degree_in("a") == poly.degree_in("a") == 1:
+            raise ValueError("cannot drop live variable 'a'")
+        return poly.at_one("a").restricted(variables)
+
+    return read
 
 
 def _peaks(kind: str, lowest: int, at_zero: str | None = None):

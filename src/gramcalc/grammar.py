@@ -172,21 +172,24 @@ class Grammar:
 
     @staticmethod
     def from_json(payload: Mapping) -> "Grammar":
-        """Inverse of to_json.  A missing key or a value of the wrong JSON
-        type is a ParseError."""
+        """Inverse of to_json.  A missing key, a value of the wrong JSON
+        type, a table that is not all strings, or a table or rule that
+        Grammar refuses, is a ParseError."""
         try:
             rules = {var: LaurentPoly.from_json(rhs) for var, rhs in payload["rules"].items()}
             variables = tuple(payload["vars"])
+            if not all(type(v) is str for v in variables):
+                raise ParseError(f"variables {payload['vars']!r} are not all strings", 0)
             sqrt = payload.get("sqrt")
             extension = {} if sqrt is None else {
                 "sqrt_var": sqrt["var"],
                 "sqrt_radicand": LaurentPoly.from_json(sqrt["radicand"]),
             }
+            return Grammar(variables, rules, **extension)
         except KeyError as exc:
             raise ParseError(f"grammar JSON has no {exc.args[0]!r} key", 0) from None
-        except (AttributeError, TypeError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed grammar JSON: {exc}", 0) from None
-        return Grammar(variables, rules, **extension)
 
 
 def parse_grammar(text: str) -> Grammar:

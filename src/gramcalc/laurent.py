@@ -219,13 +219,37 @@ class LaurentPoly:
         a polynomial over the other variables, in first-seen order of e."""
         if var not in self.vars:
             return {0: self} if self._packed else {}
-        s = self._field_shift(var)
-        low = (1 << s) - 1
         groups: Dict[int, dict] = {}
-        for key, n in self._packed.items():  # var's field cut out of each key
-            groups.setdefault(((key >> s) & _MASK) - _BIAS, {})[key >> (s + _WIDTH) << s | key & low] = n
+        for e, key, n in self._cut(var):
+            groups.setdefault(e, {})[key] = n
         rest = tuple(v for v in self.vars if v != var)
         return {e: _stored(rest, *_normal_form(self.den, nums)) for e, nums in groups.items()}
+
+    def at_one(self, var: str) -> "LaurentPoly":
+        """self with var set to 1, as substitute({var: 1}) gives it: the
+        numerators summed over the keys with var's field cut out, over the
+        other variables that occur, in the order the terms reach them."""
+        if var not in self.vars:
+            raise ValueError(f"{var!r} not in table {self.vars}")
+        rest = tuple(v for v in self.vars if v != var)
+        pair = _is_pair(self._packed)
+        acc = {}
+        for _, key, n in self._cut(var):
+            old = acc.get(key)
+            acc[key] = n if old is None else tuple(map(add, old, n)) if pair else old + n
+        shifts = _shifts(len(rest))
+        reached = dict.fromkeys(v for key in acc for v, s in zip(rest, shifts) if (key >> s) & _MASK != _BIAS)
+        return _reindex(_stored(rest, *_normal_form(self.den, acc)), tuple(reached))
+
+    def _cut(self, var: str) -> list:
+        """(var's exponent, the key over the other variables, numerator) of
+        each term in stored order: var's field cut out of the packed key."""
+        s = self._field_shift(var)
+        low = (1 << s) - 1
+        return [
+            (((key >> s) & _MASK) - _BIAS, key >> (s + _WIDTH) << s | key & low, n)
+            for key, n in self._packed.items()
+        ]
 
     def coefficient(self, exps_by_var: Mapping[str, int]) -> Scalar:
         """Coefficient of the monomial with the given exponents (others zero)."""
@@ -461,7 +485,10 @@ class LaurentPoly:
         the quotient are scaled by an int first, and the scale goes into the
         result's denominator.  Raises InsufficientClearing when the division
         is not exact, and ExponentOverflow when a quotient term leaves the
-        exponent range.
+        exponent range.  Int numerators first run the same walk mod a prime p
+        that divides neither the divisor's leading coefficient nor a den: an
+        exact division leaves no remainder mod p either, so a remainder there
+        is refused before the exact walk can grow one coefficient by coefficient.
         """
         if divisor.is_zero():
             raise DivisionByZero("exact division by the zero polynomial")
@@ -472,9 +499,9 @@ class LaurentPoly:
         zero_key = _zero_key(k)
         pair = _is_pair(a._packed) or _is_pair(b._packed)
         zero = (0, 0) if pair else 0
-        rem = dict(_pairs(a._packed) if pair else a._packed)
+        nums_a = _pairs(a._packed) if pair else a._packed
         den = _pairs(b._packed) if pair else b._packed
-        exps_a, exps_b = _unpacked(rem, k), _unpacked(den, k)
+        exps_a, exps_b = _unpacked(nums_a, k), _unpacked(den, k)
         # Each quotient exponent is at least a's least exponent less b's, or the
         # division is not exact; low is that bound clamped to [-_LIMIT, _LIMIT],
         # where q - low_key + zero_key cannot borrow for an in-range q.
@@ -483,51 +510,73 @@ class LaurentPoly:
         # Heap entries are -(total degree << span | key): the heap pops terms
         # in _term_sort_key order, since keys compare as exponent vectors do.
         span = _WIDTH * k
-        heap = [-(sum(e) << span | key) for e, key in zip(exps_a, rem)]
+        heap = [-(sum(e) << span | key) for e, key in zip(exps_a, nums_a)]
         heapify(heap)
         den_terms = [(key, n, sum(e)) for e, (key, n) in zip(exps_b, den.items())]
         lead_den, lead_den_coeff, lead_den_deg = max(den_terms, key=lambda t: (t[2], t[0]))
-        quotient: Dict[int, object] = {}
-        scale = 1  # self / divisor == quotient * b.den / (a.den * scale)
-        while rem:
-            top = -heappop(heap)
-            lead = top & ((1 << span) - 1)
-            if lead not in rem:
-                continue  # a stale entry: the term cancelled after it was pushed
-            q = lead - lead_den + zero_key
-            if (q ^ q << 1) & zero_key != zero_key:
-                raise ExponentOverflow(
-                    f"{self.render()} / {divisor.render()} has an exponent outside "
-                    f"[{-_LIMIT}, {_LIMIT})"
-                )
-            if (q - low_key + zero_key) & zero_key != zero_key:
-                raise self._inexact(divisor)
-            q_coeff, s = _lead_quotient(rem[lead], lead_den_coeff)
-            if s != 1:
-                rem = {key: _scaled(n, s) for key, n in rem.items()}
-                quotient = {key: _scaled(n, s) for key, n in quotient.items()}
-                scale *= s
-            quotient[q] = q_coeff
-            q_deg = (top >> span) - lead_den_deg
-            q -= zero_key
-            for key, n, deg in den_terms:
-                key += q
-                old = rem.get(key)
-                if pair:
-                    (qr, qi), (dr, di), (r0, i0) = q_coeff, n, old or zero
-                    value = (r0 - qr * dr + qi * di, i0 - qr * di - qi * dr)
+
+        def walk(p):
+            """(quotient, scale) with self / divisor == quotient * b.den /
+            (a.den * scale), every numerator taken mod p if p is not None."""
+            if p is None:
+                rem, terms, inverse = dict(nums_a), den_terms, None
+            else:  # terms that vanish mod p dropped: only a present term then cancels
+                rem = {key: n % p for key, n in nums_a.items() if n % p}
+                terms = [(key, n % p, deg) for key, n, deg in den_terms if n % p]
+                inverse = pow(lead_den_coeff, -1, p)
+            pending = list(heap)  # entries for terms that vanish mod p are stale
+            quotient: Dict[int, object] = {}
+            scale = 1
+            while rem:
+                top = -heappop(pending)
+                lead = top & ((1 << span) - 1)
+                if lead not in rem:
+                    continue  # a stale entry: the term cancelled after it was pushed
+                q = lead - lead_den + zero_key
+                if (q ^ q << 1) & zero_key != zero_key:
+                    raise ExponentOverflow(
+                        f"{self.render()} / {divisor.render()} has an exponent outside "
+                        f"[{-_LIMIT}, {_LIMIT})"
+                    )
+                if (q - low_key + zero_key) & zero_key != zero_key:
+                    raise self._inexact(divisor)
+                if p is None:
+                    q_coeff, s = _lead_quotient(rem[lead], lead_den_coeff)
                 else:
-                    value = (old or zero) - q_coeff * n
-                if value == zero:  # only a present term cancels: q_coeff * n != 0
-                    del rem[key]
-                    continue
-                if old is None:
-                    # An exact quotient keeps every term within a's exponent
-                    # ranges, so a term leaving the field range proves a remainder.
-                    if (key ^ key << 1) & zero_key != zero_key:
-                        raise self._inexact(divisor)
-                    heappush(heap, -((q_deg + deg) << span | key))
-                rem[key] = value
+                    q_coeff, s = rem[lead] * inverse % p, 1
+                if s != 1:
+                    rem = {key: _scaled(n, s) for key, n in rem.items()}
+                    quotient = {key: _scaled(n, s) for key, n in quotient.items()}
+                    scale *= s
+                quotient[q] = q_coeff
+                q_deg = (top >> span) - lead_den_deg
+                q -= zero_key
+                for key, n, deg in terms:
+                    key += q
+                    old = rem.get(key)
+                    if pair:
+                        (qr, qi), (dr, di), (r0, i0) = q_coeff, n, old or zero
+                        value = (r0 - qr * dr + qi * di, i0 - qr * di - qi * dr)
+                    else:
+                        value = (old or zero) - q_coeff * n
+                        if p is not None:
+                            value %= p
+                    if value == zero:  # only a present term cancels: q_coeff * n != 0
+                        del rem[key]
+                        continue
+                    if old is None:
+                        # An exact quotient keeps every term within a's exponent
+                        # ranges, so a term leaving the field range proves a remainder.
+                        if (key ^ key << 1) & zero_key != zero_key:
+                            raise self._inexact(divisor)
+                        heappush(pending, -((q_deg + deg) << span | key))
+                    rem[key] = value
+            return quotient, scale
+
+        primes = () if pair else [p for p in _PRIMES if lead_den_coeff % p and a.den % p and b.den % p]
+        if primes:
+            walk(primes[0])
+        quotient, scale = walk(None)
         return _stored(
             variables,
             *_normal_form(a.den * scale, {key: _scaled(n, b.den) for key, n in quotient.items()}),
@@ -592,10 +641,12 @@ class LaurentPoly:
     @staticmethod
     def from_json(payload: Mapping) -> "LaurentPoly":
         """Inverse of to_json.  A missing key, a value of the wrong JSON type,
-        or an exponent list that is not one JSON integer per variable, is a
-        ParseError."""
+        an exponent list that is not one JSON integer per variable, or a table
+        that repeats a name or holds a non-string, is a ParseError."""
         try:
             variables = tuple(payload["vars"])
+            if not all(type(v) is str for v in variables):
+                raise ParseError(f"variables {payload['vars']!r} are not all strings", 0)
             terms: Dict[Exponents, Scalar] = {}
             for item in payload["terms"]:
                 exps = tuple(item["exps"])
@@ -605,11 +656,11 @@ class LaurentPoly:
                     )
                 coeff = scalar_from_json(item["coeff"])
                 terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            return LaurentPoly(variables, terms)
         except KeyError as exc:
             raise ParseError(f"polynomial JSON has no {exc.args[0]!r} key", 0) from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed polynomial JSON: {exc}", 0) from None
-        return LaurentPoly(variables, terms)
 
 
 # -- packed keys -------------------------------------------------------------
@@ -625,6 +676,8 @@ _WIDTH = 22
 _MASK = (1 << _WIDTH) - 1
 _BIAS = 1 << (_WIDTH - 1)
 _LIMIT = 1 << (_WIDTH - 2)
+# word-size primes for exact_divide's walk mod p
+_PRIMES = ((1 << 61) - 1, (1 << 31) - 1)
 
 
 @cache

@@ -207,6 +207,8 @@ def scalar_from_json(payload) -> Scalar:
 
 def _rational_from_json(payload) -> Fraction:
     if isinstance(payload, str):
+        if "e" in payload.lower():  # "1e10000000" would build 10^10^7 before any check
+            raise ParseError(f"bad scalar {payload!r}: exponent notation", 0)
         try:
             return Fraction(payload)
         except (ValueError, ZeroDivisionError) as exc:

@@ -289,13 +289,14 @@ def jv_empty_leaves(tree) -> int:
 # trees are l + r for l in left and r in right, in that nesting.  Leaf counts
 # are bytes, one per structure, and _split_bytes adds a left value to every
 # right value with one bytes.translate.  stats(k) is the bytes for k < m
-# labels, memoized per top-level call.  A forest splits alike into the block
-# of its first label and a forest on the rest (_forest_pairs), in another
-# order than _forests lists them.  The top size is never listed: _tally counts
-# one root split at a time.  Every structure is visited once, by one C-level
-# byte write; none is built.  A structure on m labels has at most m + 1 leaves,
-# and byte 255 marks a sum that did not fit, so the tally is exact up to
-# _BYTE_LABELS labels and raises rather than wrap.
+# labels, memoized per walker for the process (_size_keyed), so each size is
+# walked once.  A forest splits alike into the block of its first label and a
+# forest on the rest (_forest_pairs), in another order than _forests lists
+# them.  The top size is never listed: _tally counts one root split at a time.
+# Every structure is visited once, by one C-level byte write; none is built.
+# A structure on m labels has at most m + 1 leaves, and byte 255 marks a sum
+# that did not fit, so the tally is exact up to _BYTE_LABELS labels and
+# raises rather than wrap.
 
 _BYTE_LABELS = 253
 
@@ -329,30 +330,45 @@ def _split_bytes(left: bytes, right: bytes) -> bytes:
     return split
 
 
+# walker -> its stats, and (walker, m) -> the tally of the structures on m
+# labels: each is published whole, and setdefault hands every racing caller
+# the first value stored, as in _PERM_HISTOGRAMS
+_SIZE_KEYED: Dict[Callable, Callable[[int], bytes]] = {}
+_TALLIES: Dict[Tuple[Callable, int], Dict[int, int]] = {}
+
+
 def _size_keyed(pairs) -> Callable[[int], bytes]:
-    """stats(m): the leaf count of every structure on m labels, each size listed once."""
-    memo: Dict[int, bytes] = {}
+    """stats(m): the leaf count of every structure on m labels that pairs
+    walks; one memo per walker for the process, so each size is listed once."""
+    stats = _SIZE_KEYED.get(pairs)
+    if stats is None:
+        memo: Dict[int, bytes] = {}
 
-    def stats(m: int) -> bytes:
-        if m not in memo:
-            memo[m] = b"".join(starmap(_split_bytes, pairs(m, stats)))
-        return memo[m]
+        def stats(m: int) -> bytes:
+            if m not in memo:
+                memo.setdefault(m, b"".join(starmap(_split_bytes, pairs(m, stats))))
+            return memo[m]
 
+        stats = _SIZE_KEYED.setdefault(pairs, stats)
     return stats
 
 
 def _tally(pairs, m: int) -> Dict[int, int]:
-    """Tally of the leaf count of each structure on m labels, in first-seen order."""
+    """Tally of the leaf count of each structure on m labels, in first-seen
+    order; counted once per (walker, m) for the process, each caller given a copy."""
     if m > _BYTE_LABELS:
         raise BoundExceeded(f"n = {m} exceeds {_BYTE_LABELS}, the most labels a leaf tally counts")
-    stats = _size_keyed(pairs)
-    tally: Dict[int, int] = {}
-    for pair in pairs(m, stats):
-        split = _split_bytes(*pair)
-        while split:  # the first byte is the first value not yet counted
-            tally[split[0]] = tally.get(split[0], 0) + split.count(split[0])
-            split = split.translate(None, split[:1])
-    return tally
+    tally = _TALLIES.get((pairs, m))
+    if tally is None:
+        stats = _size_keyed(pairs)
+        tally = {}
+        for pair in pairs(m, stats):
+            split = _split_bytes(*pair)
+            while split:  # the first byte is the first value not yet counted
+                tally[split[0]] = tally.get(split[0], 0) + split.count(split[0])
+                split = split.translate(None, split[:1])
+        tally = _TALLIES.setdefault((pairs, m), tally)
+    return dict(tally)
 
 
 def _root_split_pairs(small):
@@ -371,8 +387,9 @@ _jv_pairs = _root_split_pairs((b"\x01", b"\x00\x02"))  # an empty leaf; a root b
 _binary_pairs = _root_split_pairs((b"\x00", b"\x01"))  # the empty tree; a bare root
 
 
+@functools.cache
 def _pairs_012(ordered: bool):
-    """Walker of the 0-1-2 trees, in _trees_012 order."""
+    """Walker of the 0-1-2 trees, in _trees_012 order; one per argument."""
 
     def pairs(m: int, stats) -> list:
         if m < 2:
@@ -383,18 +400,19 @@ def _pairs_012(ordered: bool):
     return pairs
 
 
+@functools.cache
 def _forest_pairs(tree_pairs):
     """Walker of the forests of planted trees that tree_pairs walks: one (trees
     on the first label's block less its root, forests on the other labels)
     pair per split of the m - 1 other labels.  A lone root is the tree
     walker's size-0 value.  The last split, a block of all m labels, is that
-    one tree, walked by tree_pairs rather than listed.  The tree memo lives as
-    long as the walker."""
-    trees = _size_keyed(tree_pairs)
+    one tree, walked by tree_pairs rather than listed.  One walker per
+    tree_pairs, reading the tree sizes from tree_pairs' own memo."""
 
     def pairs(m: int, stats) -> list:
         if m == 0:
             return [(b"\x00", b"\x00")]  # the empty forest
+        trees = _size_keyed(tree_pairs)
         return [(trees(a), stats(b)) for a, b, _ in _splits(m - 1) if b] + tree_pairs(m - 1, trees)
 
     return pairs

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -61,3 +63,31 @@ def acceptance(capsys):
             print(f"ACCEPTANCE {number} {description}: PASS")
 
     return runner
+
+
+def in_threads(work, count=8):
+    """work(i) for i < count, each in its own thread, all released at once
+    with a thread switch as often as the interpreter allows; the results, or
+    the exceptions raised, by i."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        barrier = threading.Barrier(count)
+        results = [None] * count
+
+        def run(i):
+            barrier.wait()
+            try:
+                results[i] = work(i)
+            except Exception as exc:
+                results[i] = exc
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        return results
+    finally:
+        sys.setswitchinterval(interval)

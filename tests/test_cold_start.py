@@ -1,6 +1,8 @@
-"""Cold start: what `import gramcalc.cli` loads, and the errata read on first use."""
+"""Cold start: what `import gramcalc` and `import gramcalc.cli` load, and the
+errata read on first use."""
 
 import ast
+import importlib
 import json
 import os
 import shutil
@@ -56,6 +58,37 @@ def test_cli_import_is_lean_and_errata_read_on_access():
     assert read_at_import == []
     assert len(read_on_access) == 1
     assert unresolved == []
+
+
+_PACKAGE_PROBE = r"""
+import sys
+bare = set(sys.modules)
+import gramcalc
+package = sorted(set(sys.modules) - bare)
+import gramcalc.cli
+print(repr((package, "json" in sys.modules)))
+"""
+
+
+def test_package_import_loads_no_submodule_and_cli_import_no_json():
+    result = _python("-c", _PACKAGE_PROBE)
+    assert result.returncode == 0, result.stderr
+    package, json_loaded = ast.literal_eval(result.stdout)
+    assert package == ["gramcalc"]  # no gramcalc.* submodule, and no fractions
+    assert not json_loaded
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    for name in gramcalc.__all__:
+        module = importlib.import_module(f"gramcalc.{gramcalc._SOURCES[name]}")
+        value = getattr(gramcalc, name)
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    assert set(gramcalc.__all__) <= set(dir(gramcalc))
+    namespace = {}
+    exec("from gramcalc import *", namespace)
+    assert set(gramcalc.__all__) <= set(namespace)
+    assert gramcalc.__version__ == "0.1.0"
 
 
 def test_errata_access_is_cached():

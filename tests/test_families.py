@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 from fractions import Fraction
 
@@ -29,6 +28,8 @@ from gramcalc.families import (
 )
 from gramcalc.laurent import LaurentPoly, Powers, parse_poly
 from gramcalc.scalar import make_gaussian
+
+from conftest import in_threads
 
 # The classical tables, frozen.  The two starred values are the documented
 # corrections (see gramcalc.errata): the printed sources give 1+x^2 for the
@@ -228,41 +229,13 @@ def test_recurrence_route():
         assert recurrence_poly("Q", n) == family_poly("deriv_Q", n)
 
 
-def _in_threads(work, count=8):
-    """work(i) for i < count, each in its own thread, all released at once
-    with a thread switch as often as the interpreter allows; the results, or
-    the exceptions raised, by i."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        barrier = threading.Barrier(count)
-        results = [None] * count
-
-        def run(i):
-            barrier.wait()
-            try:
-                results[i] = work(i)
-            except Exception as exc:
-                results[i] = exc
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-        return results
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_chain_cache_under_concurrent_extension():
     # threads extending one derivative chain at once must not interleave
     # their appends: each would then store its own D^{k+1} at a different index
     chain = eulerian_grammar().derivative_chain(parse_poly("y"), 26)
     for _ in range(5):
         families._CHAINS.pop("eulerian_biv", None)
-        results = _in_threads(lambda i: family_poly("eulerian_biv", 25))
+        results = in_threads(lambda i: family_poly("eulerian_biv", 25))
         assert results == [chain[25]] * 8
         assert family_poly("eulerian_biv", 26) == chain[26]
 
@@ -284,7 +257,7 @@ def test_read_cache_under_concurrent_first_reads():
             families._CHAINS.pop(families._FAMILIES[name][0], None)
             families._READS.pop((name, 25), None)
         # each thread starts at a different row
-        results = _in_threads(
+        results = in_threads(
             lambda i: {name: family_poly(name, 25) for name in names[i % 3:] + names[:i % 3]}
         )
         for name, value in zip(names, expected):
@@ -306,7 +279,7 @@ def test_recurrence_chain_under_concurrent_extension(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "partial_derivative", yielding)
     for _ in range(3):
         families._RECURRENCES.pop("Q", None)
-        results = _in_threads(lambda i: [recurrence_poly("Q", n) for n in range(25, -1, -1)])
+        results = in_threads(lambda i: [recurrence_poly("Q", n) for n in range(25, -1, -1)])
         assert results == [ascending[::-1]] * 8
 
 
@@ -314,7 +287,7 @@ def test_failing_read_stores_nothing(monkeypatch):
     # R_family mixes both parities of the x-exponent, so a left-peak read of
     # it raises at every n
     monkeypatch.setitem(families._FAMILIES, "_off_pattern", ("R_family", families._peaks("a left-peak", 1)))
-    results = _in_threads(lambda i: families._member("_off_pattern", 25))
+    results = in_threads(lambda i: families._member("_off_pattern", 25))
     assert all(isinstance(result, ValueError) for result in results)
     assert not [key for key in families._READS if key[0] == "_off_pattern"]
 
@@ -336,7 +309,7 @@ def test_power_tables_under_concurrent_extension(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", yielding)
     for _ in range(3):
         laurent._POWERS.clear()
-        results = _in_threads(lambda i: Powers(LaurentPoly(table, terms))[3 * i + 2])
+        results = in_threads(lambda i: Powers(LaurentPoly(table, terms))[3 * i + 2])
         assert results == [powers[3 * i + 2] for i in range(8)]
         [published] = laurent._POWERS.values()
         assert list(published) == powers[: len(published)]

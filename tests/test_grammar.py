@@ -174,6 +174,11 @@ def test_grammar_json_roundtrip():
         {"vars": ["x"], "rules": {"x": 5}},
         {"vars": ["x"], "rules": []},
         {"vars": ["x", "z"], "rules": {}, "sqrt": {"var": "z"}},
+        {"vars": ["x", "x"], "rules": {}},
+        {"vars": [], "rules": {"x": {"vars": [], "terms": []}}},
+        {"vars": ["x"], "rules": {}, "sqrt": {"var": "z", "radicand": {"vars": [], "terms": []}}},
+        {"vars": ["x"], "rules": {}, "sqrt": {"var": ["z"], "radicand": {"vars": [], "terms": []}}},
+        {"vars": [1], "rules": {}},
     ],
 )
 def test_grammar_from_json_refuses_malformed_payloads(payload):

@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from gramcalc.errors import (
     ParseError,
 )
 from gramcalc.laurent import (
+    _PRIMES,
     LaurentPoly,
     RationalFunction,
     parse_poly,
@@ -146,6 +148,9 @@ def test_json_gaussian_coefficient():
         {"vars": ["x"], "terms": [{"coeff": "1", "exps": [1, 2]}]},
         {"vars": ["x"], "terms": [{"coeff": "1", "exps": []}]},
         5,
+        {"vars": ["x", "x"], "terms": []},
+        {"vars": [["x"]], "terms": []},
+        {"vars": [1], "terms": [{"coeff": "1", "exps": [1]}]},
     ],
 )
 def test_from_json_refuses_malformed_payloads(payload):
@@ -236,6 +241,29 @@ def test_exact_divide_term_out_of_range_is_a_remainder():
     # with the divisor's x leaves the field range
     with pytest.raises(InsufficientClearing):
         parse_poly(f"x^{2**20 - 1}*y^3 + 1").exact_divide(parse_poly("y^3 + x"))
+
+
+def test_inexact_division_is_refused_without_growing_the_remainder():
+    # the exact walk alone takes 65,536 steps here, the k-th coefficient
+    # about 3^k, which took seconds; mod p the coefficients stay word-size
+    start = time.perf_counter()
+    with pytest.raises(InsufficientClearing):
+        parse_poly("x^-65536 + 1").exact_divide(parse_poly("x + 3"))
+    assert time.perf_counter() - start < 1
+
+
+def test_exact_divide_past_the_walk_mod_p():
+    p, q = _PRIMES
+    # numerators that vanish mod p: x^2 - p^2 is x^2 there, and x - p is x
+    assert parse_poly(f"x^2 - {p * p}").exact_divide(parse_poly(f"x - {p}")) == parse_poly(f"x + {p}")
+    # a leading coefficient divisible by p: the walk goes mod q
+    divisor = parse_poly(f"{p}*x + 1")
+    assert (divisor * parse_poly("x - 2")).exact_divide(divisor) == parse_poly("x - 2")
+    # divisible by both: no walk mod a prime
+    divisor = parse_poly(f"{p * q}*x + 1")
+    assert (divisor * parse_poly("x + 5")).exact_divide(divisor) == parse_poly("x + 5")
+    with pytest.raises(InsufficientClearing):
+        parse_poly("x^2 + 1").exact_divide(divisor)
 
 
 def test_mixed_table_arithmetic():

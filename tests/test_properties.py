@@ -3,6 +3,7 @@
 Runnable standalone: pytest tests/test_properties.py
 """
 
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import chain
@@ -11,7 +12,7 @@ from operator import add
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gramcalc.families import (
@@ -22,6 +23,7 @@ from gramcalc.families import (
     peak_grammar,
 )
 from gramcalc.errors import DivisionByZero, GramcalcError, InsufficientClearing, NonInvertibleSubstitution
+from gramcalc.grammar import Grammar, parse_grammar
 from gramcalc.identities import _CAYLEY, _ONE_PLUS_X, _PETERSEN, run_identity
 from gramcalc.laurent import (
     LaurentPoly,
@@ -963,3 +965,78 @@ def test_trig_identities_order_16():
     assert compare_series(cosh * cosh - sinh * sinh, one) == (True, None)
     assert compare_series(sec * cos, one) == (True, None)
     assert compare_series(tan * cos, sin) == (True, None)
+
+
+# -- readers: every input is read or refused with a GramcalcError, in time ------------
+
+# exponents at and just past the ends of the field range [-2^20, 2^20), and small ones
+_EXPONENTS = st.sampled_from([-_LIMIT - 1, -_LIMIT, -_LIMIT + 1, -2, -1, 0, 1, 2, 3, _LIMIT - 2, _LIMIT - 1, _LIMIT])
+_NAMES = st.sampled_from(["x", "y", "z", "a"])
+_TEXT_COEFFS = st.sampled_from(["1", "3", "2/3", "(1+2*i)", "0", "1/0"])
+
+
+@st.composite
+def _poly_texts(draw):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [draw(_TEXT_COEFFS)] if draw(st.booleans()) else []
+        factors += [f"{draw(_NAMES)}^{draw(_EXPONENTS)}" for _ in range(draw(st.integers(0, 2)))]
+        terms.append("*".join(factors) or "1")
+    return " + ".join(terms)
+
+
+_TEXT_NOISE = st.text(alphabet="xyz0123456789^-+*/() i=>sqrt\n", max_size=30)
+_GRAMMAR_TEXTS = st.builds(
+    lambda rules, sqrt: "\n".join([f"{v} -> {rhs}" for v, rhs in rules.items()] + sqrt),
+    st.dictionaries(_NAMES, _poly_texts(), max_size=2),
+    # a sqrt line whose radicand spans the field range, or noise
+    st.lists(st.one_of(_poly_texts().map(lambda r: f"sqrt w^2 = {r}"), _TEXT_NOISE), max_size=1),
+)
+# rational strings, among them exponent notation that Fraction would expand
+_JSON_RATIONALS = st.sampled_from(["1", "-2/4", "0", "1/0", "1.5", "1e10000000", "(1+2*i)"])
+_POLY_JSON = st.fixed_dictionaries({
+    "vars": st.lists(_NAMES | st.integers(0, 1), max_size=3),
+    "terms": st.lists(st.fixed_dictionaries({
+        "coeff": st.one_of(
+            _JSON_RATIONALS,
+            st.fixed_dictionaries({"re": _JSON_RATIONALS, "im": _JSON_RATIONALS}),
+            st.integers(-3, 3),
+            st.none(),
+        ),
+        "exps": st.lists(_EXPONENTS, max_size=3),
+    }), max_size=3),
+})
+_JSON_NOISE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _EXPONENTS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["vars", "terms", "coeff", "exps", "rules", "sqrt", "var", "radicand", "x"]), inner, max_size=4),
+    max_leaves=8,
+)
+_GRAMMAR_JSON = st.fixed_dictionaries(
+    {"vars": st.lists(_NAMES | st.integers(0, 1), max_size=3), "rules": st.dictionaries(_NAMES, _POLY_JSON, max_size=2)},
+    optional={"sqrt": st.fixed_dictionaries({"var": _NAMES, "radicand": _POLY_JSON})},
+)
+_READS = st.one_of(
+    st.tuples(st.just(parse_poly), st.one_of(_poly_texts(), _TEXT_NOISE)),
+    st.tuples(st.just(parse_grammar), st.one_of(_GRAMMAR_TEXTS, _TEXT_NOISE)),
+    st.tuples(st.just(LaurentPoly.from_json), st.one_of(_POLY_JSON, _JSON_NOISE)),
+    st.tuples(st.just(Grammar.from_json), st.one_of(_GRAMMAR_JSON, _JSON_NOISE)),
+)
+# a division walk across the whole field range takes about 2^20 steps mod p:
+# seconds, where the exact walk alone, its coefficients growing, took minutes
+_READ_SECONDS = 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(_READS)
+@example((parse_grammar, f"x -> x^{1 - _LIMIT} + 1\nsqrt w^2 = x + 3"))
+@example((parse_grammar, f"x -> 1\nsqrt w^2 = x^{1 - _LIMIT} + x^{_LIMIT - 1}"))
+@example((LaurentPoly.from_json, {"vars": ["x"], "terms": [{"coeff": "1e10000000", "exps": [1]}]}))
+def test_readers_return_or_refuse_in_time(read):
+    reader, value = read
+    start = time.perf_counter()
+    try:
+        repr(reader(value))  # what is read renders
+    except GramcalcError:
+        pass
+    assert time.perf_counter() - start < _READ_SECONDS, (reader.__qualname__, value)

@@ -1,10 +1,12 @@
 """Term readers on the stored numerators.
 
-`LaurentPoly.collect`, `LaurentPoly.by_power` and the readers built on them
-(`families._peaks`, `identities._uni_table`, `Grammar.reduce`,
+`LaurentPoly.collect`, `LaurentPoly.by_power`, `LaurentPoly.at_one` and the
+readers built on them (`families._peaks`, `families._at_one`,
+`families._over_a`, `identities._uni_table`, `Grammar.reduce`,
 `series.compose_poly_series`) are compared with term-by-term references,
-copies of their earlier versions which summed the `.terms` view, and must
-leave their argument without that view.
+copies of their earlier versions which summed the `.terms` view or went
+through `substitute` and `exact_divide`, and must leave their argument
+without that view.
 """
 
 from fractions import Fraction
@@ -141,6 +143,49 @@ def test_by_power_matches_per_term_reference(f, var):
         (e, _stored(c)) for e, c in expected.items()
     ]
     assert not hasattr(fresh, "_terms")
+
+
+@SETTINGS
+@given(poly_strategy(XYZ, min_exp=-3, max_exp=4, coeffs=scalars, max_terms=8), st.sampled_from(XYZ))
+def test_at_one_matches_substitute(f, var):
+    # the table too: the other variables that occur, in the order the terms reach them
+    fresh = _fresh(f)
+    assert _stored(fresh.at_one(var)) == _stored(f.substitute({var: _ONE}))
+    assert not hasattr(fresh, "_terms")
+
+
+# the read rows' earlier routes, kept as references
+_READ_ROUTES = {
+    "eulerian_uni": lambda poly: poly.substitute({"y": _ONE}),
+    "andre_uni": lambda poly: poly.substitute({"v": _ONE}),
+    "deriv_Q": lambda poly: poly.exact_divide(LaurentPoly.variable("a")).restricted(("x",)),
+    "planted_forest": lambda poly: poly.exact_divide(LaurentPoly.variable("a")).restricted(("v", "u")),
+}
+
+
+def test_key_map_reads_match_substitution_and_division_routes():
+    rows = {
+        name: row for name, row in _FAMILIES.items()
+        if callable(row[1]) and row[1].__qualname__.split(".")[0] in ("_at_one", "_over_a")
+    }
+    assert set(rows) == set(_READ_ROUTES)
+    for name, (source, read) in rows.items():
+        for n in range(13):
+            member = _member(source, n)
+            assert _stored(read(_fresh(member), n)) == _stored(_READ_ROUTES[name](member)), (name, n)
+    # at n = 0 the descent and 0-1-2 tree reads are constants over no variable
+    assert _member("eulerian_uni", 0).vars == _member("andre_uni", 0).vars == ()
+
+
+@pytest.mark.parametrize("text", ["x", "a^2*x", "a*x + x", "a^-1*x", "a*x + a^2", "x^2 + a^3"])
+@pytest.mark.parametrize("family", ["deriv_Q", "planted_forest"])
+def test_over_a_refuses_what_the_division_route_refuses(family, text):
+    source, read = _FAMILIES[family]
+    member = parse_poly(text, ("a", "x", "v", "u"))
+    with pytest.raises(ValueError) as route:
+        _READ_ROUTES[family](member)
+    with pytest.raises(route.type):
+        read(member, 1)
 
 
 @pytest.mark.parametrize(

@@ -121,7 +121,8 @@ def test_gaussian_subtraction_and_division():
 
 @pytest.mark.parametrize(
     "payload",
-    [True, False, 1.5, None, "1/0", "abc", {"re": "1"}, {"im": "1"}, {"re": True, "im": "1"}, {"re": "1", "im": "1/0"}],
+    [True, False, 1.5, None, "1/0", "abc", {"re": "1"}, {"im": "1"}, {"re": True, "im": "1"}, {"re": "1", "im": "1/0"},
+     "1e10000000", "2E3"],
 )
 def test_scalar_from_json_refuses_what_to_json_never_writes(payload):
     with pytest.raises(ParseError):

@@ -45,6 +45,8 @@ from gramcalc.structures import (
     tree_leaf_count,
 )
 
+from conftest import in_threads
+
 
 def test_perm_stats_worked_example():
     record = perm_stats((3, 1, 4, 5, 6, 2))
@@ -388,6 +390,66 @@ def test_stat_routes_match_tree_routes():
         ), n
         planted_poly = _forest_poly(("v", "u"), planted, _planted_block_exponents)
         assert family_poly_oracle("planted_forest", n) == planted_poly, n
+
+
+_WALKERS = {
+    "jv_tree": _jv_pairs,
+    "inc_binary": _binary_pairs,
+    "plane_012": _pairs_012(True),
+    "tree_012": _pairs_012(False),
+    "jv_forest": _forest_pairs(_jv_pairs),
+    "planted_forest": _forest_pairs(_binary_pairs),
+}
+
+
+def test_walkers_are_one_per_argument():
+    assert _pairs_012(True) is _WALKERS["plane_012"]
+    assert _forest_pairs(_jv_pairs) is _WALKERS["jv_forest"]
+    assert _size_keyed(_jv_pairs) is _size_keyed(_jv_pairs)
+
+
+def test_memoized_tallies_match_fresh_walks(monkeypatch):
+    memoized = {(kind, n): list(_tally(walker, n).items()) for kind, walker in _WALKERS.items() for n in range(9)}
+    for (kind, n), tally in memoized.items():
+        monkeypatch.setattr(structures, "_SIZE_KEYED", {})
+        monkeypatch.setattr(structures, "_TALLIES", {})
+        assert list(_tally(_WALKERS[kind], n).items()) == tally, (kind, n)
+
+
+def test_tally_is_handed_out_as_a_copy():
+    first = _tally(_jv_pairs, 6)
+    expected = dict(first)
+    first.clear()
+    first[99] = 1
+    assert _tally(_jv_pairs, 6) == expected
+
+
+def test_tally_memo_under_concurrent_fills(monkeypatch):
+    # eight threads fill the walkers' size memos and tallies at once; each
+    # mutates its copy, which must reach no other thread
+    expected = {kind: _tally(walker, 8) for kind, walker in _WALKERS.items()}
+    for _ in range(3):
+        monkeypatch.setattr(structures, "_SIZE_KEYED", {})
+        monkeypatch.setattr(structures, "_TALLIES", {})
+
+        def fill(i):
+            tallies = {kind: _tally(walker, 8 - i % 2) for kind, walker in _WALKERS.items()}
+            for tally in tallies.values():
+                tally[99] = i
+            return {kind: _tally(walker, 8) for kind, walker in _WALKERS.items()}
+
+        assert in_threads(fill) == [expected] * 8
+
+
+def test_second_run_all_walks_no_tree_size(monkeypatch):
+    from gramcalc.identities import run_all
+
+    run_all()
+    calls = []
+    split_bytes = structures._split_bytes
+    monkeypatch.setattr(structures, "_split_bytes", lambda *pair: calls.append(pair) or split_bytes(*pair))
+    run_all()
+    assert calls == []
 
 
 def test_perm_histogram_matches_joint_perm_stats_tally():
