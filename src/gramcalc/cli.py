@@ -23,6 +23,7 @@ from .families import (
     family_poly,
 )
 from .laurent import LaurentPoly
+from .scalar import exponent_notation
 from .series import (
     CLOSED_FORM_NAMES,
     ELEMENTARY_NAMES,
@@ -45,13 +46,15 @@ def _parse_assignments(items) -> dict:
             if "=" not in piece:
                 raise ValueError(f"expected var=rational, got {piece!r}")
             var, _, raw = piece.partition("=")
-            var = var.strip()
+            var, raw = var.strip(), raw.strip()
             if var in values:
                 raise ValueError(f"{var!r} is assigned more than once")
+            if exponent_notation(raw):
+                raise ValueError(f"{var!r} = {raw!r}: exponent notation is refused")
             try:
-                values[var] = Fraction(raw.strip())
+                values[var] = Fraction(raw)
             except ZeroDivisionError:
-                raise ValueError(f"{var!r} = {raw.strip()!r} has a zero denominator") from None
+                raise ValueError(f"{var!r} = {raw!r} has a zero denominator") from None
     return values
 
 

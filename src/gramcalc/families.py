@@ -248,20 +248,25 @@ def _extract(poly, ks, monomial, basis, error, label) -> Dict[int, int]:
     return entries
 
 
+def gamma_basis(n: int):
+    """k -> the factors (xy)^k, (x+y)^{n+1-2k} of the gamma basis of degree n+1."""
+    x = LaurentPoly.variable("x", ("x", "y"))
+    y = LaurentPoly.variable("y", ("x", "y"))
+    xy, x_plus_y = Powers(x * y), Powers(x + y)
+    return lambda k: (xy[k], x_plus_y[n + 1 - 2 * k])
+
+
 def gamma_from_poly(poly: LaurentPoly, n: int) -> Dict[int, int]:
     """Coefficients in the basis (xy)^k (x+y)^{n+1-2k}, k = 1..floor((n+1)/2).
 
     Triangular extraction: the x^k y^{n+1-k} monomial of the remainder pins
     the k-th coefficient.  The residual must vanish exactly.
     """
-    x = LaurentPoly.variable("x", ("x", "y"))
-    y = LaurentPoly.variable("y", ("x", "y"))
-    xy, x_plus_y = Powers(x * y), Powers(x + y)
     return _extract(
         poly,
         range(1, (n + 1) // 2 + 1),
         lambda k: {"x": k, "y": n + 1 - k},
-        lambda k: (xy[k], x_plus_y[n + 1 - 2 * k]),
+        gamma_basis(n),
         NotGammaExpressible,
         "gamma",
     )
@@ -275,6 +280,18 @@ def gamma_expansion(n: int) -> CoefficientTable:
     )
 
 
+_BETA_SHIFT = {"Q": 0, "P": 1}
+
+
+def beta_basis(which: str, n: int):
+    """k -> the factors x^{n-2k-s}, (1+x^2)^{k+s} of the beta basis of the
+    derivative family `which`, with s = _BETA_SHIFT[which]."""
+    shift = _BETA_SHIFT[which]
+    x = LaurentPoly.variable("x")
+    x_powers, one_plus_x2 = Powers(x), Powers(LaurentPoly.const(1) + x * x)
+    return lambda k: (x_powers[n - 2 * k - shift], one_plus_x2[k + shift])
+
+
 def beta_from_poly(which: str, poly: LaurentPoly, n: int) -> Dict[int, int]:
     """Coefficients in the x^j (1+x^2)^m bases of the two derivative families.
 
@@ -283,16 +300,14 @@ def beta_from_poly(which: str, poly: LaurentPoly, n: int) -> Dict[int, int]:
     numbers).  Extraction runs from the top k down; the lowest surviving power
     of x pins each coefficient.  The residual must vanish exactly.
     """
-    if which not in ("P", "Q"):
+    if which not in _BETA_SHIFT:
         raise ValueError("which must be 'P' or 'Q'")
-    shift = 0 if which == "Q" else 1
-    x = LaurentPoly.variable("x")
-    x_powers, one_plus_x2 = Powers(x), Powers(LaurentPoly.const(1) + x * x)
+    shift = _BETA_SHIFT[which]
     return _extract(
         poly,
         range((n - shift) // 2, -1, -1),
         lambda k: {"x": n - 2 * k - shift},
-        lambda k: (x_powers[n - 2 * k - shift], one_plus_x2[k + shift]),
+        beta_basis(which, n),
         NotBetaExpressible,
         "beta",
     )

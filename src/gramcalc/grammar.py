@@ -13,7 +13,7 @@ from math import comb
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import CrossCheckFailed, ExtensionConflict, GramcalcError, InsufficientClearing, ParseError
-from .laurent import LaurentPoly, Powers, parse_poly, sum_of_products
+from .laurent import LaurentPoly, Powers, _extended, parse_poly, sum_of_products
 
 _ONE = LaurentPoly.const(1)
 
@@ -90,10 +90,7 @@ class Grammar:
         """D^0(f) .. D^n(f) in one pass."""
         if n < 0:
             raise ValueError("derivative order must be nonnegative")
-        chain = [self.reduce(f)]
-        for _ in range(n):
-            chain.append(self.derive(chain[-1]))
-        return tuple(chain)
+        return _extended((self.reduce(f),), n, self.derive)
 
     def gen_coeffs(self, f: LaurentPoly, order: int):
         """Truncated generating function of f: coefficients D^0(f) .. D^N(f)."""

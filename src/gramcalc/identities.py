@@ -24,10 +24,12 @@ from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional
 
 from .errors import GramcalcError, InvalidPoint, UnknownIdentity
 from .families import (
+    beta_basis,
     beta_from_poly,
     eulerian_grammar,
     family_number,
     family_poly,
+    gamma_basis,
     gamma_from_poly,
     leaf_split_grammar,
     peak_grammar,
@@ -86,7 +88,7 @@ class CheckContext(NamedTuple):
         gave, that is an input error (InvalidPoint), not an identity failure."""
         try:
             yield
-        except (GramcalcError, ZeroDivisionError) as exc:
+        except (GramcalcError, ValueError, ZeroDivisionError) as exc:
             given = [f"{v}={self.points[v]}" for v in variables if v in self.points]
             if not given:
                 raise
@@ -165,7 +167,8 @@ _X_SQUARED = parse_poly("x^2")
 _ONE_PLUS_X = parse_poly("1 + x")
 _ONE_MINUS_X = parse_poly("1 - x")
 _ONE_PLUS_X2 = parse_poly("1 + x^2")
-_TWO_X = parse_poly("2*x")
+_TWO_X_ONE_MINUS_X = parse_poly("2*x - 2*x^2")
+_XY = X_OF_XY * Y_OF_XY
 _PEAK_SUB = {"u": _X_SQUARED, "v": Y_OF_XY}
 _PETERSEN = RationalFunction(parse_poly("4*x"), _ONE_PLUS_X * _ONE_PLUS_X)
 _CAYLEY = RationalFunction(X + LaurentPoly.const(_I), X + LaurentPoly.const(-_I))
@@ -188,15 +191,23 @@ def _capped(cap: int) -> Callable[[CheckContext], int]:
 def _per_n(*sides, start=None):
     """For each n from `start` (default: the entry's lo) to hi, every
     side(provider, n) gives one (lhs, rhs) pair, in order.  The sides' provider
-    reads each member once."""
+    reads each member and each number once."""
 
     def pairs(ctx: CheckContext, lo: int, hi: int):
-        provider = SimpleNamespace(poly=cache(ctx.provider.poly), number=ctx.provider.number)
+        provider = SimpleNamespace(poly=cache(ctx.provider.poly), number=cache(ctx.provider.number))
         for n in range(lo if start is None else start, hi + 1):
             for side in sides:
                 yield (n, *side(provider, n))
 
     return pairs
+
+
+def _coeffs(build):
+    """build(ctx, hi) gives (lhs, rhs) truncated series pairs; each pair is
+    compared coefficient by coefficient over lo..hi, one pair after another."""
+    return lambda ctx, lo, hi: (
+        pair for lhs, rhs in build(ctx, hi) for pair in _coeff_pairs(lhs, rhs, lo, hi)
+    )
 
 
 def _then(*parts):
@@ -235,47 +246,28 @@ def _vs_oracle(*names, extra=None):
 
 
 # -- bespoke checks -------------------------------------------------------------
-# Each yields (n, lhs, rhs) for a declared range lo..hi.
+# A generator yields (n, lhs, rhs) for a declared range lo..hi; a builder (for
+# _coeffs) yields (lhs, rhs) series pairs; a side gives one _per_n pair.
 
 
-def _eulerian_egf(ctx: CheckContext, lo: int, hi: int):
-    series = closed_form_series("eulerian_egf", hi)
-    for n in range(lo, hi + 1):
-        yield n, series.coeffs[n], ctx.provider.poly("eulerian_biv", n)
-
-
-def _carlitz_scoville(ctx: CheckContext, lo: int, hi: int):
+def _carlitz_scoville(ctx: CheckContext, hi: int):
     gen = TruncSeries(
         [LaurentPoly.zero()]
         + [ctx.provider.poly("eulerian_biv", n) for n in range(1, hi + 1)]
     )
     exp_x = elementary_series("exp", hi, X_OF_XY)
     exp_y = elementary_series("exp", hi, Y_OF_XY)
-    lhs = gen * (exp_y * X_OF_XY - exp_x * Y_OF_XY)
-    yield from _coeff_pairs(lhs, (exp_x - exp_y) * (X_OF_XY * Y_OF_XY), lo, hi)
+    yield gen * (exp_y * X_OF_XY - exp_x * Y_OF_XY), (exp_x - exp_y) * _XY
 
 
-def _gamma_expansion(ctx: CheckContext, lo: int, hi: int):
-    xy, x_plus_y = Powers(X_OF_XY * Y_OF_XY), Powers(X_OF_XY + Y_OF_XY)
-    for n in range(lo, hi + 1):
-        poly = ctx.provider.poly("eulerian_biv", n)
-        entries = gamma_from_poly(poly, n)
-        if any(v < 0 for v in entries.values()):
-            yield n, f"negative entry in {entries}", "nonnegative entries"
-            continue
-        rebuilt = _expand(entries, lambda k: (xy[k], x_plus_y[n + 1 - 2 * k]), ("x", "y"))
-        yield n, rebuilt, poly
-
-
-def _mw_shift(ctx: CheckContext, lo: int, hi: int):
-    poly = ctx.provider.poly
-    for n in range(lo, hi + 1):
-        m_table = _uni_table(poly("interior_peak_uni", n))
-        w_table = _uni_table(poly("lr_peak_uni", n))
-        shifted = {k + 1: v for k, v in m_table.items()}
-        yield n, str(dict(sorted(shifted.items()))), str(dict(sorted(w_table.items())))
-        yield n, poly("lr_peak_uni", n), X * poly("interior_peak_uni", n)
-        yield n, poly("lr_peak_biv", n), poly("interior_peak_biv", n)
+def _gamma_side(p, n: int):
+    """The descent polynomial rebuilt from its gamma coefficients, unless one
+    of them is negative."""
+    poly = p.poly("eulerian_biv", n)
+    entries = gamma_from_poly(poly, n)
+    if any(v < 0 for v in entries.values()):
+        return f"negative entry in {entries}", "nonnegative entries"
+    return _expand(entries, gamma_basis(n), ("x", "y")), poly
 
 
 def _refuse_zero(var: str, value: Fraction):
@@ -316,25 +308,6 @@ def _closed_form_at(series: str, family: str, factor: Optional[str] = None):
     return pairs
 
 
-def _david_barton_pde(ctx: CheckContext, lo: int, hi: int):
-    two_x_one_minus_x = parse_poly("2*x - 2*x^2")
-    poly = ctx.provider.poly
-    for n in range(lo, hi + 1):
-        l_n = poly("left_peak_uni", n)
-        l_next = poly("left_peak_uni", n + 1)
-        residue = (
-            two_x_one_minus_x * l_n.partial_derivative("x") + n * (X * l_n) + l_n - l_next
-        )
-        yield n, residue, LaurentPoly.zero()
-    yield 1, poly("interior_peak_uni", 1), LaurentPoly.const(1)
-    for n in range(1, hi + 1):
-        m_n = poly("interior_peak_uni", n)
-        m_next = poly("interior_peak_uni", n + 1)
-        yield n, m_next, two_x_one_minus_x * m_n.partial_derivative("x") + (
-            n * X - X + 2
-        ) * m_n
-
-
 def _david_barton_closed(ctx: CheckContext, lo: int, hi: int):
     x0 = ctx.point("x", Fraction(9, 25))
     with ctx.point_setup("x"):
@@ -364,36 +337,7 @@ def _david_barton_closed(ctx: CheckContext, lo: int, hi: int):
         yield n, lhs, scale_interior * poly("interior_peak_uni", n + 1).evaluate(at_x0)
 
 
-def _petersen(ctx: CheckContext, lo: int, hi: int):
-    poly = ctx.provider.poly
-    one_minus_x = Powers(_ONE_MINUS_X)
-    eulerian: List[LaurentPoly] = []  # each member fetched once, at first use
-    for n in range(lo, hi + 1):
-        lhs = substitute_rational(
-            poly("left_peak_uni", n), "x", _PETERSEN, n, clear=_ONE_PLUS_X
-        )
-        eulerian += [poly("eulerian_uni", k) for k in range(len(eulerian), n + 1)]
-        rhs = sum_of_products(
-            ((comb(n, k) * 2 ** k, one_minus_x[n - k], eulerian[k]) for k in range(n + 1)), ("x",)
-        )
-        yield n, lhs, rhs
-    # bivariate route: multiply the half-sum powers through and compare
-    xy, half_sum, half_diff = Powers(X_OF_XY * Y_OF_XY), Powers(_HALF_SUM), Powers(_HALF_DIFF)
-    for n in range(lo, hi + 1):
-        lhs = _expand(
-            _uni_table(poly("left_peak_uni", n)),
-            lambda k: (xy[k], half_sum[n - 2 * k]),
-            ("x", "y"),
-        )
-        lhs = lhs * Y_OF_XY
-        rhs = sum_of_products(
-            ((comb(n, k), poly("eulerian_biv", k), half_diff[n - k]) for k in range(n + 1)),
-            ("x", "y"),
-        )
-        yield n, lhs, rhs
-
-
-def _hoffman_egf(ctx: CheckContext, lo: int, hi: int):
+def _hoffman_egf(ctx: CheckContext, hi: int):
     gen_p = TruncSeries(ctx.chain("deriv_P", hi))
     q_chain = ctx.chain("deriv_Q", hi)
     a = LaurentPoly.variable("a")
@@ -404,10 +348,10 @@ def _hoffman_egf(ctx: CheckContext, lo: int, hi: int):
     tan = elementary_series("tan", hi)
     cos_minus_xsin = cos - sin * X
     one = TruncSeries.constant(1, hi)
-    yield from _coeff_pairs(gen_p * (one - tan * X), TruncSeries.constant(X, hi) + tan, lo, hi)
-    yield from _coeff_pairs(gen_q * cos_minus_xsin, one, lo, hi)
-    yield from _coeff_pairs(gen_a * cos_minus_xsin, TruncSeries.constant(a, hi), lo, hi)
-    yield from _coeff_pairs(gen_p * cos_minus_xsin, cos * X + sin, lo, hi)
+    yield gen_p * (one - tan * X), TruncSeries.constant(X, hi) + tan
+    yield gen_q * cos_minus_xsin, one
+    yield gen_a * cos_minus_xsin, TruncSeries.constant(a, hi)
+    yield gen_p * cos_minus_xsin, cos * X + sin
 
 
 def _inverse_pattern(ctx: CheckContext, lo: int, hi: int):
@@ -418,34 +362,6 @@ def _inverse_pattern(ctx: CheckContext, lo: int, hi: int):
         half, odd = divmod(m, 2)
         sign = Fraction(-1) ** (half + odd)
         yield m, chain[m], sign * (a_inv_x if odd else a_inv)
-
-
-def _pq_log(ctx: CheckContext, lo: int, hi: int):
-    logged = TruncSeries(ctx.chain("deriv_Q", hi)).log()
-    yield 0, logged.coeffs[0], LaurentPoly.zero()
-    for n in range(1, hi + 1):
-        yield n, logged.coeffs[n], ctx.provider.poly("deriv_P", n - 1)
-
-
-def _beta_exp(ctx: CheckContext, lo: int, hi: int):
-    poly = ctx.provider.poly
-    x, one_plus_x2, two_x = Powers(X), Powers(_ONE_PLUS_X2), Powers(_TWO_X)
-    for n in range(lo, hi + 1):
-        q_n = poly("deriv_Q", n)
-        l_table = _uni_table(poly("left_peak_uni", n))
-        yield n, q_n, _expand(l_table, lambda k: (x[n - 2 * k], one_plus_x2[k]), ("x",))
-    for n in range(1, hi + 1):
-        extracted = sorted(beta_from_poly("Q", poly("deriv_Q", n), n).items())
-        expected = sorted((k, int(v)) for k, v in _uni_table(poly("left_peak_uni", n)).items())
-        yield n, str(extracted), str(expected)
-    for n in range(1, hi + 1):
-        p_n = poly("deriv_P", n)
-        m_table = _uni_table(poly("interior_peak_uni", n))
-        yield n, p_n, _expand(m_table, lambda k: (x[n - 2 * k - 1], one_plus_x2[k + 1]), ("x",))
-    for n in range(1, ctx.oracle_cap() + 1):
-        counts = structures.plane_leaf_counts(n, bound=ctx.oracle_max_n)
-        rebuilt = _expand(counts, lambda k: (two_x[n + 1 - 2 * k], one_plus_x2[k]), ("x",))
-        yield n, poly("deriv_P", n), rebuilt
 
 
 def _beta_grammar(ctx: CheckContext, lo: int, hi: int):
@@ -478,40 +394,12 @@ def _ma_composition(ctx: CheckContext, lo: int, hi: int):
             yield n, lhs.coeffs[m], rhs.coeffs[m]
 
 
-def _springer(ctx: CheckContext, lo: int, hi: int):
-    provider = ctx.provider
-    for n in range(lo, hi + 1):
-        springer = Fraction(provider.number("springer", n))
-        yield n, springer, provider.poly("left_peak_uni", n).evaluate({"x": 2})
-    for n in range(1, hi + 1):
-        p_one = Fraction(provider.number("p_at_one", n))
-        yield n, p_one, 2 * provider.poly("interior_peak_uni", n).evaluate({"x": 2})
-        yield n, p_one, provider.poly("lr_peak_uni", n).evaluate({"x": 2})
-
-
-def _springer_logconvex(ctx: CheckContext, lo: int, hi: int):
-    values = [ctx.provider.number("springer", n) for n in range(hi + 2)]
-    for n in range(lo, hi + 1):
-        yield n, True, values[n] * values[n] <= values[n - 1] * values[n + 1]
-
-
 def _tangent_secant(ctx: CheckContext, lo: int, hi: int):
     tan = elementary_series("tan", hi)
     sec = elementary_series("sec", hi)
     for n in range(lo, hi + 1):
         yield n, LaurentPoly.const(ctx.provider.number("tangent", n)), tan.coeffs[n]
         yield n, LaurentPoly.const(ctx.provider.number("secant", n)), sec.coeffs[n]
-
-
-def _gen_multiplicative(ctx: CheckContext, lo: int, hi: int):
-    a_ax = LaurentPoly.variable("a", ("a", "x"))
-    x_ax = LaurentPoly.variable("x", ("a", "x"))
-    for grammar, f, g in (
-        (eulerian_grammar(), X_OF_XY, Y_OF_XY),
-        (tangent_secant_grammar(), a_ax, x_ax),
-    ):
-        lhs = grammar.gen_coeffs(f * g, hi)
-        yield from _coeff_pairs(lhs, grammar.gen_coeffs(f, hi) * grammar.gen_coeffs(g, hi), lo, hi)
 
 
 class IdentityEntry(NamedTuple):
@@ -528,8 +416,8 @@ class IdentityEntry(NamedTuple):
 
 _MAX = _upto(0)
 _ORACLE = CheckContext.oracle_cap
-_GAMMA_SUB = {"u": X_OF_XY * Y_OF_XY, "v": _HALF_SUM}
-_ANDRE_SUB = {"u": X_OF_XY * Y_OF_XY / 2, "v": _HALF_SUM}
+_GAMMA_SUB = {"u": _XY, "v": _HALF_SUM}
+_ANDRE_SUB = {"u": _XY / 2, "v": _HALF_SUM}
 _TWO_U = {"u": 2 * LaurentPoly.variable("u")}
 _PQQ_SEED = _ONE_PLUS_X2 * LaurentPoly.monomial(("a", "x"), (-2, 0))
 _P_ANDRE_BIV = {"u": _ONE_PLUS_X2 / 2, "v": X}
@@ -540,26 +428,26 @@ _ONE_PLUS_I = make_gaussian(1, 1)
 _ENTRIES = [
     IdentityEntry("andre_eulerian", "scaled 0-1-2-tree polynomials are the descent polynomials under xy=2u, x+y=2v", 1, _MAX, _per_n(lambda p, n: ((2 ** n * p.poly("andre_biv", n)).substitute(_ANDRE_SUB), p.poly("eulerian_biv", n)))),
     IdentityEntry("andre_oracle", "0-1-2-tree family equals its exhaustive tree count and the alternating count", 0, _ORACLE, _vs_oracle("andre_biv", extra=lambda ctx, n, _: (Fraction(ctx.provider.number("euler", n)), Fraction(structures.alternating_count(n, bound=ctx.oracle_max_n))))),
-    IdentityEntry("beta_exp", "derivative polynomials expand over x^j (1+x^2)^k with peak coefficients and plane-tree leaf counts", 0, _MAX, _beta_exp),
+    IdentityEntry("beta_exp", "derivative polynomials expand over x^j (1+x^2)^k with peak coefficients and plane-tree leaf counts", 0, _MAX, _then(_per_n(lambda p, n: (p.poly("deriv_Q", n), _expand(_uni_table(p.poly("left_peak_uni", n)), beta_basis("Q", n), ("x",)))), _per_n(lambda p, n: (str(sorted(beta_from_poly("Q", p.poly("deriv_Q", n), n).items())), str(sorted((k, int(v)) for k, v in _uni_table(p.poly("left_peak_uni", n)).items()))), start=1), _per_n(lambda p, n: (p.poly("deriv_P", n), _expand(_uni_table(p.poly("interior_peak_uni", n)), beta_basis("P", n), ("x",))), start=1), lambda ctx, lo, hi: _per_n(lambda p, n: (p.poly("deriv_P", n), _expand({k: 2 ** (n + 1 - 2 * k) * c for k, c in structures.plane_leaf_counts(n, bound=ctx.oracle_max_n).items()}, beta_basis("Q", n + 1), ("x",))), start=1)(ctx, lo, ctx.oracle_cap()))),
     IdentityEntry("beta_grammar", "the z = x^2 lift of the peak grammar reproduces the left-peak expansion", 0, _MAX, _beta_grammar),
     IdentityEntry("bivariate_gessel", "bivariate left-peak closed form (corrected prefactor) at a radical-rational point", 0, _capped(12), _closed_form_at("bivariate_L", "left_peak_biv", "x"), tuple(RADICAL_CLOSED_FORMS["bivariate_L"])),
-    IdentityEntry("carlitz_scoville", "cross-multiplied exponential form of the descent generating function", 1, _MAX, _carlitz_scoville),
+    IdentityEntry("carlitz_scoville", "cross-multiplied exponential form of the descent generating function", 1, _MAX, _coeffs(_carlitz_scoville)),
     IdentityEntry("david_barton_closed", "cosh(z) closed forms match the peak families at a Pythagorean point (corrected normalization)", 0, _capped(10), _david_barton_closed, ("x",)),
-    IdentityEntry("david_barton_pde", "coefficient recurrences expanded from the peak partial differential equations", 0, _MAX, _david_barton_pde),
+    IdentityEntry("david_barton_pde", "coefficient recurrences expanded from the peak partial differential equations", 0, _MAX, _then(_per_n(lambda p, n: (_TWO_X_ONE_MINUS_X * p.poly("left_peak_uni", n).partial_derivative("x") + (n * X + 1) * p.poly("left_peak_uni", n) - p.poly("left_peak_uni", n + 1), LaurentPoly.zero())), lambda ctx, lo, hi: [(1, ctx.provider.poly("interior_peak_uni", 1), LaurentPoly.const(1))], _per_n(lambda p, n: (p.poly("interior_peak_uni", n + 1), _TWO_X_ONE_MINUS_X * p.poly("interior_peak_uni", n).partial_derivative("x") + (n * X - X + 2) * p.poly("interior_peak_uni", n)), start=1))),
     IdentityEntry("deriv_recurrence", "grammar route equals the analytic recurrences for both derivative families", 0, _MAX, _per_n(lambda p, n: (recurrence_poly("P", n), p.poly("deriv_P", n)), lambda p, n: (recurrence_poly("Q", n), p.poly("deriv_Q", n)))),
     IdentityEntry("dumont_andre", "doubling the leaf weight turns binary-tree polynomials into scaled 0-1-2-tree polynomials", 1, _MAX, _per_n(lambda p, n: (p.poly("dumont", n).substitute(_TWO_U), 2 ** n * p.poly("andre_biv", n)))),
     IdentityEntry("dumont_oracle", "binary-tree family equals both exhaustive tree counts (binary and plane)", 1, _ORACLE, _vs_oracle("dumont", extra=lambda ctx, n, member: (member, structures.dumont_plane_oracle(n, bound=ctx.oracle_max_n)))),
     IdentityEntry("dumont_peak", "binary-tree polynomials at u=x^2, v=y are the interior-peak polynomials", 0, _MAX, _per_n(lambda p, n: (p.poly("dumont", n).substitute(_PEAK_SUB), p.poly("interior_peak_biv", n)))),
     IdentityEntry("euler_complex", "Euler numbers by Gaussian evaluation of the descent polynomials (descent-indexed convention)", 1, _MAX, _per_n(lambda p, n: ((p.poly("eulerian_uni", n).evaluate({"x": _I}) / _I) / _ONE_PLUS_I ** (n - 1), Fraction(p.number("euler", n))))),
-    IdentityEntry("eulerian_egf", "closed-form generating function reproduces the bivariate descent polynomials", 0, _MAX, _eulerian_egf),
+    IdentityEntry("eulerian_egf", "closed-form generating function reproduces the bivariate descent polynomials", 0, _MAX, _coeffs(lambda ctx, hi: [(closed_form_series("eulerian_egf", hi), TruncSeries(ctx.chain("eulerian_biv", hi)))])),
     IdentityEntry("eulerian_oracle", "descent/ascent statistic reproduces the bivariate descent polynomials", 1, _ORACLE, _vs_oracle("eulerian_biv")),
     IdentityEntry("forest_oracle", "planted-forest family equals the exhaustive forest count", 0, _ORACLE, _vs_oracle("planted_forest")),
     IdentityEntry("gamma_eulerian", "binary-tree polynomials substitute to the descent polynomials (u=xy, 2v=x+y)", 1, _MAX, _per_n(lambda p, n: (p.poly("dumont", n).substitute(_GAMMA_SUB), p.poly("eulerian_biv", n)))),
-    IdentityEntry("gamma_expansion", "descent polynomials have nonnegative expansions over (xy)^k (x+y)^{n+1-2k}", 1, _MAX, _gamma_expansion),
-    IdentityEntry("gen_multiplicative", "generating functions multiply: Gen(fg) = Gen(f) Gen(g)", 0, _capped(8), _gen_multiplicative),
+    IdentityEntry("gamma_expansion", "descent polynomials have nonnegative expansions over (xy)^k (x+y)^{n+1-2k}", 1, _MAX, _per_n(_gamma_side)),
+    IdentityEntry("gen_multiplicative", "generating functions multiply: Gen(fg) = Gen(f) Gen(g)", 0, _capped(8), _coeffs(lambda ctx, hi: ((g.gen_coeffs(f * h, hi), g.gen_coeffs(f, hi) * g.gen_coeffs(h, hi)) for g, f, h in ((eulerian_grammar(), X_OF_XY, Y_OF_XY), (tangent_secant_grammar(), LaurentPoly.variable("a", ("a", "x")), LaurentPoly.variable("x", ("a", "x"))))))),
     IdentityEntry("gessel", "left-peak closed form matches the family at a radical-rational point", 0, _MAX, _closed_form_at("gessel_L", "left_peak_uni"), tuple(RADICAL_CLOSED_FORMS["gessel_L"])),
     IdentityEntry("hoffman_conv", "binomial convolutions stepping both derivative families", 0, _upto(-1), _then(_per_n(lambda p, n: (p.poly("deriv_P", n + 1), _conv(p, "deriv_P", "deriv_P", n)), start=1), _per_n(lambda p, n: (p.poly("deriv_Q", n + 1), _conv(p, "deriv_P", "deriv_Q", n))))),
-    IdentityEntry("hoffman_egf", "four cross-multiplied trig generating functions for the derivative families", 0, _MAX, _hoffman_egf),
+    IdentityEntry("hoffman_egf", "four cross-multiplied trig generating functions for the derivative families", 0, _MAX, _coeffs(_hoffman_egf)),
     IdentityEntry("hoffman_PQQ", "the (1+x^2)-weighted square of the secant family steps the tangent family", 0, _upto(-1), _then(lambda ctx, lo, hi: [(0, tangent_secant_grammar().derive(_PQQ_SEED), LaurentPoly.zero())], _per_n(lambda p, n: (p.poly("deriv_P", n + 1), _ONE_PLUS_X2 * _conv(p, "deriv_Q", "deriv_Q", n))))),
     IdentityEntry("inverse_pattern", "period-four sign pattern of the derivative chain on the reciprocal seed", 0, _MAX, _inverse_pattern),
     IdentityEntry("jv_oracles", "derivative families equal their empty-leaf tree and forest counts", 0, _ORACLE, _vs_oracle("deriv_P", "deriv_Q")),
@@ -571,17 +459,17 @@ _ENTRIES = [
     IdentityEntry("M_convolution", "interior-peak family steps by its own self-convolution", 1, _upto(-1), _per_n(lambda p, n: (p.poly("interior_peak_biv", n + 1), _conv(p, "interior_peak_biv", "interior_peak_biv", n)), lambda p, n: (p.poly("interior_peak_uni", n + 1), X * _conv(p, "interior_peak_uni", "interior_peak_uni", n)))),
     IdentityEntry("ma_composition", "scaled derivatives of tan+sec equal tangent-family composition with it", 0, _capped(6), _ma_composition),
     IdentityEntry("mfmy_conv", "shifted self-convolution steps the tangent family by two", 0, _upto(-2), _per_n(lambda p, n: (p.poly("deriv_P", n + 2), 2 * _conv(p, "deriv_P", "deriv_P", n, shift=1)))),
-    IdentityEntry("MW_shift", "left-right-peak counts shift to interior-peak counts; W = x M", 1, _MAX, _mw_shift),
+    IdentityEntry("MW_shift", "left-right-peak counts shift to interior-peak counts; W = x M", 1, _MAX, _per_n(lambda p, n: (str(dict(sorted((k + 1, v) for k, v in _uni_table(p.poly("interior_peak_uni", n)).items()))), str(dict(sorted(_uni_table(p.poly("lr_peak_uni", n)).items())))), lambda p, n: (p.poly("lr_peak_uni", n), X * p.poly("interior_peak_uni", n)), lambda p, n: (p.poly("lr_peak_biv", n), p.poly("interior_peak_biv", n)))),
     IdentityEntry("p_andre", "tangent family from the 0-1-2-tree family by substitution and homogenization", 1, _MAX, _per_n(lambda p, n: (2 ** n * p.poly("andre_biv", n).substitute(_P_ANDRE_BIV), p.poly("deriv_P", n)), lambda p, n: (2 ** n * (X ** (n + 1)) * p.poly("andre_uni", n).substitute(_P_ANDRE_UNI), p.poly("deriv_P", n)))),
     IdentityEntry("p_eulerian_complex", "tangent family by Gaussian clearing of the descent polynomials", 1, _MAX, _per_n(lambda p, n: (substitute_rational(p.poly("eulerian_uni", n), "x", _CAYLEY, n + 1), p.poly("deriv_P", n)))),
     IdentityEntry("peak_L", "left-peak family equals its permutation-statistic count", 0, _ORACLE, _vs_oracle("left_peak_biv")),
     IdentityEntry("peak_M", "interior-peak family equals its permutation-statistic count", 1, _ORACLE, _vs_oracle("interior_peak_biv")),
     IdentityEntry("peak_W", "left-right-peak family equals its permutation-statistic count", 0, _ORACLE, _vs_oracle("lr_peak_biv")),
-    IdentityEntry("petersen", "cleared rational substitution ties the left-peak family to the descent polynomials", 0, _MAX, _petersen),
-    IdentityEntry("pq_log", "log of the secant-family series is the shifted tangent-family series", 0, _MAX, _pq_log),
+    IdentityEntry("petersen", "cleared rational substitution ties the left-peak family to the descent polynomials", 0, _MAX, _then(_per_n(lambda p, n: (substitute_rational(p.poly("left_peak_uni", n), "x", _PETERSEN, n, clear=_ONE_PLUS_X), sum_of_products(((comb(n, k) * 2 ** k, Powers(_ONE_MINUS_X)[n - k], p.poly("eulerian_uni", k)) for k in range(n + 1)), ("x",)))), _per_n(lambda p, n: (_expand(_uni_table(p.poly("left_peak_uni", n)), lambda k: (Powers(_XY)[k], Powers(_HALF_SUM)[n - 2 * k]), ("x", "y")) * Y_OF_XY, sum_of_products(((comb(n, k), p.poly("eulerian_biv", k), Powers(_HALF_DIFF)[n - k]) for k in range(n + 1)), ("x", "y")))))),
+    IdentityEntry("pq_log", "log of the secant-family series is the shifted tangent-family series", 0, _MAX, _coeffs(lambda ctx, hi: [(TruncSeries(ctx.chain("deriv_Q", hi)).log(), TruncSeries([LaurentPoly.zero(), *ctx.chain("deriv_P", hi - 1)]))])),
     IdentityEntry("R_convolution", "seed x+y family steps by convolving with the left-peak family", 0, _upto(-1), _per_n(lambda p, n: (p.poly("R_family", n + 1), _conv(p, "left_peak_biv", "R_family", n)))),
-    IdentityEntry("springer", "Springer numbers via left-peak evaluation at 2; tangent family at 1 via 2 M_n(2) (corrected)", 0, _MAX, _springer),
-    IdentityEntry("springer_logconvex_sanity", "finite log-convexity check of the Springer numbers", 1, _MAX, _springer_logconvex),
+    IdentityEntry("springer", "Springer numbers via left-peak evaluation at 2; tangent family at 1 via 2 M_n(2) (corrected)", 0, _MAX, _then(_per_n(lambda p, n: (Fraction(p.number("springer", n)), p.poly("left_peak_uni", n).evaluate({"x": 2}))), _per_n(lambda p, n: (Fraction(p.number("p_at_one", n)), 2 * p.poly("interior_peak_uni", n).evaluate({"x": 2})), lambda p, n: (Fraction(p.number("p_at_one", n)), p.poly("lr_peak_uni", n).evaluate({"x": 2})), start=1))),
+    IdentityEntry("springer_logconvex_sanity", "finite log-convexity check of the Springer numbers", 1, _MAX, _per_n(lambda p, n: (True, p.number("springer", n) ** 2 <= p.number("springer", n - 1) * p.number("springer", n + 1)))),
     IdentityEntry("stembridge", "cleared rational substitution ties the interior-peak family to the descent polynomials", 1, _MAX, _per_n(lambda p, n: (X * substitute_rational(p.poly("interior_peak_uni", n), "x", _PETERSEN, n - 1, clear=_ONE_PLUS_X), 2 ** (n - 1) * p.poly("eulerian_uni", n)))),
     IdentityEntry("tangent_secant", "family values at 0 are the tangent and secant numbers", 0, _MAX, _tangent_secant),
 ]

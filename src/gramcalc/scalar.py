@@ -205,9 +205,15 @@ def scalar_from_json(payload) -> Scalar:
     return _rational_from_json(payload)
 
 
+def exponent_notation(text: str) -> bool:
+    """Whether a rational's text uses exponent notation, which readers refuse:
+    Fraction("1e10000000") would build 10^10^7 before any check."""
+    return "e" in text.lower()
+
+
 def _rational_from_json(payload) -> Fraction:
     if isinstance(payload, str):
-        if "e" in payload.lower():  # "1e10000000" would build 10^10^7 before any check
+        if exponent_notation(payload):
             raise ParseError(f"bad scalar {payload!r}: exponent notation", 0)
         try:
             return Fraction(payload)

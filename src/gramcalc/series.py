@@ -170,6 +170,8 @@ class TruncSeries:
 # -- elementary series --------------------------------------------------------
 
 ELEMENTARY_NAMES = ("exp", "sin", "cos", "tan", "sec", "sinh", "cosh", "log1p")
+# name -> EGF coefficients of f(t), repeating mod the pattern's length
+_PATTERNS = {"exp": (1,), "sin": (0, 1, 0, -1), "cos": (1, 0, -1, 0), "sinh": (0, 1), "cosh": (1, 0)}
 
 
 def elementary_series(name: str, order: int, scale=1) -> TruncSeries:
@@ -177,22 +179,9 @@ def elementary_series(name: str, order: int, scale=1) -> TruncSeries:
     if order < 0:
         raise ValueError("order must be nonnegative")
     powers = Powers(_as_poly(scale), ())
-
-    def from_pattern(pattern):
-        return TruncSeries(
-            [powers[n] * pattern[n % len(pattern)] for n in range(order + 1)]
-        )
-
-    if name == "exp":
-        return TruncSeries([powers[n] for n in range(order + 1)])
-    if name == "sin":
-        return from_pattern([Fraction(0), Fraction(1), Fraction(0), Fraction(-1)])
-    if name == "cos":
-        return from_pattern([Fraction(1), Fraction(0), Fraction(-1), Fraction(0)])
-    if name == "sinh":
-        return from_pattern([Fraction(0), Fraction(1)])
-    if name == "cosh":
-        return from_pattern([Fraction(1), Fraction(0)])
+    if name in _PATTERNS:
+        pattern = _PATTERNS[name]
+        return TruncSeries([powers[n] * pattern[n % len(pattern)] for n in range(order + 1)])
     if name == "tan":
         return elementary_series("sin", order, scale) / elementary_series(
             "cos", order, scale

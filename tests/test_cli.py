@@ -150,6 +150,12 @@ def test_check_refuses_a_vacuous_radical_point(capsys, name):
         (["series", "gessel_L", "--order", "2", "--at", "y=1"], "gessel_L reads x, not 'y'"),
         (["series", "bivariate_L", "--order", "2", "--at", "z=1"], "bivariate_L reads x, y, not 'z'"),
         (["series", "gessel_L", "--at", "x=1/3,y=1"], "gessel_L reads x, not 'y'"),
+        # Fraction reads exponent notation, but 10^5000 cannot be printed in a
+        # report and 10^10^7 takes seconds to build; the JSON reader refuses it too
+        (["check", "gessel", "--points", "x=1e5000"], "'x' = '1e5000': exponent notation is refused"),
+        (["check", "all", "--points", "gessel.x=1e5000"], "exponent notation is refused"),
+        (["check", "gessel", "--points", "x=3E-1"], "exponent notation is refused"),
+        (["series", "gessel_L", "--at", "x=1e10000000"], "exponent notation is refused"),
     ],
 )
 def test_unread_or_repeated_points_exit_2(capsys, argv, message):
@@ -166,6 +172,17 @@ def test_zero_denominator_point_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: 'x' = '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize("name", ["bivariate_gessel", "L_squared_egf"])
+def test_point_setup_value_error_is_input_error(capsys, name):
+    # y^2 - x^2 has 5,001 digits, past what str() of an int allows, so the
+    # radical's refusal message cannot be formatted: the point is unusable
+    x, y = "1" + "0" * 2500, "2" + "0" * 2500
+    code, out, err = run_cli(capsys, "check", name, "--points", f"x={x},y={y}")
+    assert code == 2
+    assert "fail" not in out and out.startswith(f"invalid {name} ")
+    assert err.startswith(f"error: {name}: invalid point x={x},y={y}: ValueError: ")
 
 
 def test_scoped_points_for_unselected_identities_are_allowed(capsys):

@@ -7,6 +7,10 @@ the member gains the monomial with every exponent 1 (key `family@n`, each
 family at n = 0..3), or the member is doubled, a zero member becoming 1 (key
 `family@n*2`, each family at n = 3).  Timings are dropped; everything else
 must match exactly, including which disagreement a check reports first.
+
+`tests/data/identity_witnesses_small.json` holds the same table for
+`run_all(max_n=m, oracle_max_n=min(m, 4))`, m = 1 and 2, keyed by m: there
+the sub-block starts and lead pairs at n = 1 are the whole range.
 """
 
 import json
@@ -17,6 +21,7 @@ from gramcalc.identities import GrammarFamilies, run_all
 from gramcalc.laurent import LaurentPoly
 
 GOLDEN = Path(__file__).parent / "data" / "identity_witnesses.json"
+SMALL = Path(__file__).parent / "data" / "identity_witnesses_small.json"
 
 
 def _plus_monomial(poly):
@@ -46,9 +51,9 @@ class _Corrupted(GrammarFamilies):
         return poly
 
 
-def _reports(provider=None, failing_only=False):
+def _reports(provider=None, failing_only=False, max_n=6):
     out = []
-    for report in run_all(max_n=6, oracle_max_n=4, provider=provider):
+    for report in run_all(max_n=max_n, oracle_max_n=min(max_n, 4), provider=provider):
         if failing_only and report.passed:
             continue
         payload = report.to_json()
@@ -57,11 +62,11 @@ def _reports(provider=None, failing_only=False):
     return out
 
 
-def witness_table() -> dict:
+def witness_table(max_n=6) -> dict:
     return {
-        "clean": _reports(),
+        "clean": _reports(max_n=max_n),
         "faults": {
-            key: _reports(_Corrupted(family, n, fault), failing_only=True)
+            key: _reports(_Corrupted(family, n, fault), failing_only=True, max_n=max_n)
             for key, family, n, fault in FAULTS
         },
     }
@@ -74,3 +79,14 @@ def test_witnesses_match_golden():
     assert actual["faults"].keys() == expected["faults"].keys()
     for key, reports in expected["faults"].items():
         assert actual["faults"][key] == reports, key
+
+
+def test_small_range_witnesses_match_golden():
+    expected = json.loads(SMALL.read_text())
+    assert expected.keys() == {"1", "2"}
+    for m, table in expected.items():
+        actual = witness_table(int(m))
+        assert actual["clean"] == table["clean"], m
+        assert actual["faults"].keys() == table["faults"].keys()
+        for key, reports in table["faults"].items():
+            assert actual["faults"][key] == reports, (m, key)
