@@ -11,6 +11,8 @@ deterministic for fixed inputs; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -352,6 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # freeze the heap at exit rather than let finalization sweep it: the OS
+    # takes the memory back, and no gramcalc object has a finalizer.  Once per
+    # process, first, so usage errors too; hooks registered earlier run after.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

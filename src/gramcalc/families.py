@@ -98,12 +98,12 @@ def _over_a(*variables: str):
 
 def _peaks(kind: str, lowest: int, at_zero: str | None = None):
     """Read-out onto x^k: x^a y^b with a = lowest + 2k and b = n + 1 - a gives
-    x^k, and any other term raises ValueError.  Member 0 is at_zero if given."""
-    zero = None if at_zero is None else parse_poly(at_zero, ("x",))
+    x^k, and any other term raises ValueError.  Member 0 is at_zero if given,
+    parsed on its first read (_READS keeps it), so importing parses nothing."""
 
     def read(poly: LaurentPoly, n: int) -> LaurentPoly:
-        if n == 0 and zero is not None:
-            return zero
+        if n == 0 and at_zero is not None:
+            return parse_poly(at_zero, ("x",))
 
         def k_of(exps):
             by_var = dict(zip(poly.vars, exps))

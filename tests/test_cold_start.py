@@ -31,26 +31,33 @@ def _python(*args: str, path: Path = SRC) -> subprocess.CompletedProcess:
 
 
 # Modules already loaded when the script starts are the bare interpreter's;
-# every open() is seen by an audit hook.
+# every open() is seen by an audit hook, and every re.compile by a spy.
 _IMPORT_PROBE = r"""
-import sys
+import re, sys
 bare = set(sys.modules)
 opened = []
 sys.addaudithook(lambda event, args: event == "open" and opened.append(str(args[0])))
+compiled, compile = [], re.compile
+re.compile = lambda pattern, flags=0: compiled.append(pattern) or compile(pattern, flags)
 import gramcalc.cli
 loaded = sorted(set(sys.modules) - bare)
 read_at_import = [p for p in opened if p.endswith("errata.json")]
+from gramcalc.laurent import _FACTOR
+factor_at_import = _FACTOR in compiled
 import gramcalc
 unresolved = [name for name in gramcalc.__all__ if not hasattr(gramcalc, name)]
 read_on_access = [p for p in opened if p.endswith("errata.json")]
-print(repr((loaded, read_at_import, read_on_access, unresolved)))
+print(repr((loaded, read_at_import, read_on_access, unresolved, factor_at_import)))
 """
 
 
 def test_cli_import_is_lean_and_errata_read_on_access():
     result = _python("-c", _IMPORT_PROBE)
     assert result.returncode == 0, result.stderr
-    loaded, read_at_import, read_on_access, unresolved = ast.literal_eval(result.stdout)
+    loaded, read_at_import, read_on_access, unresolved, factor_at_import = ast.literal_eval(
+        result.stdout
+    )
+    assert not factor_at_import  # no polynomial is parsed at import
     assert "gramcalc.cli" in loaded
     assert "gramcalc.identities" not in loaded
     assert "dataclasses" not in loaded
@@ -76,6 +83,49 @@ def test_package_import_loads_no_submodule_and_cli_import_no_json():
     package, json_loaded = ast.literal_eval(result.stdout)
     assert package == ["gramcalc"]  # no gramcalc.* submodule, and no fractions
     assert not json_loaded
+
+
+# gc.freeze counts its calls; a hook registered before main runs after any
+# hook main registers (atexit is last-in first-out) and reports the count.
+_EXIT_PROBE = r"""
+import atexit, gc, os, sys
+freezes, freeze = [], gc.freeze
+gc.freeze = lambda: freezes.append(None) or freeze()
+atexit.register(lambda: os.write(1, f"freezes={len(freezes)}\n".encode()))
+before = atexit._ncallbacks()
+from gramcalc import cli
+print(f"registered at import: {atexit._ncallbacks() - before}", flush=True)
+for argv in sys.argv[1:]:
+    try:
+        code = cli.main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    print(f"{argv}: {code}", flush=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "calls, expected",
+    [
+        ((), ["registered at import: 0", "freezes=0"]),
+        (
+            ("family dumont --n 1", "family dumont"),
+            [
+                "registered at import: 0",
+                "u",
+                "family dumont --n 1: 0",
+                "family dumont: 2",
+                "freezes=1",
+            ],
+        ),
+    ],
+    ids=["import only", "a call and a usage error"],
+)
+def test_main_freezes_the_heap_once_at_exit(calls, expected):
+    # `family dumont` lacks --n: argparse raises SystemExit
+    result = _python("-c", _EXIT_PROBE, *calls)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == expected
 
 
 def test_public_names_resolve_to_their_defining_modules():
