@@ -485,10 +485,11 @@ class LaurentPoly:
         the quotient are scaled by an int first, and the scale goes into the
         result's denominator.  Raises InsufficientClearing when the division
         is not exact, and ExponentOverflow when a quotient term leaves the
-        exponent range.  Int numerators first run the same walk mod a prime p
-        that divides neither the divisor's leading coefficient nor a den: an
-        exact division leaves no remainder mod p either, so a remainder there
-        is refused before the exact walk can grow one coefficient by coefficient.
+        exponent range.  The same walk runs first mod a prime p that divides
+        neither the divisor's leading coefficient nor a den, a Gaussian
+        numerator read with i as a square root of -1 mod p: an exact division
+        leaves no remainder mod p either, so a remainder there is refused
+        before the exact walk can grow one coefficient by coefficient.
         """
         if divisor.is_zero():
             raise DivisionByZero("exact division by the zero polynomial")
@@ -498,7 +499,6 @@ class LaurentPoly:
         k = len(variables)
         zero_key = _zero_key(k)
         pair = _is_pair(a._packed) or _is_pair(b._packed)
-        zero = (0, 0) if pair else 0
         nums_a = _pairs(a._packed) if pair else a._packed
         den = _pairs(b._packed) if pair else b._packed
         exps_a, exps_b = _unpacked(nums_a, k), _unpacked(den, k)
@@ -517,13 +517,15 @@ class LaurentPoly:
 
         def walk(p):
             """(quotient, scale) with self / divisor == quotient * b.den /
-            (a.den * scale), every numerator taken mod p if p is not None."""
+            (a.den * scale), every numerator taken mod p (_residue) if p is not None."""
+            gaussian = pair and p is None
+            zero = (0, 0) if gaussian else 0
             if p is None:
                 rem, terms, inverse = dict(nums_a), den_terms, None
             else:  # terms that vanish mod p dropped: only a present term then cancels
-                rem = {key: n % p for key, n in nums_a.items() if n % p}
-                terms = [(key, n % p, deg) for key, n, deg in den_terms if n % p]
-                inverse = pow(lead_den_coeff, -1, p)
+                rem = {key: r for key, n in nums_a.items() if (r := _residue(n, p))}
+                terms = [(key, r, deg) for key, n, deg in den_terms if (r := _residue(n, p))]
+                inverse = pow(_residue(lead_den_coeff, p), -1, p)
             pending = list(heap)  # entries for terms that vanish mod p are stale
             quotient: Dict[int, object] = {}
             scale = 1
@@ -554,7 +556,7 @@ class LaurentPoly:
                 for key, n, deg in terms:
                     key += q
                     old = rem.get(key)
-                    if pair:
+                    if gaussian:
                         (qr, qi), (dr, di), (r0, i0) = q_coeff, n, old or zero
                         value = (r0 - qr * dr + qi * di, i0 - qr * di - qi * dr)
                     else:
@@ -573,7 +575,7 @@ class LaurentPoly:
                     rem[key] = value
             return quotient, scale
 
-        primes = () if pair else [p for p in _PRIMES if lead_den_coeff % p and a.den % p and b.den % p]
+        primes = [p for p in _PRIMES if _residue(lead_den_coeff, p) and a.den % p and b.den % p]
         if primes:
             walk(primes[0])
         quotient, scale = walk(None)
@@ -676,8 +678,15 @@ _WIDTH = 22
 _MASK = (1 << _WIDTH) - 1
 _BIAS = 1 << (_WIDTH - 1)
 _LIMIT = 1 << (_WIDTH - 2)
-# word-size primes for exact_divide's walk mod p
-_PRIMES = ((1 << 61) - 1, (1 << 31) - 1)
+# word-size primes p = 1 mod 4 for exact_divide's walk mod p, and a square
+# root of -1 mod each, the image of i there
+_PRIMES = ((1 << 64) - 59, 998244353)
+_I_MOD = dict(zip(_PRIMES, (2296021864060584341, 911660635)))
+
+
+def _residue(n, p: int) -> int:
+    """An int numerator mod p, or an (re, im) pair's re + im * i mod p."""
+    return n % p if type(n) is int else (n[0] + n[1] * _I_MOD[p]) % p
 
 
 @cache

@@ -179,15 +179,13 @@ def gaussian_value(match) -> Scalar:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Inverse of render_scalar."""
+    """Inverse of render_scalar; a rational is read as the JSON readers read
+    one, so exponent notation is a ParseError."""
     text = text.strip()
     match = _re.fullmatch(GAUSSIAN, text)  # compiled on first use, not at import
     if match:
         return gaussian_value(match)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad scalar {text!r}: {exc}", 0) from None
+    return _rational_from_json(text)
 
 
 def scalar_to_json(value: Scalar):

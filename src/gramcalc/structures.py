@@ -24,8 +24,8 @@ import functools
 import itertools
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import chain, repeat, starmap
-from operator import gt, or_
+from itertools import chain
+from operator import gt
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import BoundExceeded, NotAPermutation, UnknownFamily
@@ -292,11 +292,15 @@ def jv_empty_leaves(tree) -> int:
 # labels, memoized per walker for the process (_size_keyed), so each size is
 # walked once.  A forest splits alike into the block of its first label and a
 # forest on the rest (_forest_pairs), in another order than _forests lists
-# them.  The top size is never listed: _tally counts one root split at a time.
-# Every structure is visited once, by one C-level byte write; none is built.
-# A structure on m labels has at most m + 1 leaves, and byte 255 marks a sum
-# that did not fit, so the tally is exact up to _BYTE_LABELS labels and
-# raises rather than wrap.
+# them.  A permutation L 1 R splits around its least entry as an increasing
+# binary tree does at its root, and each of its statistics is one of L's plus
+# one of R's plus a term in len(L) (_root_split_pairs).  The top size is never
+# listed: _tally counts one root split at a time.  _made makes the bytes of
+# each distinct (left, right) pair once per call, so splits of equal sizes
+# share one bytes object, and each split's bytes are counted on their own;
+# no structure is built.  A statistic of a structure on m labels is at most
+# m + 1, and byte 255 marks a sum that did not fit, so the tally is exact up
+# to _BYTE_LABELS labels and raises rather than wrap.
 
 _BYTE_LABELS = 253
 
@@ -332,9 +336,18 @@ def _split_bytes(left: bytes, right: bytes) -> bytes:
 
 # walker -> its stats, and (walker, m) -> the tally of the structures on m
 # labels: each is published whole, and setdefault hands every racing caller
-# the first value stored, as in _PERM_HISTOGRAMS
+# the first value stored
 _SIZE_KEYED: Dict[Callable, Callable[[int], bytes]] = {}
 _TALLIES: Dict[Tuple[Callable, int], Dict[int, int]] = {}
+
+
+def _made(pairs: list) -> List[bytes]:
+    """_split_bytes of each (left, right) pair, made once per distinct pair."""
+    made: Dict[Tuple[bytes, bytes], bytes] = {}
+    for pair in pairs:
+        if pair not in made:
+            made[pair] = _split_bytes(*pair)
+    return [made[pair] for pair in pairs]
 
 
 def _size_keyed(pairs) -> Callable[[int], bytes]:
@@ -346,7 +359,7 @@ def _size_keyed(pairs) -> Callable[[int], bytes]:
 
         def stats(m: int) -> bytes:
             if m not in memo:
-                memo.setdefault(m, b"".join(starmap(_split_bytes, pairs(m, stats))))
+                memo.setdefault(m, b"".join(_made(pairs(m, stats))))
             return memo[m]
 
         stats = _SIZE_KEYED.setdefault(pairs, stats)
@@ -362,8 +375,7 @@ def _tally(pairs, m: int) -> Dict[int, int]:
     if tally is None:
         stats = _size_keyed(pairs)
         tally = {}
-        for pair in pairs(m, stats):
-            split = _split_bytes(*pair)
+        for split in _made(pairs(m, stats)):
             while split:  # the first byte is the first value not yet counted
                 tally[split[0]] = tally.get(split[0], 0) + split.count(split[0])
                 split = split.translate(None, split[:1])
@@ -371,14 +383,20 @@ def _tally(pairs, m: int) -> Dict[int, int]:
     return dict(tally)
 
 
-def _root_split_pairs(small):
-    """Walker of the trees whose root has an ordered (left, right) pair of
-    subtrees, one per _subsets split; small[m] lists the leaf counts for m < 2."""
+def _root_split_pairs(small, left=None, right=None, extra=None):
+    """Walker of the structures on [m] that split at their root (a tree's, or a
+    permutation's least entry) into an ordered (left, right) pair, one per
+    _subsets split of the m - 1 other labels, left taking the chosen ones.  A
+    structure's value is left's value of its left part, plus extra(its size)
+    if extra is given, plus right's value of its right part; left and right
+    are walkers, None for this one.  small[m] lists the values for m < 2."""
 
     def pairs(m: int, stats) -> list:
         if m < 2:
             return [(small[m], b"\x00")]
-        return [(stats(a), stats(b)) for a, b, _ in _splits(m - 1)]
+        lefts, rights = (stats if walker is None else _size_keyed(walker) for walker in (left, right))
+        lefts = [lefts(a).translate(_shifts()[extra(a)]) if extra else lefts(a) for a in range(m)]
+        return [(lefts[a], rights(b)) for a, b, _ in _splits(m - 1)]
 
     return pairs
 
@@ -418,6 +436,23 @@ def _forest_pairs(tree_pairs):
     return pairs
 
 
+# the permutation statistics, with sigma_0 = sigma_{n+1} = 0 and a = len(L).
+# The peaks (lrpk) are the leaves of the increasing binary tree whose in-order
+# reading is the permutation, so _binary_pairs walks them: lrpk = lrpk(L) +
+# lrpk(R), 1 on one entry.  des = des(L) + des(R) + [a > 0]; lpk = lrpk(L) +
+# lpk(R); rpk (peaks but at the first position) = rpk(L) + lrpk(R); ipk =
+# rpk(L) + lpk(R).  down and up are 0 exactly on the down-up and up-down
+# alternating permutations: down = down(L) + down(R) + [a even], up = up(L) +
+# down(R) + [a odd].
+_ZERO = (b"\x00", b"\x00")
+_des_pairs = _root_split_pairs(_ZERO, extra=lambda a: a > 0)
+_lpk_pairs = _root_split_pairs(_ZERO, _binary_pairs)
+_rpk_pairs = _root_split_pairs(_ZERO, None, _binary_pairs)
+_ipk_pairs = _root_split_pairs(_ZERO, _rpk_pairs, _lpk_pairs)
+_down_pairs = _root_split_pairs(_ZERO, extra=lambda a: 1 - a % 2)
+_up_pairs = _root_split_pairs(_ZERO, None, _down_pairs, lambda a: a % 2)
+
+
 def _one_child(pairs, n: int) -> Dict[Tuple[int, int], int]:
     """(leaves, one-child) tally of the trees on n >= 1 labels that pairs walks."""
     return {(f0, n + 1 - 2 * f0): count for f0, count in _tally(pairs, n).items()}
@@ -433,84 +468,14 @@ def _poly_from_counter(variables, counter: Dict[Tuple[int, ...], int]) -> Lauren
     return LaurentPoly(variables, {e: Fraction(c) for e, c in counter.items()})
 
 
-_PermStats = namedtuple("_PermStats", "des asc lpk ipk lrpk alternating")
-# n -> ((stats, count), ...); only finished tuples are published
-_PERM_HISTOGRAMS: Dict[int, Tuple[Tuple[_PermStats, int], ...]] = {}
-
-
-def _word_stats(n: int, word: int) -> _PermStats:
-    """Statistics of any permutation of [n] whose up-down word is word.
-
-    Bit n - 2 - i of word is sigma_{i+1} > sigma_{i+2}, so the first
-    comparison is the top bit; the padding sigma_0 = sigma_{n+1} = 0 adds a
-    leading ascent and a trailing descent.
-    """
-    downs = [word >> i & 1 for i in range(n - 2, -1, -1)]
-    steps = (0, *downs, 1)
-    peaks = [i for i in range(1, n + 1) if not steps[i - 1] and steps[i]]
-    des = sum(downs)
-    return _PermStats(
-        des,
-        len(downs) - des,
-        sum(i < n for i in peaks),
-        sum(1 < i < n for i in peaks),
-        len(peaks),
-        all(down == i % 2 for i, down in enumerate(downs)),
-    )
-
-
-# the largest size whose up-down words _perm_words lists: its 9! words
-# are below 256, so the lists hold only the interpreter's shared small ints
-_LISTED_WORDS = 9
-
-
-def _first_entry_words(n: int, j: int, listed: List[List[int]]) -> Iterator[int]:
-    """The up-down words of the permutations of [n] that start with j, in
-    lexicographic order; listed[f - 1] lists those of [len(listed)] that start
-    with f, for some len(listed) < n.  Past its first entry j such a
-    permutation is one of [n - 1] renumbered, starting with some f, and it
-    starts with a descent exactly when f < j."""
-    top = 1 << n - 2
-    subs = listed if n - 1 == len(listed) else (_first_entry_words(n - 1, f, listed) for f in range(1, n))
-    return chain.from_iterable(map(or_, w, repeat(top)) if f < j else w for f, w in enumerate(subs, 1))
-
-
-def _perm_words(n: int) -> Counter:
-    """Tally of the up-down words of the permutations of [n], each visited once
-    in itertools.permutations order.  The words are made by first entry from
-    those of the sizes below n, listed up to _LISTED_WORDS; the top size is
-    never listed but fed straight to the tally, so through n = _LISTED_WORDS + 1
-    each permutation costs one C-level or and count."""
-    listed = [[0]]  # the one permutation of [1] (and of [0])
-    for m in range(2, min(n, _LISTED_WORDS + 1)):
-        listed = [list(_first_entry_words(m, j, listed)) for j in range(1, m + 1)]
-    groups = (_first_entry_words(n, j, listed) for j in range(1, n + 1)) if n > 1 else listed
-    return Counter(chain.from_iterable(groups))
-
-
-def _perm_histogram(n: int) -> Tuple[Tuple[_PermStats, int], ...]:
-    """Joint statistics of every permutation of [n], cached per n.
-
-    Every permutation is visited once and tallied by its up-down word
-    (_perm_words, at most 2^(n-1) classes); the statistics are derived once
-    per word.
-    """
-    histogram = _PERM_HISTOGRAMS.get(n)
-    if histogram is None:
-        tally: Counter = Counter()
-        for word, count in _perm_words(n).items():
-            tally[_word_stats(n, word)] += count
-        histogram = _PERM_HISTOGRAMS.setdefault(n, tuple(tally.items()))
-    return histogram
-
-
-def _perm_tally(exponents) -> Callable[[int], Counter]:
-    """tally(n): the permutations of [n] counted by exponents(n, stats) of their weight."""
+def _perm_tally(pairs, exponents) -> Callable[[int], Counter]:
+    """tally(n): the permutations of [n] counted by exponents(n, k) of their
+    weight, k the statistic that pairs walks."""
 
     def tally(n: int) -> Counter:
         counter: Counter = Counter()
-        for stats, count in _perm_histogram(n):
-            counter[exponents(n, stats)] += count
+        for k, count in _tally(pairs, n).items():
+            counter[exponents(n, k)] += count
         return counter
 
     return tally
@@ -536,14 +501,14 @@ _Oracle = namedtuple("_Oracle", "variables least_n tally at", defaults=(None,))
 # seed conventions), the tally of the weight exponents of the structures on
 # [n], and the point, if any, at which the tallied polynomial is read
 _ORACLES = {
-    "eulerian_biv": _Oracle(XY, 1, _perm_tally(lambda n, r: (r.des + 1, r.asc + 1))),
-    "eulerian_uni": _Oracle(("x",), 1, _perm_tally(lambda n, r: (r.des + 1,))),
-    "left_peak_biv": _Oracle(XY, 0, _perm_tally(lambda n, r: (2 * r.lpk + 1, n - 2 * r.lpk))),
-    "left_peak_uni": _Oracle(("x",), 0, _perm_tally(lambda n, r: (r.lpk,))),
-    "interior_peak_biv": _Oracle(XY, 1, _perm_tally(lambda n, r: (2 * r.ipk + 2, n - 2 * r.ipk - 1))),
-    "interior_peak_uni": _Oracle(("x",), 1, _perm_tally(lambda n, r: (r.ipk,))),
-    "lr_peak_biv": _Oracle(XY, 0, _perm_tally(lambda n, r: (2 * r.lrpk, n - 2 * r.lrpk + 1))),
-    "lr_peak_uni": _Oracle(("x",), 0, _perm_tally(lambda n, r: (r.lrpk,))),
+    "eulerian_biv": _Oracle(XY, 1, _perm_tally(_des_pairs, lambda n, des: (des + 1, n - des))),
+    "eulerian_uni": _Oracle(("x",), 1, _perm_tally(_des_pairs, lambda n, des: (des + 1,))),
+    "left_peak_biv": _Oracle(XY, 0, _perm_tally(_lpk_pairs, lambda n, lpk: (2 * lpk + 1, n - 2 * lpk))),
+    "left_peak_uni": _Oracle(("x",), 0, _perm_tally(_lpk_pairs, lambda n, lpk: (lpk,))),
+    "interior_peak_biv": _Oracle(XY, 1, _perm_tally(_ipk_pairs, lambda n, ipk: (2 * ipk + 2, n - 2 * ipk - 1))),
+    "interior_peak_uni": _Oracle(("x",), 1, _perm_tally(_ipk_pairs, lambda n, ipk: (ipk,))),
+    "lr_peak_biv": _Oracle(XY, 0, _perm_tally(_binary_pairs, lambda n, lrpk: (2 * lrpk, n - 2 * lrpk + 1))),
+    "lr_peak_uni": _Oracle(("x",), 0, _perm_tally(_binary_pairs, lambda n, lrpk: (lrpk,))),
     "R_family": _Oracle(
         XY, 0, lambda n: _ORACLES["left_peak_biv"].tally(n) + _ORACLES["lr_peak_biv"].tally(n)
     ),
@@ -591,7 +556,7 @@ def plane_leaf_counts(n: int, bound: int | None = None) -> Dict[int, int]:
 def alternating_count(n: int, bound: int | None = None) -> int:
     """Number of up-down alternating permutations of [n]."""
     _check_bound(n, bound)
-    return sum(count for stats, count in _perm_histogram(n) if stats.alternating)
+    return _tally(_up_pairs, n).get(0, 0)
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -623,11 +588,7 @@ _Kind = namedtuple("_Kind", "enumerate count json")
 # kind -> enumerator over the labels 1..n, its count over n by the size-keyed
 # walker, JSON codec of one structure
 _KINDS = {
-    "permutations": _Kind(
-        itertools.permutations,
-        lambda n: sum(count for _, count in _perm_histogram(n)),
-        list,
-    ),
+    "permutations": _Kind(itertools.permutations, lambda n: sum(_tally(_binary_pairs, n).values()), list),
     "inc_binary": _Kind(
         lambda labels: inc_binary_trees(labels) if labels else (),
         lambda n: sum(_tally(_binary_pairs, n).values()) if n else 0,

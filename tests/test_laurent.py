@@ -252,6 +252,19 @@ def test_inexact_division_is_refused_without_growing_the_remainder():
     assert time.perf_counter() - start < 1
 
 
+def test_inexact_gaussian_division_is_refused_mod_p():
+    # i goes to a square root of -1 mod each prime, so a Gaussian division
+    # walks mod p first as well; the exact walk alone took about 8 s here
+    divisor = parse_poly("(2+1*i)*x + 3")
+    start = time.perf_counter()
+    with pytest.raises(InsufficientClearing):
+        parse_poly("(2+1*i)*x^-4096 + (2+1*i)").exact_divide(divisor)
+    assert time.perf_counter() - start < 1
+    quotient = parse_poly("x^2 - (1+1*i)*x + 1/3")
+    assert (divisor * quotient).exact_divide(divisor) == quotient
+    assert (divisor * quotient).exact_divide(quotient) == divisor
+
+
 def test_exact_divide_past_the_walk_mod_p():
     p, q = _PRIMES
     # numerators that vanish mod p: x^2 - p^2 is x^2 there, and x - p is x

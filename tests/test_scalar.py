@@ -62,6 +62,18 @@ def test_parse_errors():
 
 
 @pytest.mark.parametrize("read", [parse_scalar, as_scalar])
+@pytest.mark.parametrize("text", ["1e5", " 2E-3 ", "1e300000"])
+def test_exponent_notation_is_a_parse_error(read, text):
+    # as in the JSON readers: "1e300000" would build a 996,579-bit int first
+    with pytest.raises(ParseError, match="exponent notation"):
+        read(text)
+
+
+def test_rational_literals_still_read():
+    assert [parse_scalar(t) for t in ("3/4", " 0.5 ", "-2")] == [Fraction(3, 4), Fraction(1, 2), -2]
+
+
+@pytest.mark.parametrize("read", [parse_scalar, as_scalar])
 @pytest.mark.parametrize("text", ["(1+1/0*i)", "(1/0+2*i)", " (0/0-1*i) "])
 def test_zero_denominator_in_a_gaussian_literal_is_a_parse_error(read, text):
     with pytest.raises(ParseError, match="bad scalar"):

@@ -4,7 +4,6 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import factorial
-from operator import gt
 
 import pytest
 
@@ -15,14 +14,19 @@ from gramcalc.laurent import LaurentPoly, parse_poly
 from gramcalc.structures import (
     STRUCTURE_KINDS,
     _binary_pairs,
+    _des_pairs,
+    _down_pairs,
     _forest_pairs,
+    _ipk_pairs,
     _jv_pairs,
+    _lpk_pairs,
     _pairs_012,
-    _perm_histogram,
-    _perm_words,
+    _perm_tally,
+    _rpk_pairs,
     _size_keyed,
     _splits,
     _tally,
+    _up_pairs,
     alternating_count,
     binary_degree_counts,
     count_structures,
@@ -399,6 +403,12 @@ _WALKERS = {
     "tree_012": _pairs_012(False),
     "jv_forest": _forest_pairs(_jv_pairs),
     "planted_forest": _forest_pairs(_binary_pairs),
+    "perm_des": _des_pairs,
+    "perm_lpk": _lpk_pairs,
+    "perm_rpk": _rpk_pairs,
+    "perm_ipk": _ipk_pairs,
+    "perm_down": _down_pairs,
+    "perm_up": _up_pairs,
 }
 
 
@@ -452,46 +462,78 @@ def test_second_run_all_walks_no_tree_size(monkeypatch):
     assert calls == []
 
 
-def test_perm_histogram_matches_joint_perm_stats_tally():
-    # the empty permutation: no descents, ascents or peaks, vacuously alternating
-    assert _perm_histogram(0) == (((0, 0, 0, 0, 0, True), 1),)
+def _perm_references(perm):
+    """Each permutation walker's statistic of perm, read off perm_stats; the
+    alternation walkers by whether they are nonzero."""
+    record = perm_stats(perm)
+    complement = tuple(len(perm) + 1 - v for v in perm)  # down-up exactly when perm is
+    return {
+        _des_pairs: record.des,
+        _binary_pairs: record.lrpk,  # the leaves of the in-order binary tree
+        _lpk_pairs: record.lpk,
+        _rpk_pairs: record.lrpk - (len(perm) == 1 or perm[0] > perm[1]),
+        _ipk_pairs: record.ipk,
+        _down_pairs: not perm_stats(complement).alternating,
+        _up_pairs: not record.alternating,
+    }
+
+
+def _in_order(tree):
+    """The permutation an increasing binary tree reads in order."""
+    if tree is None:
+        return ()
+    label, left, right = tree
+    return _in_order(left) + (label,) + _in_order(right)
+
+
+def _as_reference(walker, references, k):
+    """A walker's value k as references reads it: the alternation walkers by
+    whether it is nonzero."""
+    return bool(k) if type(references[walker]) is bool else k
+
+
+def test_permutation_walkers_match_perm_stats_tally():
+    for walker in (_des_pairs, _binary_pairs, _lpk_pairs, _rpk_pairs, _ipk_pairs, _down_pairs, _up_pairs):
+        assert _tally(walker, 0) == {0: 1}  # the empty permutation
     for n in range(1, 9):
-        records = map(perm_stats, itertools.permutations(range(1, n + 1)))
-        tally = Counter((r.des, r.asc, r.lpk, r.ipk, r.lrpk, r.alternating) for r in records)
-        # same classes, counts and first-seen order
-        assert _perm_histogram(n) == tuple(tally.items()), n
+        references = [_perm_references(p) for p in itertools.permutations(range(1, n + 1))]
+        for walker in references[0]:
+            tally = Counter()
+            for k, count in _tally(walker, n).items():
+                tally[_as_reference(walker, references[0], k)] += count
+            assert tally == Counter(r[walker] for r in references), (walker, n)
 
 
-def _reference_words(n):
-    """The up-down word tally of itertools.permutations, each word read as an
-    int whose top bit is the first comparison."""
-    tuples = Counter(tuple(map(gt, p, p[1:])) for p in itertools.permutations(range(1, n + 1)))
-    return [(sum(down << n - 2 - i for i, down in enumerate(word)), count) for word, count in tuples.items()]
+def test_permutation_walkers_list_the_in_order_readings():
+    # a walker lists one value per permutation, in the order of the increasing
+    # binary trees that read them in order; tallies alone would not tell
+    # up(L) + up(R) from up(L) + down(R), which count alike
+    for n in range(1, 8):
+        perms = [_in_order(t) for t in inc_binary_trees(tuple(range(1, n + 1)))]
+        assert sorted(perms) == list(itertools.permutations(range(1, n + 1)))
+        references = list(map(_perm_references, perms))
+        for walker in references[0]:
+            listed = [_as_reference(walker, references[0], k) for k in _size_keyed(walker)(n)]
+            assert listed == [r[walker] for r in references], (walker, n)
 
 
-def test_perm_words_match_tuple_words_at_the_bound():
-    # n = 9 is the first size whose words take 8 bits
-    assert list(_perm_words(9).items()) == _reference_words(9)
+def test_perm_tally_sums_coinciding_exponents():
+    assert _perm_tally(_des_pairs, lambda n, des: (des > 0,))(4) == {(False,): 1, (True,): 23}
 
 
-def test_perm_words_above_the_listed_sizes(monkeypatch):
-    # sizes above _LISTED_WORDS are walked without lists, in the same order
-    monkeypatch.setattr(structures, "_LISTED_WORDS", 3)
-    for n in range(0, 8):
-        assert list(_perm_words(n).items()) == _reference_words(n), n
-
-
-def test_perm_histogram_never_lists_the_top_size(monkeypatch):
-    monkeypatch.setattr(structures, "_PERM_HISTOGRAMS", {})
+def test_permutation_tally_never_lists_the_top_size(monkeypatch):
+    monkeypatch.setattr(structures, "_SIZE_KEYED", {})
+    monkeypatch.setattr(structures, "_TALLIES", {})
     tracemalloc.start()
     try:
-        histogram = _perm_histogram(9)
+        tally = _tally(_ipk_pairs, 9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(count for _, count in histogram) == factorial(9)
-    # a list of all 362,880 words on 9 entries alone takes about 2.9 MB
-    assert peak < 1 << 20, peak
+    assert sum(tally.values()) == factorial(9)
+    # the 362,880 statistics on 9 entries as one bytes object alone take 354
+    # KiB, and as a list of ints about 2.9 MB
+    assert peak < 1 << 19, peak
 
 
 def test_leaf_tally_never_wraps():
