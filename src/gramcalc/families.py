@@ -13,6 +13,7 @@ by brute-force enumeration.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Dict, Mapping, NamedTuple, Tuple
 
 from .errors import (
@@ -22,51 +23,32 @@ from .errors import (
     UnknownFamily,
     UnknownSequence,
 )
-from .grammar import Grammar
+from .grammar import Grammar, parse_grammar
 from .laurent import LaurentPoly, Powers, _extended, parse_poly, sum_of_products
 from .scalar import Scalar
 
 # -- the grammars -------------------------------------------------------------
 
-
-def eulerian_grammar() -> Grammar:
-    v = ("x", "y")
-    return Grammar(v, {"x": parse_poly("x*y", v), "y": parse_poly("x*y", v)})
-
-
-def binary_tree_grammar() -> Grammar:
-    v = ("u", "v")
-    return Grammar(v, {"u": parse_poly("2*u*v", v), "v": parse_poly("u", v)})
-
-
-def plane_tree_grammar() -> Grammar:
-    v = ("u", "v")
-    return Grammar(v, {"u": parse_poly("u*v", v), "v": parse_poly("u", v)})
+# name -> rules, in the text Grammar.to_text writes
+_GRAMMARS: Dict[str, str] = {
+    "eulerian": "x -> x*y\ny -> x*y",
+    "binary_tree": "u -> 2*u*v\nv -> u",
+    "plane_tree": "u -> u*v\nv -> u",
+    "peak": "x -> x*y\ny -> x^2",
+    "tangent_secant": "a -> a*x\nx -> x^2 + 1",
+    "forest": "a -> a*v\nv -> u\nu -> 2*v*u",
+    "leaf_split": "x -> x*y\ny -> z\nz -> 2*y*z",  # the peak grammar, z standing for x^2
+}
 
 
-def peak_grammar() -> Grammar:
-    v = ("x", "y")
-    return Grammar(v, {"x": parse_poly("x*y", v), "y": parse_poly("x^2", v)})
-
-
-def tangent_secant_grammar() -> Grammar:
-    v = ("a", "x")
-    return Grammar(v, {"a": parse_poly("a*x", v), "x": parse_poly("1 + x^2", v)})
-
-
-def forest_grammar() -> Grammar:
-    v = ("a", "v", "u")
-    return Grammar(
-        v, {"a": parse_poly("a*v", v), "v": parse_poly("u", v), "u": parse_poly("2*u*v", v)}
-    )
-
-
-def leaf_split_grammar() -> Grammar:
-    """The three-variable form of the peak grammar with z standing for x^2."""
-    v = ("x", "y", "z")
-    return Grammar(
-        v, {"x": parse_poly("x*y", v), "y": parse_poly("z", v), "z": parse_poly("2*y*z", v)}
-    )
+@cache
+def grammar(name: str) -> Grammar:
+    """The catalog grammar `name`, read from _GRAMMARS once.  Each rule is put on
+    the grammar's table, so derive never reindexes it, with its terms in
+    ascending exponent order: that order sets the stored order of each member."""
+    read = parse_grammar(_GRAMMARS[name])
+    rules = {var: sorted(rule.restricted(read.vars).terms.items()) for var, rule in read.rules.items()}
+    return Grammar(read.vars, {var: LaurentPoly(read.vars, dict(terms)) for var, terms in rules.items()})
 
 
 # -- the family table -----------------------------------------------------------
@@ -75,11 +57,6 @@ def leaf_split_grammar() -> Grammar:
 def _at_one(var: str):
     """Read-out: the member with var set to 1 (LaurentPoly.at_one)."""
     return lambda poly, n: poly.at_one(var)
-
-
-def _restricted(*variables: str):
-    """Read-out: the member on the table `variables`."""
-    return lambda poly, n: poly.restricted(variables)
 
 
 def _over_a(*variables: str):
@@ -117,35 +94,35 @@ def _peaks(kind: str, lowest: int, at_zero: str | None = None):
     return read
 
 
-# name -> (grammar factory, seed text): member n is D^n(seed); or
+# name -> (_GRAMMARS name, seed text): member n is D^n(seed); or
 # name -> (source row, read): member n is read(source member n, n).
 # Rows named _... are chains that only other rows read.
-_FAMILIES: Dict[str, Tuple[Callable | str, Callable | str]] = {
-    "eulerian_biv": (eulerian_grammar, "y"),  # bivariate descent/ascent polynomials
+_FAMILIES: Dict[str, Tuple[str, Callable | str]] = {
+    "eulerian_biv": ("eulerian", "y"),  # bivariate descent/ascent polynomials
     "eulerian_uni": ("eulerian_biv", _at_one("y")),  # descent polynomials
-    "dumont": (binary_tree_grammar, "v"),  # increasing-binary-tree polynomials
-    "_andre": (plane_tree_grammar, "v"),  # 0-1-2 increasing trees, but D^0 is v
+    "dumont": ("binary_tree", "v"),  # increasing-binary-tree polynomials
+    "_andre": ("plane_tree", "v"),  # 0-1-2 increasing trees, but D^0 is v
     "andre_biv": ("_andre", lambda poly, n: poly if n else LaurentPoly.const(1, ("u", "v"))),
     "andre_uni": ("andre_biv", _at_one("v")),  # 0-1-2 tree polynomials at v=1
-    "left_peak_biv": (peak_grammar, "x"),  # bivariate left-peak polynomials
+    "left_peak_biv": ("peak", "x"),  # bivariate left-peak polynomials
     "left_peak_uni": ("left_peak_biv", _peaks("a left-peak", 1)),
-    "interior_peak_biv": (peak_grammar, "y"),  # bivariate interior-peak polynomials
+    "interior_peak_biv": ("peak", "y"),  # bivariate interior-peak polynomials
     "interior_peak_uni": ("interior_peak_biv", _peaks("an interior-peak", 2, "x^-1")),
     "lr_peak_biv": ("interior_peak_biv", lambda poly, n: poly),  # the same polynomials
     "lr_peak_uni": ("interior_peak_biv", _peaks("a left-right-peak", 0, "1")),
-    "R_family": (peak_grammar, "x + y"),
-    "_tangent": (tangent_secant_grammar, "x"),
-    "deriv_P": ("_tangent", _restricted("x")),  # tangent derivative polynomials
-    "_secant": (tangent_secant_grammar, "a"),
+    "R_family": ("peak", "x + y"),
+    "_tangent": ("tangent_secant", "x"),
+    "deriv_P": ("_tangent", lambda poly, n: poly.restricted(("x",))),  # tangent derivative polynomials
+    "_secant": ("tangent_secant", "a"),
     "deriv_Q": ("_secant", _over_a("x")),  # secant derivative polynomials
-    "_forest": (forest_grammar, "a"),
+    "_forest": ("forest", "a"),
     "planted_forest": ("_forest", _over_a("v", "u")),  # planted forests in u,v
 }
 FAMILY_NAMES = tuple(name for name in _FAMILIES if not name.startswith("_"))
 
-# chain row -> (grammar, (D^0 seed, D^1 seed, ...)); only finished tuples are
-# published, so no caller sees a chain another thread is still extending
-_CHAINS: Dict[str, Tuple[Grammar, Tuple[LaurentPoly, ...]]] = {}
+# chain row -> (D^0 seed, D^1 seed, ...); only finished tuples are published,
+# so no caller sees a chain another thread is still extending
+_CHAINS: Dict[str, Tuple[LaurentPoly, ...]] = {}
 # (read row, n) -> member n; a read is stored only once it has returned, and
 # setdefault hands every racing caller the first value stored
 _READS: Dict[Tuple[str, int], LaurentPoly] = {}
@@ -153,18 +130,15 @@ _READS: Dict[Tuple[str, int], LaurentPoly] = {}
 
 def _member(name: str, n: int) -> LaurentPoly:
     source, rule = _FAMILIES[name]
-    if isinstance(source, str):
+    if callable(rule):
         member = _READS.get((name, n))
         if member is None:
             member = _READS.setdefault((name, n), rule(_member(source, n), n))
         return member
-    if name not in _CHAINS:
-        grammar = source()
-        _CHAINS[name] = grammar, (parse_poly(rule, grammar.vars),)
-    grammar, chain = _CHAINS[name]
+    g = grammar(source)
+    chain = _CHAINS.get(name) or _CHAINS.setdefault(name, (parse_poly(rule, g.vars),))
     if len(chain) <= n:
-        chain = _extended(chain, n, grammar.derive)
-        _CHAINS[name] = grammar, chain
+        chain = _CHAINS[name] = _extended(chain, n, g.derive)
     return chain[n]
 
 

@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import CrossCheckFailed, ExtensionConflict, GramcalcError, InsufficientClearing, ParseError
 from .laurent import LaurentPoly, Powers, _extended, parse_poly, sum_of_products
+from .scalar import json_field
 
 _ONE = LaurentPoly.const(1)
 
@@ -172,30 +173,28 @@ class Grammar:
         """Inverse of to_json.  A missing key, a value of the wrong JSON
         type, a table that is not all strings, or a table or rule that
         Grammar refuses, is a ParseError."""
+        variables = tuple(json_field(payload, "vars", list, "grammar", str))
+        rules = {var: LaurentPoly.from_json(rhs) for var, rhs in json_field(payload, "rules", dict, "grammar").items()}
+        sqrt = json_field(payload, "sqrt", dict, "grammar") if "sqrt" in payload else None
+        extension = {} if sqrt is None else {
+            "sqrt_var": json_field(sqrt, "var", str, "sqrt"),
+            "sqrt_radicand": LaurentPoly.from_json(json_field(sqrt, "radicand", dict, "sqrt")),
+        }
         try:
-            rules = {var: LaurentPoly.from_json(rhs) for var, rhs in payload["rules"].items()}
-            variables = tuple(payload["vars"])
-            if not all(type(v) is str for v in variables):
-                raise ParseError(f"variables {payload['vars']!r} are not all strings", 0)
-            sqrt = payload.get("sqrt")
-            extension = {} if sqrt is None else {
-                "sqrt_var": sqrt["var"],
-                "sqrt_radicand": LaurentPoly.from_json(sqrt["radicand"]),
-            }
             return Grammar(variables, rules, **extension)
-        except KeyError as exc:
-            raise ParseError(f"grammar JSON has no {exc.args[0]!r} key", 0) from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ParseError(f"malformed grammar JSON: {exc}", 0) from None
 
 
 def parse_grammar(text: str) -> Grammar:
     """Parse the line format 'var -> polynomial' plus optional 'sqrt z^2 = poly'.
 
-    A line holding '->' is a rule; any other line must be the sqrt line.  An
-    error names its line; a position is one within the stripped line.
+    A line holding '->' is a rule; any other line must be the sqrt line, whose
+    radicand gives z's rule (a written z rule must equal it).  An error names
+    its line; a position is one within the stripped line.
     """
     rules: Dict[str, LaurentPoly] = {}
+    rule_lines: Dict[str, int] = {}
     sqrt_line = sqrt_var = sqrt_radicand = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -208,6 +207,7 @@ def parse_grammar(text: str) -> Grammar:
             if var in rules:
                 raise ParseError(f"line {lineno}: duplicate rule for {var!r}", 0)
             rules[var] = _parse_rhs(lineno, line, line.index("->") + 2)
+            rule_lines[var] = lineno
             continue
         if not line.startswith("sqrt"):
             raise ParseError(f"line {lineno}: expected 'var -> polynomial'", 0)
@@ -226,13 +226,17 @@ def parse_grammar(text: str) -> Grammar:
     if sqrt_var is None:
         return Grammar(tuple(table), rules)
     table.update(dict.fromkeys(sqrt_radicand.vars))
-    # Re-derive the z rule so text round-trips stay consistent.
-    rules.pop(sqrt_var, None)
+    # The radicand gives the z rule; a written one must agree with it.
+    written = rules.pop(sqrt_var, None)
     try:
         base = Grammar(tuple(v for v in table if v != sqrt_var), rules)
-        return base.extend_sqrt(sqrt_var, sqrt_radicand)
+        extended = base.extend_sqrt(sqrt_var, sqrt_radicand)
     except (ValueError, GramcalcError) as exc:  # an extension the grammar cannot take
         raise ParseError(f"line {sqrt_line}: {exc}", 0) from None
+    if written is not None and written != extended.rules[sqrt_var]:
+        given = extended.rules[sqrt_var].render()
+        raise ParseError(f"line {rule_lines[sqrt_var]}: rule {sqrt_var} -> {written.render()} is not {given}, as the radicand gives", 0)
+    return extended
 
 
 def _parse_rhs(lineno: int, line: str, start: int) -> LaurentPoly:

@@ -26,15 +26,12 @@ from .errors import GramcalcError, InvalidPoint, UnknownIdentity
 from .families import (
     beta_basis,
     beta_from_poly,
-    eulerian_grammar,
     family_number,
     family_poly,
     gamma_basis,
     gamma_from_poly,
-    leaf_split_grammar,
-    peak_grammar,
+    grammar,
     recurrence_poly,
-    tangent_secant_grammar,
 )
 from .grammar import verify_transformation
 from .laurent import (
@@ -357,7 +354,7 @@ def _hoffman_egf(ctx: CheckContext, hi: int):
 def _inverse_pattern(ctx: CheckContext, lo: int, hi: int):
     a_inv = LaurentPoly.monomial(("a", "x"), (-1, 0))
     a_inv_x = LaurentPoly.monomial(("a", "x"), (-1, 1))
-    chain = tangent_secant_grammar().derivative_chain(a_inv, hi)
+    chain = grammar("tangent_secant").derivative_chain(a_inv, hi)
     for m in range(lo, hi + 1):
         half, odd = divmod(m, 2)
         sign = Fraction(-1) ** (half + odd)
@@ -365,9 +362,9 @@ def _inverse_pattern(ctx: CheckContext, lo: int, hi: int):
 
 
 def _beta_grammar(ctx: CheckContext, lo: int, hi: int):
-    lifted = leaf_split_grammar()
+    lifted = grammar("leaf_split")
     phi = {"x": X_OF_XY, "y": Y_OF_XY, "z": _X_SQUARED}
-    ok, witness = verify_transformation(peak_grammar(), phi, lifted)
+    ok, witness = verify_transformation(grammar("peak"), phi, lifted)
     if not ok:
         var, lhs, rhs = witness
         yield 0, f"{var}: {lhs.render()}", rhs.render()
@@ -444,11 +441,11 @@ _ENTRIES = [
     IdentityEntry("forest_oracle", "planted-forest family equals the exhaustive forest count", 0, _ORACLE, _vs_oracle("planted_forest")),
     IdentityEntry("gamma_eulerian", "binary-tree polynomials substitute to the descent polynomials (u=xy, 2v=x+y)", 1, _MAX, _per_n(lambda p, n: (p.poly("dumont", n).substitute(_GAMMA_SUB), p.poly("eulerian_biv", n)))),
     IdentityEntry("gamma_expansion", "descent polynomials have nonnegative expansions over (xy)^k (x+y)^{n+1-2k}", 1, _MAX, _per_n(_gamma_side)),
-    IdentityEntry("gen_multiplicative", "generating functions multiply: Gen(fg) = Gen(f) Gen(g)", 0, _capped(8), _coeffs(lambda ctx, hi: ((g.gen_coeffs(f * h, hi), g.gen_coeffs(f, hi) * g.gen_coeffs(h, hi)) for g, f, h in ((eulerian_grammar(), X_OF_XY, Y_OF_XY), (tangent_secant_grammar(), LaurentPoly.variable("a", ("a", "x")), LaurentPoly.variable("x", ("a", "x"))))))),
+    IdentityEntry("gen_multiplicative", "generating functions multiply: Gen(fg) = Gen(f) Gen(g)", 0, _capped(8), _coeffs(lambda ctx, hi: ((g.gen_coeffs(f * h, hi), g.gen_coeffs(f, hi) * g.gen_coeffs(h, hi)) for g, f, h in ((grammar("eulerian"), X_OF_XY, Y_OF_XY), (grammar("tangent_secant"), LaurentPoly.variable("a", ("a", "x")), LaurentPoly.variable("x", ("a", "x"))))))),
     IdentityEntry("gessel", "left-peak closed form matches the family at a radical-rational point", 0, _MAX, _closed_form_at("gessel_L", "left_peak_uni"), tuple(RADICAL_CLOSED_FORMS["gessel_L"])),
     IdentityEntry("hoffman_conv", "binomial convolutions stepping both derivative families", 0, _upto(-1), _then(_per_n(lambda p, n: (p.poly("deriv_P", n + 1), _conv(p, "deriv_P", "deriv_P", n)), start=1), _per_n(lambda p, n: (p.poly("deriv_Q", n + 1), _conv(p, "deriv_P", "deriv_Q", n))))),
     IdentityEntry("hoffman_egf", "four cross-multiplied trig generating functions for the derivative families", 0, _MAX, _coeffs(_hoffman_egf)),
-    IdentityEntry("hoffman_PQQ", "the (1+x^2)-weighted square of the secant family steps the tangent family", 0, _upto(-1), _then(lambda ctx, lo, hi: [(0, tangent_secant_grammar().derive(_PQQ_SEED), LaurentPoly.zero())], _per_n(lambda p, n: (p.poly("deriv_P", n + 1), _ONE_PLUS_X2 * _conv(p, "deriv_Q", "deriv_Q", n))))),
+    IdentityEntry("hoffman_PQQ", "the (1+x^2)-weighted square of the secant family steps the tangent family", 0, _upto(-1), _then(lambda ctx, lo, hi: [(0, grammar("tangent_secant").derive(_PQQ_SEED), LaurentPoly.zero())], _per_n(lambda p, n: (p.poly("deriv_P", n + 1), _ONE_PLUS_X2 * _conv(p, "deriv_Q", "deriv_Q", n))))),
     IdentityEntry("inverse_pattern", "period-four sign pattern of the derivative chain on the reciprocal seed", 0, _MAX, _inverse_pattern),
     IdentityEntry("jv_oracles", "derivative families equal their empty-leaf tree and forest counts", 0, _ORACLE, _vs_oracle("deriv_P", "deriv_Q")),
     IdentityEntry("knuth_buckholtz", "tangent family at 1 equals 2^n times the Euler numbers", 0, _MAX, _per_n(lambda p, n: (p.number("p_at_one", n), 2 ** n * p.number("euler", n)))),

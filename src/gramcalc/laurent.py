@@ -50,6 +50,7 @@ from .scalar import (
     Scalar,
     as_scalar,
     gaussian_value,
+    json_field,
     make_gaussian,
     render_scalar,
     scalar_from_json,
@@ -644,23 +645,17 @@ class LaurentPoly:
     def from_json(payload: Mapping) -> "LaurentPoly":
         """Inverse of to_json.  A missing key, a value of the wrong JSON type,
         an exponent list that is not one JSON integer per variable, or a table
-        that repeats a name or holds a non-string, is a ParseError."""
+        that repeats a name, is a ParseError."""
+        variables = tuple(json_field(payload, "vars", list, "polynomial", str))
+        terms: Dict[Exponents, Scalar] = {}
+        for item in json_field(payload, "terms", list, "polynomial"):
+            exps = tuple(json_field(item, "exps", list, "term", int))
+            if len(exps) != len(variables):
+                raise ParseError(f"exponents {list(exps)!r} are not one per variable", 0)
+            coeff = scalar_from_json(json_field(item, "coeff", (str, int, dict), "term"))
+            terms[exps] = terms.get(exps, Fraction(0)) + coeff
         try:
-            variables = tuple(payload["vars"])
-            if not all(type(v) is str for v in variables):
-                raise ParseError(f"variables {payload['vars']!r} are not all strings", 0)
-            terms: Dict[Exponents, Scalar] = {}
-            for item in payload["terms"]:
-                exps = tuple(item["exps"])
-                if len(exps) != len(variables) or not all(type(e) is int for e in exps):
-                    raise ParseError(
-                        f"exponents {item['exps']!r} are not one JSON integer per variable", 0
-                    )
-                coeff = scalar_from_json(item["coeff"])
-                terms[exps] = terms.get(exps, Fraction(0)) + coeff
             return LaurentPoly(variables, terms)
-        except KeyError as exc:
-            raise ParseError(f"polynomial JSON has no {exc.args[0]!r} key", 0) from None
         except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed polynomial JSON: {exc}", 0) from None
 

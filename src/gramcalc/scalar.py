@@ -203,6 +203,17 @@ def scalar_from_json(payload) -> Scalar:
     return _rational_from_json(payload)
 
 
+def json_field(payload, key: str, kind, what: str, each: type | None = None):
+    """payload[key] of a JSON object: a `kind` (true and false are no int) whose
+    items, given `each`, are each of that type; else a ParseError about `what`."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ParseError(f"{what} JSON has no {key!r} key", 0)
+    value = payload[key]
+    if not isinstance(value, kind) or isinstance(value, bool) or each and any(type(v) is not each for v in value):
+        raise ParseError(f"{what} JSON {key!r} holds the wrong JSON type", 0)
+    return value
+
+
 def exponent_notation(text: str) -> bool:
     """Whether a rational's text uses exponent notation, which readers refuse:
     Fraction("1e10000000") would build 10^10^7 before any check."""

@@ -13,9 +13,9 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from .errors import InvalidRadicalWitness, NonUnitConstantTerm
+from .errors import InvalidRadicalWitness, NonUnitConstantTerm, ParseError
 from .laurent import LaurentPoly, Powers, binomial_convolution, sum_of_products
-from .scalar import Scalar, as_scalar, exact_sqrt
+from .scalar import Scalar, as_scalar, exact_sqrt, json_field
 
 
 _ONE = LaurentPoly.const(1)
@@ -164,7 +164,12 @@ class TruncSeries:
 
     @staticmethod
     def from_json(payload: Mapping) -> "TruncSeries":
-        return TruncSeries([LaurentPoly.from_json(c) for c in payload["coeffs"]])
+        """Inverse of to_json; a missing key, a wrong JSON type or order is a ParseError."""
+        coeffs = json_field(payload, "coeffs", list, "series")
+        order = json_field(payload, "order", int, "series")
+        if not coeffs or order != len(coeffs) - 1:
+            raise ParseError(f"series JSON of order {order} has {len(coeffs)} coefficients", 0)
+        return TruncSeries([LaurentPoly.from_json(c) for c in coeffs])
 
 
 # -- elementary series --------------------------------------------------------

@@ -19,13 +19,14 @@ from gramcalc.families import (
     FAMILY_NAMES,
     beta_expansion,
     beta_from_poly,
-    eulerian_grammar,
     family_number,
     family_poly,
     gamma_expansion,
     gamma_from_poly,
+    grammar,
     recurrence_poly,
 )
+from gramcalc.grammar import parse_grammar
 from gramcalc.laurent import LaurentPoly, Powers, parse_poly
 from gramcalc.scalar import make_gaussian
 
@@ -232,7 +233,7 @@ def test_recurrence_route():
 def test_chain_cache_under_concurrent_extension():
     # threads extending one derivative chain at once must not interleave
     # their appends: each would then store its own D^{k+1} at a different index
-    chain = eulerian_grammar().derivative_chain(parse_poly("y"), 26)
+    chain = grammar("eulerian").derivative_chain(parse_poly("y"), 26)
     for _ in range(5):
         families._CHAINS.pop("eulerian_biv", None)
         results = in_threads(lambda i: family_poly("eulerian_biv", 25))
@@ -243,16 +244,17 @@ def test_chain_cache_under_concurrent_extension():
 def _grammar_route(name, n):
     """Member n of a family row, derived and read again without any cache."""
     source, rule = families._FAMILIES[name]
-    if isinstance(source, str):
+    if callable(rule):
         return rule(_grammar_route(source, n), n)
-    grammar = source()
-    return grammar.derivative_chain(parse_poly(rule, grammar.vars), n)[n]
+    rules = parse_grammar(families._GRAMMARS[source])
+    return rules.derivative_chain(parse_poly(rule, rules.vars), n)[n]
 
 
 def test_read_cache_under_concurrent_first_reads():
     names = ("deriv_Q", "eulerian_uni", "left_peak_uni")
     expected = [_grammar_route(name, 25) for name in names]
     for _ in range(3):
+        families.grammar.cache_clear()  # the threads read the grammars too
         for name in names:
             families._CHAINS.pop(families._FAMILIES[name][0], None)
             families._READS.pop((name, 25), None)
@@ -357,7 +359,7 @@ def test_cross_checks_raise_under_optimize():
         x, y = (LaurentPoly.variable(v, ("x", "y")) for v in "xy")
         checks = {
             "recurrence_poly": lambda: families.recurrence_poly("P", 2),
-            "leibniz_expand": lambda: families.eulerian_grammar().leibniz_expand(x, y, 1),
+            "leibniz_expand": lambda: families.grammar("eulerian").leibniz_expand(x, y, 1),
         }
         for name, check in checks.items():
             try:
@@ -395,10 +397,20 @@ def test_registry_names_stable():
     )
 
 
+@pytest.mark.parametrize("name", sorted(families._GRAMMARS))
+def test_grammar_table_reads_back_as_written(name):
+    g = grammar(name)
+    assert g.to_text() == families._GRAMMARS[name]
+    assert all(rule.vars == g.vars for rule in g.rules.values())
+    assert grammar(name) is g
+
+
 def test_family_table_rows():
     rows = families._FAMILIES
-    sources = {source for source, _ in rows.values() if isinstance(source, str)}
+    sources = {source for source, rule in rows.values() if callable(rule)}
     assert sources <= set(rows)
+    # every chain row names a catalog grammar
+    assert {source for source, rule in rows.values() if not callable(rule)} <= set(families._GRAMMARS)
     reached = set()
     for name in FAMILY_NAMES:
         while name in rows and name not in reached:
@@ -408,6 +420,6 @@ def test_family_table_rows():
     private = [name for name in rows if name not in FAMILY_NAMES]
     assert private == ["_andre", "_tangent", "_secant", "_forest"]
     for name in private:
-        assert callable(rows[name][0])  # chains only
+        assert rows[name][0] in families._GRAMMARS  # chains only
         with pytest.raises(UnknownFamily):
             family_poly(name, 1)

@@ -1,12 +1,7 @@
 import pytest
 
 from gramcalc.errors import ExtensionConflict, ParseError
-from gramcalc.families import (
-    eulerian_grammar,
-    binary_tree_grammar,
-    peak_grammar,
-    tangent_secant_grammar,
-)
+from gramcalc.families import grammar
 from gramcalc.grammar import Grammar, parse_grammar, verify_transformation
 from gramcalc.laurent import LaurentPoly, parse_poly
 
@@ -15,31 +10,31 @@ Y = LaurentPoly.variable("y", ("x", "y"))
 
 
 def test_derive_seed():
-    assert eulerian_grammar().derive(Y) == parse_poly("x*y")
+    assert grammar("eulerian").derive(Y) == parse_poly("x*y")
 
 
 def test_derive_constant_is_zero():
-    assert eulerian_grammar().derive(LaurentPoly.const(7, ("x", "y"))).is_zero()
+    assert grammar("eulerian").derive(LaurentPoly.const(7, ("x", "y"))).is_zero()
 
 
 def test_derive_reciprocal_seed():
-    g = tangent_secant_grammar()
+    g = grammar("tangent_secant")
     a_inv = LaurentPoly.monomial(("a", "x"), (-1, 0))
     assert g.derive(a_inv) == LaurentPoly.monomial(("a", "x"), (-1, 1), -1)
 
 
 def test_derive_n_tables():
-    assert eulerian_grammar().derive_n(Y, 4) == parse_poly(
+    assert grammar("eulerian").derive_n(Y, 4) == parse_poly(
         "x*y^4 + 11*x^2*y^3 + 11*x^3*y^2 + x^4*y"
     )
-    g = binary_tree_grammar()
+    g = grammar("binary_tree")
     v = LaurentPoly.variable("v", ("u", "v"))
     assert g.derive_n(v, 6) == parse_poly("32*u*v^5 + 416*u^2*v^3 + 272*u^3*v")
     assert g.derive_n(v, 0) == v
 
 
 def test_gen_coeffs_ratio_seed():
-    g = eulerian_grammar()
+    g = grammar("eulerian")
     seed = LaurentPoly.monomial(("x", "y"), (1, -1))
     series = g.gen_coeffs(seed, 3)
     for k in range(4):
@@ -47,13 +42,13 @@ def test_gen_coeffs_ratio_seed():
 
 
 def test_gen_coeffs_constant_seed():
-    series = eulerian_grammar().gen_coeffs(LaurentPoly.const(1, ("x", "y")), 3)
+    series = grammar("eulerian").gen_coeffs(LaurentPoly.const(1, ("x", "y")), 3)
     assert series.coeffs[0] == LaurentPoly.const(1)
     assert all(c.is_zero() for c in series.coeffs[1:])
 
 
 def test_gen_coeffs_inverse_pattern():
-    g = tangent_secant_grammar()
+    g = grammar("tangent_secant")
     a_inv = LaurentPoly.monomial(("a", "x"), (-1, 0))
     series = g.gen_coeffs(a_inv, 4)
     rendered = [c.render() for c in series.coeffs]
@@ -61,32 +56,32 @@ def test_gen_coeffs_inverse_pattern():
 
 
 def test_leibniz_order_zero():
-    g = eulerian_grammar()
+    g = grammar("eulerian")
     assert g.leibniz_expand(X, Y, 0) == X * Y
 
 
 def test_leibniz_product_rule_step():
-    assert eulerian_grammar().leibniz_expand(X, Y, 1) == parse_poly(
+    assert grammar("eulerian").leibniz_expand(X, Y, 1) == parse_poly(
         "x^2*y + x*y^2"
     )
 
 
 def test_leibniz_matches_iterated_derivative():
-    g = peak_grammar()
+    g = grammar("peak")
     assert g.leibniz_expand(X, X, 2) == g.derive_n(X * X, 2)
 
 
 def test_verify_transformation_true():
     ok, witness = verify_transformation(
-        eulerian_grammar(),
+        grammar("eulerian"),
         {"u": X * Y, "v": parse_poly("1/2*x + 1/2*y")},
-        binary_tree_grammar(),
+        grammar("binary_tree"),
     )
     assert ok and witness is None
 
 
 def test_verify_transformation_identity():
-    g = eulerian_grammar()
+    g = grammar("eulerian")
     ok, _ = verify_transformation(g, {"x": X, "y": Y}, g)
     assert ok
 
@@ -94,7 +89,7 @@ def test_verify_transformation_identity():
 def test_verify_transformation_false_witness():
     bad_target = parse_grammar("u -> u*v\nv -> u")
     ok, witness = verify_transformation(
-        eulerian_grammar(),
+        grammar("eulerian"),
         {"u": X * Y, "v": parse_poly("1/2*x + 1/2*y")},
         bad_target,
     )
@@ -106,18 +101,18 @@ def test_verify_transformation_false_witness():
 
 
 def test_extend_sqrt_rule():
-    ext = eulerian_grammar().extend_sqrt("z", X * Y)
+    ext = grammar("eulerian").extend_sqrt("z", X * Y)
     assert ext.rules["z"] == parse_poly("1/2*x*z + 1/2*y*z")
     assert ext.sqrt_var == "z"
 
 
 def test_extend_sqrt_constant_radicand():
-    ext = eulerian_grammar().extend_sqrt("z", LaurentPoly.const(4, ("x", "y")))
+    ext = grammar("eulerian").extend_sqrt("z", LaurentPoly.const(4, ("x", "y")))
     assert ext.rules["z"].is_zero()
 
 
 def test_sqrt_reduction():
-    ext = eulerian_grammar().extend_sqrt("z", X * Y)
+    ext = grammar("eulerian").extend_sqrt("z", X * Y)
     z3 = LaurentPoly.monomial(("x", "y", "z"), (0, 0, 3))
     assert ext.reduce(z3) == LaurentPoly.monomial(("x", "y", "z"), (1, 1, 1))
     z_minus_1 = LaurentPoly.monomial(("x", "y", "z"), (0, 0, -1))
@@ -125,22 +120,22 @@ def test_sqrt_reduction():
 
 
 def test_sqrt_derivative_consistency():
-    ext = eulerian_grammar().extend_sqrt("z", X * Y)
+    ext = grammar("eulerian").extend_sqrt("z", X * Y)
     z2 = LaurentPoly.monomial(("x", "y", "z"), (0, 0, 2))
     assert ext.derive(z2) == ext.derive(X * Y)
 
 
 def test_extend_sqrt_conflicts():
-    ext = eulerian_grammar().extend_sqrt("z", X * Y)
+    ext = grammar("eulerian").extend_sqrt("z", X * Y)
     with pytest.raises(ExtensionConflict):
         ext.extend_sqrt("w", X)
     with pytest.raises(ExtensionConflict):
-        eulerian_grammar().extend_sqrt("x", X)
+        grammar("eulerian").extend_sqrt("x", X)
 
 
 def test_square_root_transformation():
     # adjoining z with z^2 = xy turns the descent grammar into the peak grammar
-    ext = eulerian_grammar().extend_sqrt("z", X * Y)
+    ext = grammar("eulerian").extend_sqrt("z", X * Y)
     target = parse_grammar("p -> p*q\nq -> p^2")
     ok, witness = verify_transformation(
         ext,
@@ -151,18 +146,18 @@ def test_square_root_transformation():
 
 
 def test_grammar_text_roundtrip():
-    g = peak_grammar()
+    g = grammar("peak")
     text = g.to_text()
     assert text == "x -> x*y\ny -> x^2"
     assert parse_grammar(text) == g
-    ext = eulerian_grammar().extend_sqrt("z", X * Y)
+    ext = grammar("eulerian").extend_sqrt("z", X * Y)
     again = parse_grammar(ext.to_text())
     assert again == ext
 
 
 def test_grammar_json_roundtrip():
-    for g in (eulerian_grammar(), tangent_secant_grammar(),
-              eulerian_grammar().extend_sqrt("z", X * Y)):
+    for g in (grammar("eulerian"), grammar("tangent_secant"),
+              grammar("eulerian").extend_sqrt("z", X * Y)):
         assert Grammar.from_json(g.to_json()) == g
 
 
@@ -179,11 +174,19 @@ def test_grammar_json_roundtrip():
         {"vars": ["x"], "rules": {}, "sqrt": {"var": "z", "radicand": {"vars": [], "terms": []}}},
         {"vars": ["x"], "rules": {}, "sqrt": {"var": ["z"], "radicand": {"vars": [], "terms": []}}},
         {"vars": [1], "rules": {}},
+        {"vars": "xy", "rules": {}},  # a string is not a table
     ],
 )
 def test_grammar_from_json_refuses_malformed_payloads(payload):
     with pytest.raises(ParseError):
         Grammar.from_json(payload)
+
+
+def test_parse_grammar_refuses_a_sqrt_rule_the_radicand_does_not_give():
+    with pytest.raises(ParseError, match="line 2: rule w -> 5\\*w"):
+        parse_grammar("x -> x\nw -> 5*w\nsqrt w^2 = x")
+    # the rule the radicand gives, written out, still reads
+    assert parse_grammar("x -> x\nw -> 1/2*w\nsqrt w^2 = x") == parse_grammar("x -> x\nsqrt w^2 = x")
 
 
 def test_parse_grammar_errors():

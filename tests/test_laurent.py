@@ -151,6 +151,7 @@ def test_json_gaussian_coefficient():
         {"vars": ["x", "x"], "terms": []},
         {"vars": [["x"]], "terms": []},
         {"vars": [1], "terms": [{"coeff": "1", "exps": [1]}]},
+        {"vars": "xy", "terms": [{"coeff": "1", "exps": [1, 0]}]},  # a string is not a table
     ],
 )
 def test_from_json_refuses_malformed_payloads(payload):

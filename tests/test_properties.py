@@ -15,13 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gramcalc.families import (
-    beta_expansion,
-    eulerian_grammar,
-    family_poly,
-    gamma_expansion,
-    peak_grammar,
-)
+from gramcalc.families import beta_expansion, family_poly, gamma_expansion
+from gramcalc.families import grammar as catalog_grammar
 from gramcalc.errors import DivisionByZero, GramcalcError, InsufficientClearing, NonInvertibleSubstitution
 from gramcalc.grammar import Grammar, parse_grammar
 from gramcalc.identities import _CAYLEY, _ONE_PLUS_X, _PETERSEN, run_identity
@@ -867,28 +862,28 @@ def test_render_injective(f, g):
 @SETTINGS
 @given(laurent_polys, laurent_polys, rationals, rationals)
 def test_derive_linearity(f, g, a, b):
-    grammar = eulerian_grammar()
+    grammar = catalog_grammar("eulerian")
     assert grammar.derive(a * f + b * g) == a * grammar.derive(f) + b * grammar.derive(g)
 
 
 @SETTINGS
 @given(laurent_polys, laurent_polys)
 def test_derive_product_rule(f, g):
-    grammar = peak_grammar()
+    grammar = catalog_grammar("peak")
     assert grammar.derive(f * g) == f * grammar.derive(g) + grammar.derive(f) * g
 
 
 @settings(max_examples=20, deadline=None)
 @given(plain_polys, plain_polys, st.integers(min_value=0, max_value=8))
 def test_leibniz_random_pairs(f, g, n):
-    grammar = eulerian_grammar()
+    grammar = catalog_grammar("eulerian")
     assert grammar.leibniz_expand(f, g, n) == grammar.derive_n(f * g, n)
 
 
 @settings(max_examples=20, deadline=None)
 @given(plain_polys, plain_polys, st.integers(min_value=0, max_value=8))
 def test_gen_multiplicativity(f, g, order):
-    grammar = peak_grammar()
+    grammar = catalog_grammar("peak")
     lhs = grammar.gen_coeffs(f * g, order)
     rhs = grammar.gen_coeffs(f, order) * grammar.gen_coeffs(g, order)
     assert compare_series(lhs, rhs) == (True, None)
@@ -896,9 +891,7 @@ def test_gen_multiplicativity(f, g, order):
 
 def test_constant_detection():
     # composite constant of the tangent/secant grammar
-    from gramcalc.families import tangent_secant_grammar
-
-    grammar = tangent_secant_grammar()
+    grammar = catalog_grammar("tangent_secant")
     composite = parse_poly("1 + x^2") * LaurentPoly.monomial(("a", "x"), (-2, 0))
     assert grammar.derive(composite).is_zero()
 
@@ -1016,11 +1009,13 @@ _GRAMMAR_JSON = st.fixed_dictionaries(
     {"vars": st.lists(_NAMES | st.integers(0, 1), max_size=3), "rules": st.dictionaries(_NAMES, _POLY_JSON, max_size=2)},
     optional={"sqrt": st.fixed_dictionaries({"var": _NAMES, "radicand": _POLY_JSON})},
 )
+_SERIES_JSON = st.fixed_dictionaries({"order": st.integers(-1, 3), "coeffs": st.lists(_POLY_JSON, max_size=3)})
 _READS = st.one_of(
     st.tuples(st.just(parse_poly), st.one_of(_poly_texts(), _TEXT_NOISE)),
     st.tuples(st.just(parse_grammar), st.one_of(_GRAMMAR_TEXTS, _TEXT_NOISE)),
     st.tuples(st.just(LaurentPoly.from_json), st.one_of(_POLY_JSON, _JSON_NOISE)),
     st.tuples(st.just(Grammar.from_json), st.one_of(_GRAMMAR_JSON, _JSON_NOISE)),
+    st.tuples(st.just(TruncSeries.from_json), st.one_of(_SERIES_JSON, _JSON_NOISE)),
 )
 # a division walk across the whole field range takes about 2^20 steps mod p:
 # seconds, where the exact walk alone, its coefficients growing, took minutes

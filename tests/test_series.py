@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from gramcalc.errors import InvalidRadicalWitness, NonUnitConstantTerm
-from gramcalc.families import family_poly, eulerian_grammar
+from gramcalc.errors import InvalidRadicalWitness, NonUnitConstantTerm, ParseError
+from gramcalc.families import family_poly, grammar
 from gramcalc.laurent import LaurentPoly, parse_poly
 from gramcalc.scalar import make_gaussian
 from gramcalc.series import (
@@ -177,7 +177,7 @@ def test_eulerian_closed_form():
 
 
 def test_gen_vs_closed_form():
-    g = eulerian_grammar()
+    g = grammar("eulerian")
     gen = g.gen_coeffs(LaurentPoly.variable("y", ("x", "y")), 8)
     closed = closed_form_series("eulerian_egf", 8)
     assert compare_series(gen, closed) == (True, None)
@@ -196,3 +196,24 @@ def test_radical_point_witness_validation():
 def test_series_json_roundtrip():
     series = closed_form_series("hoffman_P", 4)
     assert TruncSeries.from_json(series.to_json()) == series
+
+
+_X_JSON = X.to_json()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({"order": 0}, id="no-coeffs"),
+        pytest.param({"coeffs": [_X_JSON]}, id="no-order"),
+        pytest.param({"order": 0, "coeffs": 3}, id="coeffs-not-a-list"),
+        pytest.param({"order": "0", "coeffs": [_X_JSON]}, id="order-not-an-integer"),
+        pytest.param([_X_JSON], id="list-payload"),
+        pytest.param({"order": 5, "coeffs": [_X_JSON]}, id="order-above-the-coefficients"),
+        pytest.param({"order": 0, "coeffs": [_X_JSON, _X_JSON]}, id="order-below-the-coefficients"),
+        pytest.param({"order": -1, "coeffs": []}, id="no-coefficients"),
+    ],
+)
+def test_series_from_json_refuses_malformed_payloads(payload):
+    with pytest.raises(ParseError):
+        TruncSeries.from_json(payload)
