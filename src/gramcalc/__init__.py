@@ -2,7 +2,7 @@
 
 The package computes the classical polynomial families generated by
 substitution-rule grammars (descent, binary-tree, 0-1-2-tree, peak, and
-derivative polynomials), recounts each of them by brute-force enumeration of
+derivative polynomials), recounts each of them by weighted counting of
 permutations and increasing trees, and mechanically verifies a catalog of
 identities tying the families together - all in exact rational and
 Gaussian-rational arithmetic.

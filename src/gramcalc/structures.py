@@ -1,6 +1,6 @@
-"""Brute-force enumeration of permutations and increasing trees, with the
-statistics and grammatical labelings that reproduce every polynomial family
-by plain weighted counting - no grammar involved.
+"""Permutations and increasing trees: brute-force enumerators, statistics
+and grammatical labelings, and oracles that reproduce every polynomial family
+by weighted counting over the structures' root splits - no grammar involved.
 
 Permutation statistics use the boundary convention sigma_0 = sigma_{n+1} = 0:
 position i is a peak when sigma_{i-1} < sigma_i > sigma_{i+1}; left peaks
@@ -25,6 +25,7 @@ import itertools
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import chain
+from math import comb
 from operator import gt
 from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -228,9 +229,10 @@ def enumerate_structures(kind: str, n: int, bound: int | None = None):
 
 
 def count_structures(kind: str, n: int, bound: int | None = None) -> int:
-    """Number of structures of the kind on [n]: each is visited once, none is built."""
+    """Number of structures of the kind on [n]: counted by its tally recurrence, none is built."""
     _check_bound(n, bound)
-    return _kind(kind).count(n)
+    kind = _kind(kind)
+    return sum(_tally(kind.walker, n).values()) if n >= kind.least else 0
 
 
 # -- statistics on trees ----------------------------------------------------------
@@ -276,164 +278,101 @@ def jv_empty_leaves(tree) -> int:
     return sum(jv_empty_leaves(c) for c in children)
 
 
-# -- size-keyed statistics ----------------------------------------------------------
+# -- statistic tallies ---------------------------------------------------------------
 #
 # Trees and forests are tallied by their leaves alone (empty leaves for jv
 # trees): with one edge per label less the roots, the leaves fix the one-child
 # count, n + 1 - 2 * leaves for a tree on n >= 1 labels and n - 2 * leaves for
-# a planted forest on n labels.  A tree's leaf count depends only on how many
-# labels it has, and a _subsets split of its non-root labels only through the
-# split's sizes and whether it takes the first label (_splits).  So
-# pairs(m, stats) gives the leaf counts of the trees on m labels, in their
-# enumerator's order, as one (left, right) pair per root split: the split's
-# trees are l + r for l in left and r in right, in that nesting.  Leaf counts
-# are bytes, one per structure, and _split_bytes adds a left value to every
-# right value with one bytes.translate.  stats(k) is the bytes for k < m
-# labels, memoized per walker for the process (_size_keyed), so each size is
-# walked once.  A forest splits alike into the block of its first label and a
-# forest on the rest (_forest_pairs), in another order than _forests lists
-# them.  A permutation L 1 R splits around its least entry as an increasing
-# binary tree does at its root, and each of its statistics is one of L's plus
-# one of R's plus a term in len(L) (_root_split_pairs).  The top size is never
-# listed: _tally counts one root split at a time.  _made makes the bytes of
-# each distinct (left, right) pair once per call, so splits of equal sizes
-# share one bytes object, and each split's bytes are counted on their own;
-# no structure is built.  A statistic of a structure on m labels is at most
-# m + 1, and byte 255 marks a sum that did not fit, so the tally is exact up
-# to _BYTE_LABELS labels and raises rather than wrap.
+# a planted forest on n labels.  A structure on m labels splits at its root
+# (a permutation L 1 R at its least entry, a forest at its first label's
+# block) into an ordered (left, right) pair on a and m - 1 - a of the other
+# labels, C(m - 1, a) label sets for each a, and its statistic is one of
+# left's plus extra(a) plus one of right's.  So a walker gives the structures
+# on m labels as classes (times, extra, left, right) of equal splits, left and
+# right the tallies of smaller sizes, and _step sums
+#   T_m(z) = sum over the classes of times * z^extra * left(z) * right(z),
+# the root-split decomposition (Stanley, EC I, 1.5).  A tally is a tuple of
+# (value, count) pairs in the order _subsets first meets each value: the
+# splits of each size first show at mask 2^a - 1, so the classes come in
+# increasing a, and within a class v first shows at the least (rank in left,
+# rank in right) with l + extra + r = v.  No structure is built or listed.
 
-_BYTE_LABELS = 253
+# (walker, m) -> the tally of the structures on m labels: each is published
+# whole, and setdefault hands every racing caller the first value stored
+_TALLIES: Dict[Tuple[Callable, int], Tuple[Tuple[int, int], ...]] = {}
+_NOTHING = ((0, 1),)  # the tally of an empty part
 
 
-def _splits(m: int) -> List[Tuple[int, int, bool]]:
-    """(len(chosen), len(rest), items[0] in chosen) of each _subsets split of m items."""
-    masks = range(1 << m)
-    return [(k, m - k, mask & 1 == 1) for mask, k in zip(masks, map(int.bit_count, masks))]
+def _step(walker, m: int) -> Tuple[Tuple[int, int], ...]:
+    """One step of the recurrence: the tally on m labels from walker's classes."""
+    tally: Dict[int, int] = {}
+    for times, extra, left, right in walker(m):
+        for l, l_count in left:
+            for r, r_count in right:
+                tally[l + extra + r] = tally.get(l + extra + r, 0) + times * l_count * r_count
+    return tuple(tally.items())
 
 
-@functools.cache
-def _shifts() -> Tuple[bytes, ...]:
-    """shift[k] is the bytes.translate table of v -> min(v + k, 255); made on first use."""
-    ramp = bytes(range(256)) + b"\xff" * 255
-    return tuple(ramp[k : k + 256] for k in range(256))
+def _tallied(walker, m: int) -> Tuple[Tuple[int, int], ...]:
+    """walker's tally on m labels, memoized for the process; the smaller sizes
+    are stepped first, so a step reads its own walker's memo and never recurses."""
+    if (walker, m) not in _TALLIES:
+        for k in range(m + 1):
+            if (walker, k) not in _TALLIES:
+                _TALLIES.setdefault((walker, k), _step(walker, k))
+    return _TALLIES[walker, m]
 
 
-def _split_bytes(left: bytes, right: bytes) -> bytes:
-    """The values l + r for l in left and r in right, in that nesting, with
-    one translate per value of the shorter side."""
-    shift = _shifts()
-    if len(left) <= len(right):
-        split = b"".join([right.translate(shift[k]) for k in left])
-    else:  # one strided column per right value
-        columns = bytearray(len(left) * len(right))
-        for j, k in enumerate(right):
-            columns[j :: len(right)] = left.translate(shift[k])
-        split = bytes(columns)
-    if 255 in split:
-        raise OverflowError("a leaf count does not fit in a byte")
-    return split
+def _tally(walker, m: int) -> Dict[int, int]:
+    """walker's tally on m labels, in first-seen order; each caller is given a copy."""
+    return dict(_tallied(walker, m))
 
 
-# walker -> its stats, and (walker, m) -> the tally of the structures on m
-# labels: each is published whole, and setdefault hands every racing caller
-# the first value stored
-_SIZE_KEYED: Dict[Callable, Callable[[int], bytes]] = {}
-_TALLIES: Dict[Tuple[Callable, int], Dict[int, int]] = {}
-
-
-def _made(pairs: list) -> List[bytes]:
-    """_split_bytes of each (left, right) pair, made once per distinct pair."""
-    made: Dict[Tuple[bytes, bytes], bytes] = {}
-    for pair in pairs:
-        if pair not in made:
-            made[pair] = _split_bytes(*pair)
-    return [made[pair] for pair in pairs]
-
-
-def _size_keyed(pairs) -> Callable[[int], bytes]:
-    """stats(m): the leaf count of every structure on m labels that pairs
-    walks; one memo per walker for the process, so each size is listed once."""
-    stats = _SIZE_KEYED.get(pairs)
-    if stats is None:
-        memo: Dict[int, bytes] = {}
-
-        def stats(m: int) -> bytes:
-            if m not in memo:
-                memo.setdefault(m, b"".join(_made(pairs(m, stats))))
-            return memo[m]
-
-        stats = _SIZE_KEYED.setdefault(pairs, stats)
-    return stats
-
-
-def _tally(pairs, m: int) -> Dict[int, int]:
-    """Tally of the leaf count of each structure on m labels, in first-seen
-    order; counted once per (walker, m) for the process, each caller given a copy."""
-    if m > _BYTE_LABELS:
-        raise BoundExceeded(f"n = {m} exceeds {_BYTE_LABELS}, the most labels a leaf tally counts")
-    tally = _TALLIES.get((pairs, m))
-    if tally is None:
-        stats = _size_keyed(pairs)
-        tally = {}
-        for split in _made(pairs(m, stats)):
-            while split:  # the first byte is the first value not yet counted
-                tally[split[0]] = tally.get(split[0], 0) + split.count(split[0])
-                split = split.translate(None, split[:1])
-        tally = _TALLIES.setdefault((pairs, m), tally)
-    return dict(tally)
-
-
-def _root_split_pairs(small, left=None, right=None, extra=None):
+def _root_split_pairs(small, left=None, right=None, extra=lambda a: 0):
     """Walker of the structures on [m] that split at their root (a tree's, or a
-    permutation's least entry) into an ordered (left, right) pair, one per
-    _subsets split of the m - 1 other labels, left taking the chosen ones.  A
-    structure's value is left's value of its left part, plus extra(its size)
-    if extra is given, plus right's value of its right part; left and right
-    are walkers, None for this one.  small[m] lists the values for m < 2."""
+    permutation's least entry) into an ordered (left, right) pair, left on a of
+    the m - 1 other labels.  A structure's value is left's value of its left
+    part, plus extra(a), plus right's value of its right part; left and right
+    are walkers, None for this one.  small[m] is the tally for m < len(small)."""
 
-    def pairs(m: int, stats) -> list:
-        if m < 2:
-            return [(small[m], b"\x00")]
-        lefts, rights = (stats if walker is None else _size_keyed(walker) for walker in (left, right))
-        lefts = [lefts(a).translate(_shifts()[extra(a)]) if extra else lefts(a) for a in range(m)]
-        return [(lefts[a], rights(b)) for a, b, _ in _splits(m - 1)]
+    def pairs(m: int) -> list:
+        if m < len(small):
+            return [(1, 0, small[m], _NOTHING)]
+        lefts, rights = (pairs if walker is None else walker for walker in (left, right))
+        return [(comb(m - 1, a), extra(a), _tallied(lefts, a), _tallied(rights, m - 1 - a)) for a in range(m)]
 
     return pairs
 
 
-_jv_pairs = _root_split_pairs((b"\x01", b"\x00\x02"))  # an empty leaf; a root bare or over two
-_binary_pairs = _root_split_pairs((b"\x00", b"\x01"))  # the empty tree; a bare root
+_jv_pairs = _root_split_pairs((((1, 1),), ((0, 1), (2, 1))))  # an empty leaf; a root bare or over two
+_binary_pairs = _root_split_pairs((_NOTHING, ((1, 1),)))  # the empty tree; a bare root
 
 
 @functools.cache
 def _pairs_012(ordered: bool):
-    """Walker of the 0-1-2 trees, in _trees_012 order; one per argument."""
+    """Walker of the 0-1-2 trees, in _trees_012 order, one per argument: one
+    child on the m - 1 other labels, then two on a and m - 1 - a of them, the
+    first taking the least of them if the tree is unordered."""
 
-    def pairs(m: int, stats) -> list:
+    def pairs(m: int) -> list:
         if m < 2:
-            return [(b"\x01", b"\x00")] if m else []
-        two = [(stats(a), stats(b)) for a, b, low in _splits(m - 1) if a and b and (ordered or low)]
-        return [(stats(m - 1), b"\x00")] + two
+            return [(1, 0, ((1, 1),), _NOTHING)] if m else []
+        two = [
+            (comb(m - 1, a) if ordered else comb(m - 2, a - 1), 0, _tallied(pairs, a), _tallied(pairs, m - 1 - a))
+            for a in range(1, m - 1)
+        ]
+        return [(1, 0, _tallied(pairs, m - 1), _NOTHING)] + two
 
     return pairs
 
 
 @functools.cache
 def _forest_pairs(tree_pairs):
-    """Walker of the forests of planted trees that tree_pairs walks: one (trees
-    on the first label's block less its root, forests on the other labels)
-    pair per split of the m - 1 other labels.  A lone root is the tree
-    walker's size-0 value.  The last split, a block of all m labels, is that
-    one tree, walked by tree_pairs rather than listed.  One walker per
-    tree_pairs, reading the tree sizes from tree_pairs' own memo."""
-
-    def pairs(m: int, stats) -> list:
-        if m == 0:
-            return [(b"\x00", b"\x00")]  # the empty forest
-        trees = _size_keyed(tree_pairs)
-        return [(trees(a), stats(b)) for a, b, _ in _splits(m - 1) if b] + tree_pairs(m - 1, trees)
-
-    return pairs
+    """Walker of the forests of planted trees that tree_pairs walks, one per
+    tree_pairs: the first label roots a tree on a of the m - 1 other labels,
+    beside a forest on the rest.  A lone root is the tree walker's size-0
+    value, and the block of all m labels comes last, as in _forests."""
+    return _root_split_pairs((_NOTHING,), tree_pairs)
 
 
 # the permutation statistics, with sigma_0 = sigma_{n+1} = 0 and a = len(L).
@@ -444,7 +383,7 @@ def _forest_pairs(tree_pairs):
 # rpk(L) + lpk(R).  down and up are 0 exactly on the down-up and up-down
 # alternating permutations: down = down(L) + down(R) + [a even], up = up(L) +
 # down(R) + [a odd].
-_ZERO = (b"\x00", b"\x00")
+_ZERO = (_NOTHING, _NOTHING)
 _des_pairs = _root_split_pairs(_ZERO, extra=lambda a: a > 0)
 _lpk_pairs = _root_split_pairs(_ZERO, _binary_pairs)
 _rpk_pairs = _root_split_pairs(_ZERO, None, _binary_pairs)
@@ -584,30 +523,22 @@ def _jv_json(tree):
     return [label, [_jv_json(c) for c in children]]
 
 
-_Kind = namedtuple("_Kind", "enumerate count json")
-# kind -> enumerator over the labels 1..n, its count over n by the size-keyed
-# walker, JSON codec of one structure
+_Kind = namedtuple("_Kind", "enumerate walker json least", defaults=(0,))
+# kind -> enumerator over the labels 1..n, the walker whose tally counts them,
+# JSON codec of one structure, and the least n with a structure
 _KINDS = {
-    "permutations": _Kind(itertools.permutations, lambda n: sum(_tally(_binary_pairs, n).values()), list),
-    "inc_binary": _Kind(
-        lambda labels: inc_binary_trees(labels) if labels else (),
-        lambda n: sum(_tally(_binary_pairs, n).values()) if n else 0,
-        _binary_json,
-    ),
-    "plane_012": _Kind(plane_012_trees, lambda n: sum(_tally(_pairs_012(True), n).values()), _jv_json),
-    "tree_012": _Kind(tree_012_trees, lambda n: sum(_tally(_pairs_012(False), n).values()), _jv_json),
-    "jv_tree": _Kind(jv_trees, lambda n: sum(_tally(_jv_pairs, n).values()), _jv_json),
+    "permutations": _Kind(itertools.permutations, _binary_pairs, list),
+    "inc_binary": _Kind(lambda labels: inc_binary_trees(labels) if labels else (), _binary_pairs, _binary_json, 1),
+    "plane_012": _Kind(plane_012_trees, _pairs_012(True), _jv_json),
+    "tree_012": _Kind(tree_012_trees, _pairs_012(False), _jv_json),
+    "jv_tree": _Kind(jv_trees, _jv_pairs, _jv_json),
     "jv_forest": _Kind(
-        jv_forests,
-        lambda n: sum(_tally(_forest_pairs(_jv_pairs), n).values()),
-        lambda forest: [[root, [_jv_json(sub)]] for root, sub in forest],
+        jv_forests, _forest_pairs(_jv_pairs), lambda forest: [[root, [_jv_json(sub)]] for root, sub in forest]
     ),
     "planted_forest": _Kind(
         planted_forests,
-        lambda n: sum(_tally(_forest_pairs(_binary_pairs), n).values()),
-        lambda forest: [
-            [root, [] if sub is None else [_binary_json(sub)]] for root, sub in forest
-        ],
+        _forest_pairs(_binary_pairs),
+        lambda forest: [[root, [] if sub is None else [_binary_json(sub)]] for root, sub in forest],
     ),
 }
 STRUCTURE_KINDS = tuple(_KINDS)

@@ -23,8 +23,6 @@ from gramcalc.structures import (
     _pairs_012,
     _perm_tally,
     _rpk_pairs,
-    _size_keyed,
-    _splits,
     _tally,
     _up_pairs,
     alternating_count,
@@ -364,17 +362,23 @@ def _planted_leaves(forest):
     return sum(binary_degree_counts(sub)[0] for _, sub in forest)
 
 
+def _ordered(tally):
+    """A tally's items in their order, which == on dicts and Counters ignores."""
+    return list(tally.items())
+
+
 def test_stat_routes_match_tree_routes():
     for n in range(0, 9):
         labels = tuple(range(1, n + 1))
-        # the tree walkers list leaf counts, one byte each, in their enumerator's order
-        assert list(_size_keyed(_jv_pairs)(n)) == [jv_empty_leaves(t) for t in jv_trees(labels)], n
+        # the tree walkers tally leaf counts in the order their enumerator first meets them
+        jv = Counter(jv_empty_leaves(t) for t in jv_trees(labels))
+        assert _ordered(_tally(_jv_pairs, n)) == _ordered(jv), n
         binary = [binary_degree_counts(t) for t in inc_binary_trees(labels)]
-        assert list(_size_keyed(_binary_pairs)(n)) == [f0 for f0, _, _ in binary], n
+        assert _ordered(_tally(_binary_pairs, n)) == _ordered(Counter(f0 for f0, _, _ in binary)), n
         for ordered, trees in ((True, plane_012_trees), (False, tree_012_trees)):
             counts = [tree_degree_counts(t) for t in trees(labels)]
-            stats = list(_size_keyed(_pairs_012(ordered))(n))
-            assert stats == [f0 for f0, _, _ in counts], (n, ordered)
+            stats = _ordered(_tally(_pairs_012(ordered), n))
+            assert stats == _ordered(Counter(f0 for f0, _, _ in counts)), (n, ordered)
             # one edge per label but the root: the leaves fix the one-child count
             assert all(f1 == n + 1 - 2 * f0 for f0, f1, _ in counts), (n, ordered)
         if n:
@@ -384,11 +388,12 @@ def test_stat_routes_match_tree_routes():
         for forest in planted:
             one_child = sum(1 if sub is None else binary_degree_counts(sub)[1] for _, sub in forest)
             assert one_child == n - 2 * _planted_leaves(forest), forest
-        # the forest walkers visit the same forests in another order
-        walked = Counter(_size_keyed(_forest_pairs(_binary_pairs))(n))
-        assert walked == Counter(map(_planted_leaves, planted)), n
+        # the forest walkers split off the first label's block, yet first meet
+        # each value where _forests does
+        walked = _tally(_forest_pairs(_binary_pairs), n)
+        assert _ordered(walked) == _ordered(Counter(map(_planted_leaves, planted))), n
         jv = Counter(sum(jv_empty_leaves(sub) for _, sub in f) for f in jv_forests(labels))
-        assert Counter(_size_keyed(_forest_pairs(_jv_pairs))(n)) == jv, n
+        assert _ordered(_tally(_forest_pairs(_jv_pairs), n)) == _ordered(jv), n
         assert plane_leaf_counts(n) == dict(
             Counter(tree_leaf_count(t) for t in plane_012_trees(labels))
         ), n
@@ -415,13 +420,11 @@ _WALKERS = {
 def test_walkers_are_one_per_argument():
     assert _pairs_012(True) is _WALKERS["plane_012"]
     assert _forest_pairs(_jv_pairs) is _WALKERS["jv_forest"]
-    assert _size_keyed(_jv_pairs) is _size_keyed(_jv_pairs)
 
 
 def test_memoized_tallies_match_fresh_walks(monkeypatch):
     memoized = {(kind, n): list(_tally(walker, n).items()) for kind, walker in _WALKERS.items() for n in range(9)}
     for (kind, n), tally in memoized.items():
-        monkeypatch.setattr(structures, "_SIZE_KEYED", {})
         monkeypatch.setattr(structures, "_TALLIES", {})
         assert list(_tally(_WALKERS[kind], n).items()) == tally, (kind, n)
 
@@ -435,11 +438,10 @@ def test_tally_is_handed_out_as_a_copy():
 
 
 def test_tally_memo_under_concurrent_fills(monkeypatch):
-    # eight threads fill the walkers' size memos and tallies at once; each
+    # eight threads fill the walkers' tallies at once; each
     # mutates its copy, which must reach no other thread
     expected = {kind: _tally(walker, 8) for kind, walker in _WALKERS.items()}
     for _ in range(3):
-        monkeypatch.setattr(structures, "_SIZE_KEYED", {})
         monkeypatch.setattr(structures, "_TALLIES", {})
 
         def fill(i):
@@ -456,8 +458,8 @@ def test_second_run_all_walks_no_tree_size(monkeypatch):
 
     run_all()
     calls = []
-    split_bytes = structures._split_bytes
-    monkeypatch.setattr(structures, "_split_bytes", lambda *pair: calls.append(pair) or split_bytes(*pair))
+    step = structures._step
+    monkeypatch.setattr(structures, "_step", lambda *size: calls.append(size) or step(*size))
     run_all()
     assert calls == []
 
@@ -493,28 +495,19 @@ def _as_reference(walker, references, k):
 
 
 def test_permutation_walkers_match_perm_stats_tally():
+    # a walker tallies its statistic in the order the increasing binary trees
+    # first meet it in the permutations they read in order
     for walker in (_des_pairs, _binary_pairs, _lpk_pairs, _rpk_pairs, _ipk_pairs, _down_pairs, _up_pairs):
         assert _tally(walker, 0) == {0: 1}  # the empty permutation
     for n in range(1, 9):
-        references = [_perm_references(p) for p in itertools.permutations(range(1, n + 1))]
-        for walker in references[0]:
-            tally = Counter()
-            for k, count in _tally(walker, n).items():
-                tally[_as_reference(walker, references[0], k)] += count
-            assert tally == Counter(r[walker] for r in references), (walker, n)
-
-
-def test_permutation_walkers_list_the_in_order_readings():
-    # a walker lists one value per permutation, in the order of the increasing
-    # binary trees that read them in order; tallies alone would not tell
-    # up(L) + up(R) from up(L) + down(R), which count alike
-    for n in range(1, 8):
         perms = [_in_order(t) for t in inc_binary_trees(tuple(range(1, n + 1)))]
         assert sorted(perms) == list(itertools.permutations(range(1, n + 1)))
         references = list(map(_perm_references, perms))
         for walker in references[0]:
-            listed = [_as_reference(walker, references[0], k) for k in _size_keyed(walker)(n)]
-            assert listed == [r[walker] for r in references], (walker, n)
+            tally = Counter()
+            for k, count in _tally(walker, n).items():
+                tally[_as_reference(walker, references[0], k)] += count
+            assert _ordered(tally) == _ordered(Counter(r[walker] for r in references)), (walker, n)
 
 
 def test_perm_tally_sums_coinciding_exponents():
@@ -522,7 +515,6 @@ def test_perm_tally_sums_coinciding_exponents():
 
 
 def test_permutation_tally_never_lists_the_top_size(monkeypatch):
-    monkeypatch.setattr(structures, "_SIZE_KEYED", {})
     monkeypatch.setattr(structures, "_TALLIES", {})
     tracemalloc.start()
     try:
@@ -536,18 +528,40 @@ def test_permutation_tally_never_lists_the_top_size(monkeypatch):
     assert peak < 1 << 19, peak
 
 
-def test_leaf_tally_never_wraps():
-    # leaf counts of 254 and more: counted exactly or refused, never wrapped past 255
-    for pair in ((bytes([200]), bytes([54, 100])), (bytes([54, 100]), bytes([200]))):
-        try:
-            tally = _tally(lambda m, stats: [pair], 1)
-        except OverflowError:
-            continue
-        assert dict(tally) == {254: 1, 300: 1}, pair
-    assert dict(_tally(lambda m, stats: [(bytes([200]), bytes([54, 0]))], 1)) == {254: 1, 200: 1}
-    # 255 labels would be 255! trees: refused before any is visited
-    with pytest.raises(BoundExceeded):
-        count_structures("jv_tree", 255, bound=255)
+PERM_ORACLES = [
+    "eulerian_biv", "eulerian_uni", "left_peak_biv", "left_peak_uni", "interior_peak_biv",
+    "interior_peak_uni", "lr_peak_biv", "lr_peak_uni", "R_family",
+]
+
+
+def test_permutation_oracles_keep_no_statistic_per_permutation(monkeypatch):
+    # the memos keep one (value, count) pair per statistic value and size, not
+    # one entry per permutation of each size below n (9! = 362,880 at n = 10)
+    family_poly_oracle("eulerian_biv", 3)  # the first call's lazy module state
+    monkeypatch.setattr(structures, "_TALLIES", {})
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for name in PERM_ORACLES:
+            family_poly_oracle(name, 10, bound=10)
+        assert alternating_count(10, bound=10) == family_number("euler", 10)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 << 10, retained
+
+
+@pytest.mark.parametrize("name", structures._ORACLES)
+def test_oracle_equals_grammar_past_the_enumeration_range(name):
+    assert family_poly_oracle(name, 16, bound=16) == family_poly(name, 16)
+
+
+def test_counts_past_the_enumeration_range():
+    for n in range(31):
+        assert alternating_count(n, bound=n) == family_number("euler", n), n
+        assert count_structures("jv_forest", n, bound=n) == family_number("springer", n), n
+        assert count_structures("permutations", n, bound=n) == factorial(n), n
+        assert count_structures("inc_binary", n, bound=n) == (factorial(n) if n else 0), n
 
 
 # exponents of one permutation's weight, read straight off its PermRecord
@@ -613,11 +627,20 @@ def test_oracle_coefficient_sum_counts_structures(name, kind, lo, copies):
 
 
 def test_split_sizes_match_subsets():
-    for m in range(10):
-        items = tuple(range(1, m + 1))
-        assert _splits(m) == [
-            (len(c), len(r), m > 0 and items[0] in c) for c, r in _ref_subsets(items)
-        ], m
+    # a walker's class of each size stands for that many _subsets splits, and
+    # the first split of size a is mask 2^a - 1, so the classes come in increasing a
+    for m in range(2, 10):
+        rest = tuple(range(2, m + 1))
+        splits = [(len(c), len(r), rest[0] in c) for c, r in _ref_subsets(rest)]
+        sizes = Counter(a for a, _, _ in splits)
+        assert list(sizes) == list(range(m)), m
+        assert [times for times, _, _, _ in _binary_pairs(m)] == [sizes[a] for a in range(m)], m
+        assert [times for times, _, _, _ in _forest_pairs(_jv_pairs)(m)] == [sizes[a] for a in range(m)], m
+        for ordered in (True, False):
+            two = Counter(a for a, b, low in splits if a and b and (ordered or low))
+            assert list(two) == list(range(1, m - 1)), (m, ordered)
+            classes = [times for times, _, _, _ in _pairs_012(ordered)(m)]
+            assert classes == [1] + [two[a] for a in range(1, m - 1)], (m, ordered)
 
 
 def test_count_structures_never_lists_the_top_size():
