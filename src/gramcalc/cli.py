@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gramcalc",
         description=(
-            "Exact grammar-derivative calculus: polynomial families, "
-            "brute-force oracles, and a mechanical identity verifier."
+            "Exact grammar-derivative calculus: polynomial families, structure oracles "
+            "counted by tally recurrences, and a mechanical identity verifier."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--format", choices=("text", "json"), default="text")
     chk.set_defaults(func=cmd_check)
 
-    orc = sub.add_parser("oracle", help="brute-force family values")
+    orc = sub.add_parser("oracle", help="family values counted by the structure tally recurrences")
     orc.add_argument("name", choices=FAMILY_NAMES)
     orc.add_argument("--n", type=int, required=True)
     orc.add_argument("--diff", action="store_true", help="compare with the grammar route")

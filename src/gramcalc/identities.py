@@ -159,7 +159,7 @@ Y_OF_XY = LaurentPoly.variable("y", ("x", "y"))
 X_OF_XY = LaurentPoly.variable("x", ("x", "y"))
 _I = make_gaussian(0, 1)
 _HALF_SUM = parse_poly("1/2*x + 1/2*y")
-_HALF_DIFF = parse_poly("1/2*y - 1/2*x")
+_HALF_DIFF = parse_poly("1/2*y - 1/2*x", ("x", "y"))
 _X_SQUARED = parse_poly("x^2")
 _ONE_PLUS_X = parse_poly("1 + x")
 _ONE_MINUS_X = parse_poly("1 - x")

@@ -73,19 +73,16 @@ class LaurentPoly:
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar]):
         variables = _table(variables)
-        parts = []
+        scalars = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != len(variables):
                 raise ValueError(
                     f"exponent vector {exps} does not match table {variables}"
                 )
-            parts.append((_pack(exps), *_cleared(as_scalar(coeff))))
-        den = lcm(*[d for _, d, _ in parts])
-        if any(type(n) is tuple for _, _, n in parts):
-            parts = [(e, d, n if type(n) is tuple else (n, 0)) for e, d, n in parts]
-        nums = {e: _scaled(n, den // d) for e, d, n in parts}
-        _stored(variables, *_normal_form(den, nums), self)
+            key = _pack(exps)
+            scalars[key] = as_scalar(coeff)
+        _from_scalars(variables, scalars, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -296,38 +293,27 @@ class LaurentPoly:
         merged = tuple(self.vars) + tuple(v for v in other.vars if v not in self.vars)
         return merged, _reindex(self, merged), _reindex(other, merged)
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
+        """self + sign * other: one kernel call over the aligned tables, each
+        operand times the table's 1."""
         other = _coerce(other, self.vars)
         if other is NotImplemented:
             return NotImplemented
         variables, a, b = self._aligned(other)
-        den = lcm(a.den, b.den)
-        sa, sb = den // a.den, den // b.den
-        if _is_pair(a._packed) or _is_pair(b._packed):
-            na, nb = _pairs(a._packed), _pairs(b._packed)
-            out = {e: (re * sa, im * sa) for e, (re, im) in na.items()}
-            for e, (re, im) in nb.items():
-                r0, i0 = out.get(e, (0, 0))
-                out[e] = (r0 + re * sb, i0 + im * sb)
-        else:
-            out = {e: n * sa for e, n in a._packed.items()}
-            for e, n in b._packed.items():
-                out[e] = out.get(e, 0) + n * sb
-        return _stored(variables, *_normal_form(den, out))
+        unit = _stored(variables, 1, {_zero_key(len(variables)): 1})
+        return _accumulate(variables, [((1, 1), a, unit), ((1, sign), b, unit)])
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other, self.vars)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other, self.vars)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is NotImplemented else other._sum(self, -1)
 
     def __neg__(self):
         return _stored(self.vars, self.den, {e: _scaled(n, -1) for e, n in self._packed.items()})
@@ -481,16 +467,17 @@ class LaurentPoly:
         """Exact quotient self / divisor in the Laurent ring.
 
         Runs leading-term polynomial division in canonical order on the
-        packed keys and integer numerators, fraction-free: when the divisor's
-        leading coefficient does not divide the remainder's, the remainder and
-        the quotient are scaled by an int first, and the scale goes into the
-        result's denominator.  Raises InsufficientClearing when the division
-        is not exact, and ExponentOverflow when a quotient term leaves the
-        exponent range.  The same walk runs first mod a prime p that divides
-        neither the divisor's leading coefficient nor a den, a Gaussian
-        numerator read with i as a square root of -1 mod p: an exact division
-        leaves no remainder mod p either, so a remainder there is refused
-        before the exact walk can grow one coefficient by coefficient.
+        packed keys, the leading remainder term popped from a heap of (total
+        degree, key) ints, in Fraction/GaussianRational coefficients: q is
+        the remainder's leading coefficient over the divisor's, and the
+        remainder loses q times the divisor.  Raises InsufficientClearing
+        when the division is not exact, and ExponentOverflow when a quotient
+        term leaves the exponent range.  The same walk runs first on the int
+        numerators mod a prime p that divides neither the divisor's leading
+        numerator nor a den, a Gaussian numerator read with i as a square
+        root of -1 mod p: an exact division leaves no remainder mod p either,
+        so a remainder there is refused before the exact walk can grow one
+        coefficient by coefficient.
         """
         if divisor.is_zero():
             raise DivisionByZero("exact division by the zero polynomial")
@@ -499,10 +486,7 @@ class LaurentPoly:
         variables, a, b = self._aligned(divisor)
         k = len(variables)
         zero_key = _zero_key(k)
-        pair = _is_pair(a._packed) or _is_pair(b._packed)
-        nums_a = _pairs(a._packed) if pair else a._packed
-        den = _pairs(b._packed) if pair else b._packed
-        exps_a, exps_b = _unpacked(nums_a, k), _unpacked(den, k)
+        exps_a, exps_b = _unpacked(a._packed, k), _unpacked(b._packed, k)
         # Each quotient exponent is at least a's least exponent less b's, or the
         # division is not exact; low is that bound clamped to [-_LIMIT, _LIMIT],
         # where q - low_key + zero_key cannot borrow for an in-range q.
@@ -511,25 +495,24 @@ class LaurentPoly:
         # Heap entries are -(total degree << span | key): the heap pops terms
         # in _term_sort_key order, since keys compare as exponent vectors do.
         span = _WIDTH * k
-        heap = [-(sum(e) << span | key) for e, key in zip(exps_a, nums_a)]
+        heap = [-(sum(e) << span | key) for e, key in zip(exps_a, a._packed)]
         heapify(heap)
-        den_terms = [(key, n, sum(e)) for e, (key, n) in zip(exps_b, den.items())]
+        den_terms = [(key, n, sum(e)) for e, (key, n) in zip(exps_b, b._packed.items())]
         lead_den, lead_den_coeff, lead_den_deg = max(den_terms, key=lambda t: (t[2], t[0]))
 
         def walk(p):
-            """(quotient, scale) with self / divisor == quotient * b.den /
-            (a.den * scale), every numerator taken mod p (_residue) if p is not None."""
-            gaussian = pair and p is None
-            zero = (0, 0) if gaussian else 0
+            """The quotient, packed key -> coefficient: self / divisor if p is
+            None, else the quotient of the numerators mod p (_residue)."""
             if p is None:
-                rem, terms, inverse = dict(nums_a), den_terms, None
+                rem = {key: _scalar(n, a.den) for key, n in a._packed.items()}
+                terms = [(key, _scalar(n, b.den), deg) for key, n, deg in den_terms]
+                lead_coeff = _scalar(lead_den_coeff, b.den)
             else:  # terms that vanish mod p dropped: only a present term then cancels
-                rem = {key: r for key, n in nums_a.items() if (r := _residue(n, p))}
+                rem = {key: r for key, n in a._packed.items() if (r := _residue(n, p))}
                 terms = [(key, r, deg) for key, n, deg in den_terms if (r := _residue(n, p))]
                 inverse = pow(_residue(lead_den_coeff, p), -1, p)
             pending = list(heap)  # entries for terms that vanish mod p are stale
-            quotient: Dict[int, object] = {}
-            scale = 1
+            quotient = {}
             while rem:
                 top = -heappop(pending)
                 lead = top & ((1 << span) - 1)
@@ -543,28 +526,16 @@ class LaurentPoly:
                     )
                 if (q - low_key + zero_key) & zero_key != zero_key:
                     raise self._inexact(divisor)
-                if p is None:
-                    q_coeff, s = _lead_quotient(rem[lead], lead_den_coeff)
-                else:
-                    q_coeff, s = rem[lead] * inverse % p, 1
-                if s != 1:
-                    rem = {key: _scaled(n, s) for key, n in rem.items()}
-                    quotient = {key: _scaled(n, s) for key, n in quotient.items()}
-                    scale *= s
-                quotient[q] = q_coeff
+                q_coeff = quotient[q] = rem[lead] / lead_coeff if p is None else rem[lead] * inverse % p
                 q_deg = (top >> span) - lead_den_deg
                 q -= zero_key
                 for key, n, deg in terms:
                     key += q
                     old = rem.get(key)
-                    if gaussian:
-                        (qr, qi), (dr, di), (r0, i0) = q_coeff, n, old or zero
-                        value = (r0 - qr * dr + qi * di, i0 - qr * di - qi * dr)
-                    else:
-                        value = (old or zero) - q_coeff * n
-                        if p is not None:
-                            value %= p
-                    if value == zero:  # only a present term cancels: q_coeff * n != 0
+                    value = (old or 0) - q_coeff * n
+                    if p is not None:
+                        value %= p
+                    if not value:  # only a present term cancels: q_coeff * n != 0
                         del rem[key]
                         continue
                     if old is None:
@@ -574,16 +545,12 @@ class LaurentPoly:
                             raise self._inexact(divisor)
                         heappush(pending, -((q_deg + deg) << span | key))
                     rem[key] = value
-            return quotient, scale
+            return quotient
 
         primes = [p for p in _PRIMES if _residue(lead_den_coeff, p) and a.den % p and b.den % p]
         if primes:
             walk(primes[0])
-        quotient, scale = walk(None)
-        return _stored(
-            variables,
-            *_normal_form(a.den * scale, {key: _scaled(n, b.den) for key, n in quotient.items()}),
-        )
+        return _from_scalars(variables, walk(None))
 
     def _inexact(self, divisor) -> InsufficientClearing:
         return InsufficientClearing(
@@ -750,6 +717,16 @@ def _stored(variables, den: int, nums: dict, poly: LaurentPoly | None = None) ->
     return poly
 
 
+def _from_scalars(variables, terms: dict, poly: LaurentPoly | None = None) -> LaurentPoly:
+    """The polynomial sum(terms[key] x^key) over `variables`, from packed key ->
+    Fraction/GaussianRational, in terms' key order; a zero term is dropped."""
+    parts = {key: _cleared(c) for key, c in terms.items()}
+    den = lcm(*[d for d, _ in parts.values()])
+    pair = any(type(n) is tuple for _, n in parts.values())
+    nums = {key: _scaled((n, 0) if pair and type(n) is int else n, den // d) for key, (d, n) in parts.items()}
+    return _stored(variables, *_normal_form(den, nums), poly)
+
+
 def _normal_form(den: int, acc: dict):
     """(den, nums) for sum(acc[e] x^e) / den, den > 0: zero numerators dropped,
     the gcd of den and every numerator part divided out, and pairs made ints
@@ -819,19 +796,6 @@ def _cleared(value):
         d = lcm(re.denominator, im.denominator)
         return d, (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
     return value.denominator, value.numerator
-
-
-def _lead_quotient(r, c):
-    """(q, s) with s * r == q * c for integer numerators q, and s >= 1 an
-    int that is 1 whenever c divides r."""
-    if type(c) is int:
-        s = abs(c) // gcd(r, c)
-        return r * s // c, s
-    (rr, ri), (cr, ci) = r, c
-    tr, ti = rr * cr + ri * ci, ri * cr - rr * ci  # r * conj(c)
-    norm = cr * cr + ci * ci
-    s = norm // gcd(norm, tr, ti)
-    return (tr * s // norm, ti * s // norm), s
 
 
 def _reindex(poly: LaurentPoly, variables: Tuple[str, ...]) -> LaurentPoly:

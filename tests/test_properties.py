@@ -218,6 +218,16 @@ def _scaled(w, poly):
     return LaurentPoly(poly.vars, {e: w * c for e, c in poly.terms.items()})
 
 
+def _reference_add(f, g, sign=1):
+    """f + sign * g by per-term scalar arithmetic over the aligned tables: f's
+    terms, then g's new ones, zero sums dropped; the reference for + and -."""
+    variables = tuple(dict.fromkeys(f.vars + g.vars))
+    out = _reference_reindex(f, variables)
+    for exps, coeff in _reference_reindex(g, variables).items():
+        out[exps] = out.get(exps, 0) + sign * coeff
+    return LaurentPoly(variables, {exps: coeff for exps, coeff in out.items() if coeff})
+
+
 def _assert_canonical(poly):
     for c in poly.terms.values():
         assert (type(c) is Fraction and c != 0) or (type(c) is GaussianRational and c.im != 0)
@@ -229,13 +239,24 @@ def test_sum_of_products_matches_chained_sum(case):
     variables, triples = case
     expected = LaurentPoly.zero(variables)
     for w, a, b in triples:
-        expected = expected + _scaled(w, _reference_mul(a, b))
+        expected = _reference_add(expected, _scaled(w, _reference_mul(a, b)))
     result = sum_of_products(triples, variables)
     assert result.vars == expected.vars
     assert result.terms == expected.terms
     _assert_canonical(result)
     if not triples:
         assert result.vars == variables and not result.terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SUM_TABLES.flatmap(lambda table: poly_strategy(table, max_terms=4, coeffs=scalars)), _sum_operand())
+def test_sums_match_reference_sum(f, g):
+    three = LaurentPoly(f.vars, {(0,) * len(f.vars): Fraction(3)})
+    for result, expected in ((f + g, _reference_add(f, g)), (f - g, _reference_add(f, g, -1)),
+                             (3 - f, _reference_add(three, f, -1))):
+        assert result.vars == expected.vars
+        assert list(result.terms.items()) == list(expected.terms.items())
+        _assert_canonical(result)
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,7 +268,7 @@ def test_binomial_convolution_matches_explicit_sum(case):
     for left, right in ((a, b), (a, a)):
         expected = LaurentPoly.zero()
         for k in range(n + 1):
-            expected = expected + _scaled(comb(n, k), _reference_mul(left[k], right[n - k]))
+            expected = _reference_add(expected, _scaled(comb(n, k), _reference_mul(left[k], right[n - k])))
         result = binomial_convolution(left, right, n)
         assert result.vars == expected.vars
         assert result.terms == expected.terms
